@@ -55,8 +55,9 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ValueError("unknown command %r" % (self.command,))
         if self.command != "check" and not (self.eta is not None
-                                            and self.eta > 0):
-            raise ValueError("eta must be positive")
+                                            and self.eta > 0
+                                            and math.isfinite(self.eta)):
+            raise ValueError("eta must be positive and finite")
         for name, grid in (("inv-a", self.inv_a_grid),
                            ("grid", self.coord_grid)):
             if grid is not None:
@@ -520,7 +521,7 @@ def _check_battery(fast):
         eta = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
         lhs = f_eval(SpectralArgument(x, eta)).value \
             - f_eval(SpectralArgument(x + eta, eta)).value
-        rhs = eta * math.sqrt(math.pi) * gamma_ratio(x, x + 0.5).finite()
+        rhs = eta * math.sqrt(math.pi) * gamma_ratio(x, x + 0.5)
         worst = max(worst, abs(lhs - rhs))
     add("recurrence residual", worst, 1e-9)
 

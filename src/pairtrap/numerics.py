@@ -41,7 +41,7 @@ class SeriesError(NumericsError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and interval split for integrate_semi_infinite.
+    """Tolerances and interval split for integrate_semi_infinite_with_error.
 
     split_point separates the singular-head treatment on (0, split_point)
     from the plain semi-infinite tail.
@@ -78,7 +78,15 @@ class RootBracket:
 
 
 def integrate_semi_infinite_with_error(f, spec=QuadratureSpec()):
-    """Like integrate_semi_infinite but returns (value, error_estimate)."""
+    """Integrate f over (0, inf); return (value, error_estimate).
+
+    Tolerates an endpoint blow-up up to t^(-1/2): the head (0, split_point)
+    is computed after the substitution t = u**2, which turns a t^(-1/2)
+    divergence into a bounded integrand; the tail is handled by adaptive
+    quadrature on the semi-infinite interval.  Raises QuadratureError
+    (carrying the achieved estimate) if the combined error estimate exceeds
+    the requested tolerances.
+    """
     s = spec.split_point
 
     def head(u):
@@ -98,18 +106,6 @@ def integrate_semi_infinite_with_error(f, spec=QuadratureSpec()):
         raise QuadratureError(
             "quadrature error estimate %.3e exceeds tolerance" % est, value, est)
     return value, est
-
-
-def integrate_semi_infinite(f, spec=QuadratureSpec()):
-    """Integrate f over (0, inf), tolerating an endpoint blow-up up to t^(-1/2).
-
-    The head (0, split_point) is computed after the substitution t = u**2,
-    which turns a t^(-1/2) divergence into a bounded integrand; the tail is
-    handled by adaptive quadrature on the semi-infinite interval.  Raises
-    QuadratureError (carrying the achieved estimate) if the combined error
-    estimate exceeds the requested tolerances.
-    """
-    return integrate_semi_infinite_with_error(f, spec)[0]
 
 
 def find_root_bracketed(f, bracket, tol=1e-10):
@@ -196,8 +192,3 @@ def sum_series_with_error(term, tol=1e-12, max_terms=100000):
     raise SeriesError("series did not converge in %d terms" % max_terms,
                       total, est, max_terms)
 
-
-def sum_series(term, tol=1e-12, max_terms=100000):
-    """Value-only wrapper around sum_series_with_error."""
-    value, _, _ = sum_series_with_error(term, tol, max_terms)
-    return value

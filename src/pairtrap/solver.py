@@ -18,13 +18,15 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from scipy.special import digamma
+
 from .numerics import (
     NumericsError,
     RootBracket,
     bracket_from_signs,
     find_root_bracketed,
 )
-from .specfun import PoleSignal, digamma, gamma_ratio, hurwitz_zeta_half
+from .specfun import PoleSignal, gamma_ratio, hurwitz_zeta_half
 from .spectral import (
     POLE_TOL,
     SpectralArgument,
@@ -186,14 +188,12 @@ def eigenenergies(model, g, window=None, max_levels=20):
     x_lo = (e0 - e_hi) / 2.0
     x_hi = (e0 - e_lo) / 2.0
 
+    poles = _pole_xs(g.eta, x_lo, x_hi)
     if model.noninteracting:
-        out = []
-        for p in _pole_xs(g.eta, x_lo, x_hi):
-            if x_lo <= p <= x_hi:
-                out.append(EnergyLevel(E=e0 - 2.0 * p, x=p,
-                                       branch_index=_branch_index(
-                                           _pole_xs(g.eta, x_lo, x_hi), p),
-                                       noninteracting=True))
+        out = [EnergyLevel(E=e0 - 2.0 * p, x=p,
+                           branch_index=_branch_index(poles, p),
+                           noninteracting=True)
+               for p in poles if x_lo <= p <= x_hi]
         out.sort(key=lambda lev: lev.E)
         return out[:max_levels]
 
@@ -202,7 +202,6 @@ def eigenenergies(model, g, window=None, max_levels=20):
     def target(x):
         return f_eval(SpectralArgument(x, g.eta)).value + SQRT_2PI * inv_a
 
-    poles = _pole_xs(g.eta, x_lo, x_hi)
     levels = []
 
     # bound-side segment x in (0, x_hi]: F falls from +inf to -2 sqrt(pi x)
@@ -293,7 +292,7 @@ def spectrum_1d_reference(a1d, g, window):
     rhs = math.sqrt(2.0) * a1d
 
     def target(y):
-        return gamma_ratio(y, y + 0.5).finite() - rhs
+        return gamma_ratio(y, y + 0.5) - rhs
 
     y_lo = (e0 - e_hi) / 2.0
     y_hi = (e0 - e_lo) / 2.0

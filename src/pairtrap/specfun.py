@@ -1,21 +1,17 @@
-"""Self-contained special-function kernel.
+"""Special-function kernel for the routines scipy does not cover.
 
-Log-gamma with sign tracking, gamma ratios with pole bookkeeping, digamma,
-the Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
-2F1(1,x;x+1/2;z) on the unit circle, Kummer's U for b in {1/2, 1, 3/2},
-the parabolic cylinder function D_nu, Laguerre/Hermite polynomials and the
-modified Bessel function K0.
-
-Everything is built from stdlib math primitives (lgamma, erfc-level
-functions) plus a small fixed-node Gauss-Legendre engine; numpy appears
-only as array plumbing for the vectorized Kummer-U quadrature.  No
-special-function library is imported.
+Log-gamma with sign tracking, gamma ratios with pole bookkeeping, the
+Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
+2F1(1,x;x+1/2;z) on the unit circle, Kummer's U for b in {1/2, 1, 3/2} and
+Laguerre polynomials.  Digamma and the modified Bessel function K0 come
+from scipy.special and the Gauss-Legendre nodes from numpy.  The Hurwitz
+zeta stays here because scipy.special.zeta(0.5, q) returns nan.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma
 
 EULER_GAMMA = 0.5772156649015328606065
 SQRT_PI = math.sqrt(math.pi)
@@ -56,78 +52,27 @@ def ln_gamma(x):
     return math.lgamma(x), sign
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    """Gamma(num)/Gamma(den) with flags for the pole/zero limit cases.
-
-    value is finite iff neither flag is set (it is NaN otherwise); is_zero
-    marks a denominator pole (the ratio vanishes), is_pole a numerator pole.
-    """
-
-    value: float
-    is_pole: bool = False
-    is_zero: bool = False
-
-    def finite(self):
-        """The ratio as a plain float, with the is_zero limit collapsed to 0."""
-        if self.is_pole:
-            raise PoleSignal("gamma ratio pole")
-        if self.is_zero:
-            return 0.0
-        return self.value
-
-
 def gamma_ratio(num, den):
     """Gamma(num)/Gamma(den) via lgamma differences with sign tracking.
 
-    Poles of either argument are turned into flags instead of overflow;
-    a pole in both arguments is rejected (no limit without extra context).
+    A denominator pole gives 0.0 (the ratio vanishes) and a numerator pole
+    raises PoleSignal; a pole in both arguments is rejected with ValueError
+    (no limit without extra context).
     """
     num_pole = is_nonpositive_integer(num, tol=0.0)
     den_pole = is_nonpositive_integer(den, tol=0.0)
     if num_pole and den_pole:
         raise ValueError("gamma_ratio(%g, %g): both arguments are poles" % (num, den))
     if num_pole:
-        return GammaRatio(math.nan, is_pole=True)
+        raise PoleSignal("gamma ratio pole at num = %g" % num, num)
     if den_pole:
-        return GammaRatio(math.nan, is_zero=True)
+        return 0.0
     ln_n, s_n = ln_gamma(num)
     ln_d, s_d = ln_gamma(den)
     diff = ln_n - ln_d
     if diff > 709.0:
-        return GammaRatio(math.inf * s_n * s_d)
-    return GammaRatio(s_n * s_d * math.exp(diff))
-
-
-# Asymptotic digamma: psi(x) ~ ln x - 1/(2x) - sum B_2k/(2k x^2k).
-_DIGAMMA_ASY = (
-    1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
-    1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0,
-)
-
-
-def digamma(x):
-    """psi(x) by upward recurrence into the asymptotic series; >= 12 digits.
-
-    Negative non-integer arguments go through the reflection formula.
-    """
-    if x <= 0 and x == round(x):
-        raise PoleSignal("digamma pole at x = %g" % x, x)
-    if x < 0.5:
-        # psi(x) = psi(1-x) - pi*cot(pi*x); reduce the angle first.
-        r = x - round(x)
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * r)
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    s = 0.0
-    p = inv2
-    for coef in _DIGAMMA_ASY:
-        s += coef * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x - s
+        return math.inf * s_n * s_d
+    return s_n * s_d * math.exp(diff)
 
 
 # Euler-Maclaurin coefficients for zeta(1/2, q): B_2j/(2j)! * (1/2)_(2j-1),
@@ -173,33 +118,12 @@ def _hyp2f1_cf_coef(x, j):
     return -k * (k - 0.5) / ((x + 2 * k - 1.5) * (x + 2 * k - 0.5))
 
 
-def _hyp2f1_euler(x, z):
-    # Euler-integral fallback, valid for x > 0:
-    # 2F1(1,x;x+1/2;z) = B(x,1/2)^(-1) * int_0^1 t^(x-1)(1-t)^(-1/2)(1-zt)^(-1) dt
-    nodes, weights = _gl_cache(64)
-    v = 0.5 * (nodes + 1.0)  # map to (0,1)
-    wv = 0.5 * weights
-
-    t1 = 0.5 * v ** (1.0 / x)
-    g1 = 1.0 / (np.sqrt(1.0 - t1) * (1.0 - z * t1))
-    i1 = (0.5 ** x / x) * np.sum(wv * g1)
-
-    s2 = 0.5 * v * v
-    g2 = (1.0 - s2) ** (x - 1.0) / (1.0 - z * (1.0 - s2))
-    i2 = math.sqrt(2.0) * np.sum(wv * g2)
-
-    pref = math.exp(math.lgamma(x + 0.5) - math.lgamma(x)) / SQRT_PI
-    return pref * (i1 + i2)
-
-
 def hyp2f1_one(x, z, tol=1e-15, max_iter=20000):
     """2F1(1, x; x+1/2; z) for z on the unit circle, z != 1.
 
     The defining series diverges there (c - a - b = -1/2), so the value is
     produced by the analytically continued Gauss continued fraction
-    f = 1/(1 + t1 z/(1 + t2 z/(1 + ...))) via modified Lentz; an
-    Euler-integral quadrature is the fallback for x > 0 if the fraction
-    stalls.
+    f = 1/(1 + t1 z/(1 + t2 z/(1 + ...))) via modified Lentz.
     """
     z = complex(z)
     if abs(z - 1.0) < 1e-12:
@@ -226,48 +150,7 @@ def hyp2f1_one(x, z, tol=1e-15, max_iter=20000):
                 return f
         else:
             ok = 0
-    if x > 0:
-        return complex(_hyp2f1_euler(x, z))
     raise ArithmeticError("continued fraction for 2F1 did not converge")
-
-
-# ----------------------------------------------------------------------
-# Gauss-Legendre engine (nodes by Newton iteration on P_n)
-# ----------------------------------------------------------------------
-
-_GL_NODES = {}
-
-
-def _gl_cache(n):
-    if n in _GL_NODES:
-        return _GL_NODES[n]
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    for i in range(n):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        p0, p1 = 1.0, x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        nodes[i] = x
-        weights[i] = 2.0 / ((1.0 - x * x) * dp * dp)
-    _GL_NODES[n] = (nodes, weights)
-    return _GL_NODES[n]
-
-
-def _gl_panel(lo, hi, n=40):
-    nodes, weights = _gl_cache(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0), half * weights
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +158,10 @@ def _gl_panel(lo, hi, n=40):
 # ----------------------------------------------------------------------
 
 _SUPPORTED_B = (0.5, 1.0, 1.5)
+
+# 48-point Gauss-Legendre rule on [-1, 1] for the ln_gamma_u panels, nodes
+# in descending order
+_GL_NODES, _GL_WEIGHTS = (v[::-1] for v in np.polynomial.legendre.leggauss(48))
 
 
 def _check_b(b):
@@ -374,9 +261,9 @@ def ln_gamma_u(a, b, w):
     arr = np.asarray(edges)
     lo_e = arr[:-1]
     half = 0.5 * (arr[1:] - arr[:-1])
-    nodes, wts = _gl_cache(48)
-    t_all = (lo_e[:, None] + half[:, None] * (nodes[None, :] + 1.0)).ravel()
-    w_all = (half[:, None] * wts[None, :]).ravel()
+    t_all = (lo_e[:, None]
+             + half[:, None] * (_GL_NODES[None, :] + 1.0)).ravel()
+    w_all = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     total = float(np.sum(w_all * np.exp(phi(t_all) - shift)))
 
     # Combine panel mass (normalized at shift) with the head in log space.
@@ -392,7 +279,7 @@ def _kummer_u_log_series(a, z):
     # Good for small z with a*z moderate (the sum then carries no deep
     # cancellation); this is the explicit logarithmic b = 1 limit formula.
     lnz = math.log(z)
-    psi_ak = digamma(a)
+    psi_ak = float(digamma(a))
     psi_k1 = -EULER_GAMMA
     coef = 1.0
     total = 0.0
@@ -436,22 +323,8 @@ def kummer_u(a, b, x):
     return cur
 
 
-def parabolic_cylinder_d(nu, x):
-    """D_nu(x) for x >= 0 via D_nu(x) = 2^(nu/2) e^(-x^2/4) U(-nu/2, 1/2, x^2/2)."""
-    if x < 0:
-        raise ValueError("parabolic_cylinder_d needs x >= 0")
-    if x == 0.0:
-        # U(a, 1/2, 0) = sqrt(pi)/Gamma(a + 1/2); 1/Gamma vanishes at poles.
-        arg = 0.5 - 0.5 * nu
-        if is_nonpositive_integer(arg, tol=0.0):
-            return 0.0
-        ln_g, sign = ln_gamma(arg)
-        return sign * math.exp(0.5 * nu * math.log(2.0) + 0.5 * math.log(math.pi) - ln_g)
-    return 2.0 ** (0.5 * nu) * math.exp(-0.25 * x * x) * kummer_u(-0.5 * nu, 0.5, 0.5 * x * x)
-
-
 # ----------------------------------------------------------------------
-# orthogonal polynomials
+# Laguerre polynomials
 # ----------------------------------------------------------------------
 
 def laguerre_iter(x, alpha=0.0):
@@ -465,54 +338,3 @@ def laguerre_iter(x, alpha=0.0):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
         k += 1
 
-
-def orthopoly(kind, degree, x):
-    """L_m(x) or H_k(x) by three-term recurrence."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if kind == "laguerre":
-        it = laguerre_iter(x)
-        for _ in range(degree):
-            next(it)
-        return next(it)
-    if kind == "hermite":
-        prev, cur = 1.0, 2.0 * x
-        if degree == 0:
-            return prev
-        for k in range(1, degree):
-            prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-        return cur
-    raise ValueError("kind must be 'laguerre' or 'hermite'")
-
-
-# ----------------------------------------------------------------------
-# modified Bessel K0
-# ----------------------------------------------------------------------
-
-def bessel_k0(x):
-    """K0(x) for x > 0: log power series below x = 2, Kummer-U route above.
-
-    The large-x route K0(x) = sqrt(pi) e^(-x) U(1/2, 1, 2x) reproduces the
-    e^(-x) asymptote by construction; the series carries the -ln(x/2) - gamma
-    small-x behavior explicitly.
-    """
-    if not x > 0:
-        raise ValueError("bessel_k0 needs x > 0")
-    if x <= 2.0:
-        q = 0.25 * x * x
-        term = 1.0
-        i0 = 1.0
-        hsum = 0.0
-        ksum = 0.0
-        k = 0
-        while True:
-            k += 1
-            term *= q / (k * k)
-            hsum += 1.0 / k
-            i0 += term
-            ksum += term * hsum
-            if term < 1e-19:
-                break
-        return -(math.log(0.5 * x) + EULER_GAMMA) * i0 + ksum
-    # sqrt(pi) e^{-x} U(1/2,1,2x) = e^{-x + ln(Gamma(1/2) U(1/2,1,2x))}
-    return math.exp(-x + ln_gamma_u(0.5, 1.0, 2.0 * x))

@@ -19,12 +19,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numerics import QuadratureSpec, integrate_semi_infinite_with_error
+from scipy.special import digamma
+
+from .numerics import (NumericsError, QuadratureSpec,
+                       integrate_semi_infinite_with_error)
 from .specfun import (
-    EULER_GAMMA,
     PoleSignal,
     SQRT_PI,
-    digamma,
     gamma_ratio,
     hurwitz_zeta_half,
     hyp2f1_one,
@@ -67,13 +68,10 @@ class PoleGrid:
 
     poles: tuple
 
-    def nearest(self, x):
-        return min(self.poles, key=lambda p: abs(p - x))
-
 
 def _gamma_ladder_term(arg):
     # Gamma(arg)/Gamma(arg + 1/2), with denominator poles collapsing to 0.
-    return gamma_ratio(arg, arg + 0.5).finite()
+    return gamma_ratio(arg, arg + 0.5)
 
 
 def _check_ladder_pole(arg):
@@ -112,7 +110,7 @@ def _spherical(x):
     # F(x, 1) = -2 sqrt(pi) Gamma(x)/Gamma(x - 1/2), analytic in x except
     # for the Gamma(x) poles (denominator poles are zeros of the ratio).
     _check_ladder_pole(x)
-    ratio = gamma_ratio(x, x - 0.5).finite()
+    ratio = gamma_ratio(x, x - 0.5)
     value = -2.0 * SQRT_PI * ratio
     return SpectralValue(value, "spherical", 1e-14 * (1.0 + abs(value)))
 
@@ -144,9 +142,11 @@ def f_cigar(x, n):
     for m in range(1, n):
         z = cmath.exp(2j * math.pi * m / n)
         hyp_sum += hyp2f1_one(x_work, z)
-    assert abs(hyp_sum.imag) < 1e-10, "cigar sum should be real"
+    if not abs(hyp_sum.imag) < 1e-10:
+        raise NumericsError("cigar hypergeometric sum is not real: imaginary "
+                            "part %.3e" % hyp_sum.imag)
     front = SQRT_PI * _gamma_ladder_term(x_work)
-    sph = 2.0 * SQRT_PI * gamma_ratio(x_work, x_work - 0.5).finite()
+    sph = 2.0 * SQRT_PI * gamma_ratio(x_work, x_work - 0.5)
     value = ladder + front * hyp_sum.real - sph
     scale = abs(ladder) + abs(front) * (abs(hyp_sum.real) + n) + abs(sph)
     return SpectralValue(value, "cigar", 1e-14 * scale)
@@ -167,7 +167,7 @@ def f_pancake(x, n):
     for m in range(n):
         arg = x + m / n
         _check_ladder_pole(arg)
-        total += gamma_ratio(arg, arg - 0.5).finite()
+        total += gamma_ratio(arg, arg - 0.5)
     value = -(2.0 * SQRT_PI / n) * total
     return SpectralValue(value, "pancake", 1e-14 * (1.0 + abs(value)))
 

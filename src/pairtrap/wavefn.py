@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from scipy.special import k0 as bessel_k0
+
 from .numerics import (
     NumericsError,
     QuadratureSpec,
@@ -25,7 +27,6 @@ from .numerics import (
 from .solver import ground_energy_offset
 from .specfun import (
     PoleSignal,
-    bessel_k0,
     hurwitz_zeta_half,
     is_nonpositive_integer,
     kummer_u,
@@ -40,7 +41,7 @@ TWO_PI = 2.0 * math.pi
 # 1/(2 pi^{3/2}), the shared series prefactor
 _PREF = 0.5 / math.pi ** 1.5
 
-ROUTES = ("integral", "radial_series", "axial_series", "asym_q1d", "asym_q2d")
+ROUTES = ("integral", "radial_series", "axial_series")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ import pytest
 
 from pairtrap.numerics import (NumericsError, QuadratureError, QuadratureSpec,
                                RootBracket, SeriesError, bracket_from_signs,
-                               find_root_bracketed, integrate_semi_infinite,
+                               find_root_bracketed,
                                integrate_semi_infinite_with_error,
-                               sum_series, sum_series_with_error)
+                               sum_series_with_error)
 
 
 def test_quadrature_smooth_exponential():
@@ -21,12 +21,14 @@ def test_quadrature_smooth_exponential():
 def test_quadrature_integrable_endpoint_singularity():
     # t^(-1/2) e^(-t) integrates to sqrt(pi); the head substitution must
     # absorb the inverse-sqrt blowup at t = 0
-    value = integrate_semi_infinite(lambda t: math.exp(-t) / math.sqrt(t))
+    value, _ = integrate_semi_infinite_with_error(
+        lambda t: math.exp(-t) / math.sqrt(t))
     assert abs(value - math.sqrt(math.pi)) < 1e-10
 
 
 def test_quadrature_gaussian_tail():
-    value = integrate_semi_infinite(lambda t: t * math.exp(-t * t))
+    value, _ = integrate_semi_infinite_with_error(
+        lambda t: t * math.exp(-t * t))
     assert abs(value - 0.5) < 1e-12
 
 
@@ -42,7 +44,7 @@ def test_quadrature_spec_validation():
 def test_quadrature_reports_failure():
     # oscillatory non-decaying integrand cannot satisfy the tolerance
     with pytest.raises((QuadratureError, NumericsError)):
-        integrate_semi_infinite(math.cos)
+        integrate_semi_infinite_with_error(math.cos)
 
 
 def test_root_bracketed_cosine():
@@ -85,19 +87,20 @@ def test_sum_series_geometric():
 def test_sum_series_alternating():
     # log(2) = sum (-1)^(k) / (k+1) is too slow for the cap; a transformed
     # fast series must pass: sum 1/(2^k (k+1)) = 2 log 2
-    total = sum_series(lambda k: 1.0 / (2.0 ** k * (k + 1.0)))
+    total, _, _ = sum_series_with_error(lambda k: 1.0 / (2.0 ** k * (k + 1.0)))
     assert abs(total - 2.0 * math.log(2.0)) < 1e-12
 
 
 def test_sum_series_divergence_reported():
     with pytest.raises(SeriesError) as err:
-        sum_series(lambda k: 1.0 / (k + 1.0), tol=1e-12, max_terms=2000)
+        sum_series_with_error(lambda k: 1.0 / (k + 1.0), tol=1e-12,
+                              max_terms=2000)
     assert err.value.terms_used == 2000
 
 
 def test_series_error_carries_partial_state():
     try:
-        sum_series(lambda k: 1.0, tol=1e-12, max_terms=50)
+        sum_series_with_error(lambda k: 1.0, tol=1e-12, max_terms=50)
     except SeriesError as err:
         assert err.value == pytest.approx(50.0)
         assert err.terms_used == 50

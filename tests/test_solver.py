@@ -1,10 +1,11 @@
 """Eigenenergy solver against frozen 50-digit root tables."""
 
 import math
+import re
 
 import pytest
 
-from conftest import fval, oracle_values
+from conftest import fval, oracle_lines, oracle_values
 from pairtrap.solver import (EnergyLevel, InteractionModel, NoBoundState,
                              TrapGeometry, a1d_effective, a2d_effective,
                              bound_state_exact, bound_state_quasi1d,
@@ -51,6 +52,10 @@ def test_spherical_levels_frozen(a):
         _close(lv.E, e_want, 5e-12)
         _close(lv.x, x_want, 5e-12, abs_floor=1e-12)
         assert lv.E == pytest.approx(1.5 - 2.0 * lv.x, rel=1e-14)
+    assert [lv.branch_index for lv in levels] == [0, 1, 2]
+    bound = bound_state_exact(InteractionModel.fixed(a), TrapGeometry(1.0))
+    _close(bound.E, want[0][0], 5e-12)
+    assert bound.branch_index == 0
 
 
 @pytest.mark.parametrize("eta,a,prefix", [
@@ -148,6 +153,8 @@ def test_trap_geometry_validation():
 def test_ground_energy_offset():
     assert ground_energy_offset(TrapGeometry(1.0)) == 1.5
     assert ground_energy_offset(TrapGeometry(100.0)) == 100.5
+    assert ground_energy_offset(TrapGeometry(0.01)) == pytest.approx(
+        0.51, abs=1e-16)
 
 
 def test_interaction_model_fixed_roundtrip():
@@ -180,6 +187,11 @@ def test_eigenenergies_window_clips():
     levels = _ladder(1.0, 1.0, 2.0, 4.0, 10)
     assert len(levels) == 1
     _close(levels[0].E, fval(ORA, "sph_E1(a=1)"), 1e-12)
+    # the default window holds the unitarity ladder E = 1/2 + 2n at eta = 1
+    levels = eigenenergies(InteractionModel.fixed(math.inf), TrapGeometry(1.0),
+                           max_levels=5)
+    assert [lv.E for lv in levels] == pytest.approx(
+        [0.5, 2.5, 4.5, 6.5, 8.5], abs=1e-10)
 
 
 def test_eigenenergies_sorted_and_residual():
@@ -205,6 +217,14 @@ def test_bound_state_requires_fixed_model():
 # reference ladders and the energy-dependent model
 # ---------------------------------------------------------------------------
 
+def _overlay_column(tag):
+    # the reference-ladder column E1d-E0 / E2d-E0 of the overlay rows
+    rows = [re.search(r"E%s-E0 = (\S+)" % tag, ln)
+            for ln in oracle_lines("solver_oracle.out")
+            if ln.startswith("ov%s n=" % tag)]
+    return [float(m.group(1)) for m in rows]
+
+
 def test_spectrum_1d_reference_structure():
     g = TrapGeometry(100.0)
     a1 = a1d_effective(1.0, g)
@@ -212,6 +232,11 @@ def test_spectrum_1d_reference_structure():
     ref = spectrum_1d_reference(a1, g, (e0 - 1.0, e0 + 8.0))
     assert len(ref) >= 3
     assert all(x < y for x, y in zip(ref, ref[1:]))
+    want = _overlay_column("1d")
+    ref = spectrum_1d_reference(a1, g, (e0 + 0.5, e0 + 40.0))
+    assert len(ref) == len(want) == 20
+    for e, w in zip(ref, want):
+        assert abs(e - e0 - w) < 5e-9
 
 
 def test_spectrum_2d_reference_structure():
@@ -221,6 +246,11 @@ def test_spectrum_2d_reference_structure():
     ref = spectrum_2d_reference(a2, g, (e0 - 0.3, e0 + 0.4))
     assert len(ref) >= 3
     assert all(x < y for x, y in zip(ref, ref[1:]))
+    want = _overlay_column("2d")
+    ref = spectrum_2d_reference(a2, g, (e0 + 0.001, e0 + 0.39))
+    assert len(ref) == len(want) == 20
+    for e, w in zip(ref, want):
+        assert abs(e - e0 - w) < 5e-9
 
 
 def test_resonance_a_eff_algebra():
@@ -234,6 +264,11 @@ def test_resonance_a_eff_algebra():
     want = (a_bg * (e - e_res) + gam) / ((e - e_res) - a_bg * gam * e)
     assert resonance_a_eff(e, a_bg, gam, e_res) == pytest.approx(want,
                                                                  rel=1e-15)
+    # the model's breakpoint is the a_eff zero, and inv_a_eff is 1/a_eff
+    model = InteractionModel.from_resonance(1.3, 0.4, 2.0)
+    assert model.breakpoints == pytest.approx((2.0 - 0.4 / 1.3,), abs=1e-15)
+    assert model.inv_a_eff(0.7) * model.a_eff(0.7) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_resonance_pole_flagged():
@@ -254,19 +289,35 @@ def test_self_consistent_constant_model_matches_fixed():
     assert len(sc) == len(fixed)
     for lv_s, lv_f in zip(sc, fixed):
         assert abs(lv_s.E - lv_f.E) < 1e-10
+    # a resonance of width gamma -> 0 shifts the levels linearly in gamma
+    g1 = TrapGeometry(1.0)
+
+    def levels(gamma):
+        return solve_self_consistent(
+            InteractionModel.from_resonance(1.0, gamma, 30.0), g1,
+            window=(1.6, 8.0))
+
+    base = levels(0.0)
+    shifts = [max(abs(a.E - b.E) for a, b in zip(base, levels(gamma)))
+              for gamma in (1e-3, 5e-4, 2.5e-4)]
+    assert 1.8 < shifts[0] / shifts[1] < 2.2
+    assert 1.8 < shifts[1] / shifts[2] < 2.2
 
 
 def test_self_consistent_resonance_converges():
     g = TrapGeometry(1.0)
-    model = InteractionModel.from_resonance(0.5, 0.1, 3.0)
-    levels = solve_self_consistent(model, g, window=(-6.0, 6.0),
-                                   max_levels=5)
-    assert len(levels) >= 3
-    for lv in levels:
-        a_here = resonance_a_eff(lv.E, 0.5, 0.1, 3.0)
-        resid = f_eval(SpectralArgument(lv.x, 1.0)).value \
-            + SQRT_2PI / a_here
-        assert abs(resid) < 1e-7
+    # the second resonance crosses a pole interval of F
+    for params, window in (((0.5, 0.1, 3.0), (-6.0, 6.0)),
+                           ((0.5, 0.8, 4.0), (1.6, 9.0))):
+        model = InteractionModel.from_resonance(*params)
+        levels = solve_self_consistent(model, g, window=window,
+                                       max_levels=5)
+        assert len(levels) >= 3
+        for lv in levels:
+            a_here = resonance_a_eff(lv.E, *params)
+            resid = f_eval(SpectralArgument(lv.x, 1.0)).value \
+                + SQRT_2PI / a_here
+            assert abs(resid) < 1e-7
 
 
 def test_energy_level_is_frozen_record():

@@ -104,12 +104,14 @@ def test_integral_even_in_z(energies):
 
 @pytest.mark.parametrize("rho,z", [(0.5, 0.5), (0.7, 0.4), (1.2, 1.5)])
 def test_three_routes_agree(rho, z, energies):
+    # cigar, pancake and spherical bound states
     trunc = SeriesTruncation(max_terms=20000, tail_tol=1e-12)
-    ref = psi_integral(rho, z, energies["A"], G2)
-    rad = psi_series_radial(rho, z, energies["A"], G2, trunc)
-    ax = psi_series_axial(rho, z, energies["A"], G2, trunc)
-    assert abs(rad / ref - 1.0) < 1e-9
-    assert abs(ax / ref - 1.0) < 1e-9
+    for tag, g in (("A", G2), ("B", G05), ("C", G1)):
+        ref = psi_integral(rho, z, energies[tag], g)
+        rad = psi_series_radial(rho, z, energies[tag], g, trunc)
+        ax = psi_series_axial(rho, z, energies[tag], g, trunc)
+        assert abs(rad / ref - 1.0) < 1e-9, tag
+        assert abs(ax / ref - 1.0) < 1e-9, tag
 
 
 def test_route_dispatch(energies):
@@ -257,6 +259,10 @@ def test_normalize_rejects_truncated_grid():
     values = tuple(math.exp(-(2.0 * r * r + z * z) / 2.0) for r, z in coords)
     with pytest.raises(NumericsError):
         normalize(ProfileSamples(coords, values, "integral"), G2)
+    # a grid whose boundary does not decay cannot bound its tail at all
+    flat = tuple(1.0 for _ in coords)
+    with pytest.raises(NumericsError):
+        normalize(ProfileSamples(coords, flat, "integral"), G2)
 
 
 def test_normalize_requires_full_tensor_grid():
