@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .numerics import NumericsError, QuadratureSpec
 from .solver import (InteractionModel, NoBoundState, TrapGeometry,
-                     bound_state_exact, eigenenergies, solve_self_consistent)
+                     _default_window, bound_state_exact, eigenenergies,
+                     solve_self_consistent)
 from .specfun import PoleSignal, gamma_ratio
 from .spectral import SpectralArgument, f_eval, phi
 from .wavefn import (SeriesTruncation, profile_quasi1d, profile_quasi2d, psi,
@@ -321,7 +322,7 @@ def _spectrum_cell(task):
         found = eigenenergies(InteractionModel.from_inverse_a(inv_a),
                               TrapGeometry(eta), window=window,
                               max_levels=levels)
-        es = [lv.E for lv in found[:levels]]
+        es = [lv.E for lv in found]
         return es + [None] * (levels - len(es)), None
     except (NumericsError, PoleSignal, ValueError) as exc:
         return [None] * levels, str(exc)
@@ -375,40 +376,22 @@ def _pool_map(fn, tasks, threads):
 # commands
 # ---------------------------------------------------------------------------
 
-def _default_window(eta, levels, inv_values):
-    # anchor the floor to the actual bound energies at the grid extremes;
-    # the bound branch can sit far below the naive -1/a^2 depth off eta = 1
-    e0 = 0.5 + eta
-    hi = e0 + 2.0 * levels * min(1.0, eta) + min(1.0, eta)
-    lo = e0 - 4.0
-    g = TrapGeometry(eta)
-    for v in {min(inv_values), max(inv_values)}:
-        try:
-            lv = bound_state_exact(InteractionModel.from_inverse_a(v), g)
-        except (NoBoundState, NumericsError, PoleSignal):
-            continue
-        lo = min(lo, lv.E - 1.0)
-    return (lo, hi)
-
-
 def run_spectrum(cfg):
     """Sweep 1/a (or solve one model) and tabulate inv_a, E_1..E_n."""
     g = TrapGeometry(cfg.eta)
     header = ("inv_a",) + tuple("E_%d" % (i + 1) for i in range(cfg.levels))
     if cfg.resonance is not None:
         model = InteractionModel.from_resonance(*cfg.resonance)
-        window = cfg.window or _default_window(cfg.eta, cfg.levels,
-                                               (-2.0, 2.0))
-        found = solve_self_consistent(model, g, window=window,
+        found = solve_self_consistent(model, g, window=cfg.window,
                                       max_levels=cfg.levels)
-        es = [lv.E for lv in found[:cfg.levels]]
+        es = [lv.E for lv in found]
         es += [None] * (cfg.levels - len(es))
         return CsvTable(header, ((None,) + tuple(es),))
     if cfg.inv_a_grid is not None:
         inv_grid = _linspace(*cfg.inv_a_grid)
     else:
         inv_grid = [1.0 / cfg.a] if cfg.a != 0 else [math.inf]
-    window = cfg.window or _default_window(cfg.eta, cfg.levels, inv_grid)
+    window = cfg.window or _default_window(g, cfg.levels, inv_grid)
     tasks = [(cfg.eta, v, window, cfg.levels) for v in inv_grid]
     rows = []
     for (es, err), inv_a in zip(_pool_map(_spectrum_cell, tasks, cfg.threads),
@@ -564,7 +547,10 @@ def run_check(cfg):
 
 
 def main(argv=None):
-    cfg = parse(argv)
+    try:
+        cfg = parse(argv)
+    except SystemExit as exc:  # usage error (1) or --help (0)
+        return exc.code
     try:
         if cfg.command == "check":
             report, code = run_check(cfg)

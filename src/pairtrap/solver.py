@@ -17,6 +17,8 @@ and the self-consistent solve for energy-dependent interactions.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 from scipy.special import digamma
 
@@ -151,36 +153,78 @@ def ground_energy_offset(g):
     return 0.5 + g.eta
 
 
-def _default_window(g, max_levels):
+def _default_window(g, levels, inv_values):
+    """Energy window holding `levels` levels for every 1/a in inv_values.
+
+    The ceiling sits one spacing min(1, eta) above `levels` level spacings
+    over E0.  The floor sits 1 below the bound level at the extreme 1/a
+    values (and at least 4 below E0): off eta = 1 the bound branch can lie
+    far below the naive -1/a^2 depth.
+    """
     e0 = ground_energy_offset(g)
-    return (e0 - 70.0, e0 + 2.0 * min(1.0, g.eta) * (max_levels + 2))
+    spacing = min(1.0, g.eta)
+    hi = e0 + 2.0 * levels * spacing + spacing
+    lo = e0 - 4.0
+    for v in {min(inv_values), max(inv_values)}:
+        try:
+            lv = bound_state_exact(InteractionModel.from_inverse_a(v), g)
+        except (NoBoundState, NumericsError, PoleSignal):
+            continue
+        lo = min(lo, lv.E - 1.0)
+    return (lo, hi)
 
 
-def _pole_xs(eta, x_lo, x_hi):
-    # F poles (in x, descending) intersecting [x_lo, x_hi], plus the pole
-    # just below so the lowest interval is bounded
+def _pole_xs(eta, x_lo):
+    # F poles (in x, descending) down to below x_lo, so the lowest interval
+    # is bounded; the pole at 0 is always kept as the bound branch's floor
     if x_lo >= 0:
-        return [0.0] if x_lo <= 0 <= x_hi else []
-    poles = list(pole_grid(eta, x_lo - 2.0 * eta - 2.0).poles)
-    return [p for p in poles if p >= x_lo - 2.0 * eta - 2.0]
+        return [0.0]
+    return list(pole_grid(eta, x_lo - 2.0 * eta - 2.0).poles)
 
 
 def _branch_index(poles, x):
     return sum(1 for p in poles if p >= x - POLE_TOL)
 
 
+def _ordered_roots(cuts, lo, hi, solve, clearance=EDGE_CLEARANCE):
+    """Yield the roots between consecutive cuts, in ascending E.
+
+    cuts run in ascending E, in the coordinate solve works in (x falls as
+    E rises, so cuts in x descend).  Each interval is kept `clearance` off
+    its cuts and clipped to [lo, hi]; solve(a, b) returns or yields the
+    interval's roots in ascending E.  The walk is lazy, so a caller that
+    stops after n roots solves only the intervals that hold them.
+    """
+    for c1, c2 in zip(cuts, cuts[1:]):
+        a = max(min(c1, c2) + clearance, lo)
+        b = min(max(c1, c2) - clearance, hi)
+        if a < b:
+            yield from solve(a, b)
+
+
+def _root_in_segment(target, lo, hi):
+    # the root of a target monotone on [lo, hi], as a list of 0 or 1
+    # (root, bracket) pairs
+    try:
+        br = bracket_from_signs(target, lo, hi)
+    except (NumericsError, PoleSignal):
+        return []
+    return [(find_root_bracketed(target, br, tol=1e-12), br)]
+
+
 def eigenenergies(model, g, window=None, max_levels=20):
     """Levels of the fixed-a eigencondition inside an energy window.
 
     One root per pole interval of F (monotonicity gives uniqueness); the
-    returned list is ascending in E and truncated to max_levels.  With
-    a = 0 the levels are the noninteracting pole energies, tagged as such.
+    intervals are walked in ascending E and the walk stops at the
+    max_levels-th level.  With a = 0 the levels are the noninteracting pole
+    energies, tagged as such.
     """
     if model.kind != "fixed":
         raise ValueError("eigenenergies needs a fixed model; "
                          "use solve_self_consistent")
     if window is None:
-        window = _default_window(g, max_levels)
+        window = _default_window(g, max_levels, (model.inv_a,))
     e_lo, e_hi = window
     if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
         raise ValueError("window must be a bounded interval")
@@ -188,13 +232,12 @@ def eigenenergies(model, g, window=None, max_levels=20):
     x_lo = (e0 - e_hi) / 2.0
     x_hi = (e0 - e_lo) / 2.0
 
-    poles = _pole_xs(g.eta, x_lo, x_hi)
+    poles = _pole_xs(g.eta, x_lo)
     if model.noninteracting:
         out = [EnergyLevel(E=e0 - 2.0 * p, x=p,
                            branch_index=_branch_index(poles, p),
                            noninteracting=True)
                for p in poles if x_lo <= p <= x_hi]
-        out.sort(key=lambda lev: lev.E)
         return out[:max_levels]
 
     inv_a = model.inv_a
@@ -202,47 +245,19 @@ def eigenenergies(model, g, window=None, max_levels=20):
     def target(x):
         return f_eval(SpectralArgument(x, g.eta)).value + SQRT_2PI * inv_a
 
-    levels = []
-
-    # bound-side segment x in (0, x_hi]: F falls from +inf to -2 sqrt(pi x)
-    if x_hi > EDGE_CLEARANCE:
-        lo = max(EDGE_CLEARANCE, x_lo)
-        found = _root_in_segment(target, lo, x_hi)
-        if found is not None:
-            levels.append(found + (0,))
-
-    for upper, lower in zip(poles, poles[1:]):
-        lo = max(lower + EDGE_CLEARANCE, x_lo)
-        hi = min(upper - EDGE_CLEARANCE, x_hi)
-        if not lo < hi:
-            continue
-        found = _root_in_segment(target, lo, hi)
-        if found is not None:
-            levels.append(found + (_branch_index(poles, found[0]),))
-
-    out = []
-    for x, br, branch in levels:
-        e = e0 - 2.0 * x
-        if not e_lo <= e <= e_hi:
-            continue
-        out.append(EnergyLevel(E=e, x=x, bracket=_to_e_bracket(br, e0),
-                               branch_index=branch))
-    out.sort(key=lambda lev: lev.E)
-    return out[:max_levels]
+    # the bound branch x in (0, x_hi] first: F falls from +inf there
+    roots = _ordered_roots([math.inf] + poles, x_lo, x_hi,
+                           partial(_root_in_segment, target))
+    levels = (EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
+                          branch_index=_branch_index(poles, x))
+              for x, br in roots if e_lo <= e0 - 2.0 * x <= e_hi)
+    return list(islice(levels, max_levels))
 
 
 def _to_e_bracket(br, e0):
     # E = E0 - 2x reverses orientation, so the endpoint signs swap
     return RootBracket(e0 - 2.0 * br.hi, e0 - 2.0 * br.lo,
                        br.f_hi_sign, br.f_lo_sign)
-
-
-def _root_in_segment(target, lo, hi, tol=1e-12):
-    try:
-        br = bracket_from_signs(target, lo, hi)
-    except (NumericsError, PoleSignal):
-        return None
-    return find_root_bracketed(target, br, tol=tol), br
 
 
 def a1d_effective(a, g):
@@ -296,26 +311,12 @@ def spectrum_1d_reference(a1d, g, window):
 
     y_lo = (e0 - e_hi) / 2.0
     y_hi = (e0 - e_lo) / 2.0
-    cuts = [0.0]
+    # the bound side y > 0, where the ratio falls from +inf to 0, first
+    cuts = [math.inf, 0.0]
     while cuts[-1] > y_lo:
         cuts.append(cuts[-1] - 0.5)
-    roots = []
-    # bound side y > 0: ratio spans (0, inf), decreasing
-    if y_hi > EDGE_CLEARANCE and rhs > 0:
-        found = _root_in_segment(target, EDGE_CLEARANCE,
-                                 max(y_hi, 4.0 / rhs ** 2 + 1.0))
-        if found is not None:
-            roots.append(found[0])
-    for upper, lower in zip(cuts, cuts[1:]):
-        lo = max(lower + EDGE_CLEARANCE, y_lo)
-        hi = min(upper - EDGE_CLEARANCE, y_hi)
-        if not lo < hi:
-            continue
-        found = _root_in_segment(target, lo, hi)
-        if found is not None:
-            roots.append(found[0])
-    out = sorted(e0 - 2.0 * y for y in roots)
-    return [e for e in out if e_lo <= e <= e_hi]
+    roots = _ordered_roots(cuts, y_lo, y_hi, partial(_root_in_segment, target))
+    return [e for e in (e0 - 2.0 * y for y, _ in roots) if e_lo <= e <= e_hi]
 
 
 def spectrum_2d_reference(a2d, g, window):
@@ -336,26 +337,13 @@ def spectrum_2d_reference(a2d, g, window):
 
     q_lo = (e0 - e_hi) / (2.0 * g.eta)
     q_hi = (e0 - e_lo) / (2.0 * g.eta)
-    roots = []
-    if q_hi > EDGE_CLEARANCE:
-        # q > 0 branch: psi spans all reals
-        hi = max(q_hi, math.exp(-c) + 2.0)
-        found = _root_in_segment(target, EDGE_CLEARANCE, hi)
-        if found is not None and found[0] <= q_hi:
-            roots.append(found[0])
-    cuts = [0.0]
+    # the q > 0 branch, where psi spans all reals, first
+    cuts = [math.inf, 0.0]
     while cuts[-1] > q_lo:
         cuts.append(cuts[-1] - 1.0)
-    for upper, lower in zip(cuts, cuts[1:]):
-        lo = max(lower + EDGE_CLEARANCE, q_lo)
-        hi = min(upper - EDGE_CLEARANCE, q_hi)
-        if not lo < hi:
-            continue
-        found = _root_in_segment(target, lo, hi)
-        if found is not None:
-            roots.append(found[0])
-    out = sorted(e0 - 2.0 * g.eta * q for q in roots)
-    return [e for e in out if e_lo <= e <= e_hi]
+    roots = _ordered_roots(cuts, q_lo, q_hi, partial(_root_in_segment, target))
+    return [e for e in (e0 - 2.0 * g.eta * q for q, _ in roots)
+            if e_lo <= e <= e_hi]
 
 
 def bound_state_exact(model, g):
@@ -374,16 +362,21 @@ def bound_state_exact(model, g):
     def target(x):
         return f_eval(SpectralArgument(x, g.eta)).value + SQRT_2PI * inv_a
 
-    lo = EDGE_CLEARANCE
-    hi = max(1.0, 0.75 * inv_a * inv_a)
-    while target(hi) > 0:
-        hi *= 2.0
-        if hi > 1e7:
-            raise NoBoundState("no sign change up to x = %g" % hi)
-    br = bracket_from_signs(target, lo, hi)
+    br = _bracket_by_doubling(target, EDGE_CLEARANCE,
+                              max(1.0, 0.75 * inv_a * inv_a), 1e7)
     x = find_root_bracketed(target, br, tol=1e-12)
     return EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
                        branch_index=0)
+
+
+def _bracket_by_doubling(target, lo, hi, limit, sign=1.0):
+    # target has the sign `sign` between lo and its one root above lo;
+    # double hi until it lies past the root
+    while sign * target(hi) > 0:
+        hi *= 2.0
+        if hi > limit:
+            raise NoBoundState("no sign change up to %g" % hi)
+    return bracket_from_signs(target, lo, hi)
 
 
 def bound_state_quasi1d(a, g):
@@ -403,12 +396,8 @@ def bound_state_quasi1d(a, g):
     def target(q):
         return hurwitz_zeta_half(q) + c
 
-    lo, hi = 1e-12, 1.0
-    while target(hi) > 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoBoundState("zeta condition never changes sign")
-    x = find_root_bracketed(target, bracket_from_signs(target, lo, hi),
+    x = find_root_bracketed(target,
+                            _bracket_by_doubling(target, 1e-12, 1.0, 1e12),
                             tol=1e-13)
     return ground_energy_offset(g) - 2.0 * g.eta * x
 
@@ -431,17 +420,10 @@ def bound_state_quasi2d(a, g):
         return phi(x) + math.log(x) - c
 
     lo = 1e-300
-    hi = 1.0
-    while target(hi) < 0:
-        hi *= 2.0
-        if hi > 1e4:
-            raise NoBoundState("phi + log condition never changes sign")
-    # expand lo until negative (log dominates for tiny x)
-    while target(lo) > 0:
-        lo *= 1e-3
-        if lo < 1e-290:
-            raise NoBoundState("phi + log condition never changes sign")
-    x = find_root_bracketed(target, bracket_from_signs(target, lo, hi),
+    if target(lo) > 0:  # log x no longer dominates at the smallest x
+        raise NoBoundState("phi + log condition never changes sign")
+    x = find_root_bracketed(target,
+                            _bracket_by_doubling(target, lo, 1.0, 1e4, -1.0),
                             tol=1e-13)
     return ground_energy_offset(g) - 2.0 * x
 
@@ -469,17 +451,23 @@ def solve_self_consistent(model, g, window=None, max_levels=20,
     """Levels of F(x, eta) + sqrt(2 pi)/a_eff(E) = 0, a_eff energy-dependent.
 
     Search intervals are delimited by both the F poles and the zeros of
-    a_eff (poles of 1/a_eff); inside each, sign changes are located on a
-    scan grid whose resolution is doubled once as a stability check (a
-    still-changing root count raises a diagnostic error).
+    a_eff (poles of 1/a_eff) and walked in ascending E until max_levels
+    levels are found; inside each, sign changes are located on a scan grid
+    whose resolution is doubled once as a stability check (a still-changing
+    root count raises a diagnostic error).
     """
     if model.kind != "energy_dependent":
         raise ValueError("solve_self_consistent needs an "
                          "energy-dependent model")
-    if window is None:
-        window = _default_window(g, max_levels)
-    e_lo, e_hi = window
     e0 = ground_energy_offset(g)
+    if window is None:
+        # no fixed 1/a pins the lowest level: 1/a_eff far below E0 can
+        # exceed 2, so the floor also reaches E0 - 70.  A zero of a_eff can
+        # leave a pole interval without a level, so the ceiling holds two
+        # spare ones.
+        lo, hi = _default_window(g, max_levels + 2, (-2.0, 2.0))
+        window = (min(lo, e0 - 70.0), hi)
+    e_lo, e_hi = window
     inv = model.inv_a_eff
 
     def target(e):
@@ -487,21 +475,13 @@ def solve_self_consistent(model, g, window=None, max_levels=20,
         return (f_eval(SpectralArgument(x, g.eta)).value
                 + SQRT_2PI * inv(e))
 
-    # breakpoints in E: F poles and a_eff zeros
-    x_lo = (e0 - e_hi) / 2.0
-    x_hi = (e0 - e_lo) / 2.0
-    poles = _pole_xs(g.eta, x_lo, x_hi)
-    cut_set = [e0 - 2.0 * p for p in poles]
-    cut_set += [b for b in model.breakpoints if e_lo < b < e_hi]
-    cut_set += [e_lo, e_hi]
-    cuts = sorted(set(cut_set))
+    # cuts in E: F poles, a_eff zeros and the window ends (intervals
+    # outside the window are clipped away)
+    poles = _pole_xs(g.eta, (e0 - e_hi) / 2.0)
+    cuts = sorted({e0 - 2.0 * p for p in poles}
+                  | set(model.breakpoints) | {e_lo, e_hi})
 
-    levels = []
-    for lo_e, hi_e in zip(cuts, cuts[1:]):
-        lo = max(lo_e + 2.0 * EDGE_CLEARANCE, e_lo)
-        hi = min(hi_e - 2.0 * EDGE_CLEARANCE, e_hi)
-        if not lo < hi:
-            continue
+    def solve(lo, hi):
         brackets = _scan_sign_changes(target, lo, hi, scan_points)
         check = _scan_sign_changes(target, lo, hi, 2 * scan_points + 1)
         if len(check) != len(brackets):
@@ -512,13 +492,13 @@ def solve_self_consistent(model, g, window=None, max_levels=20,
                     "unresolved oscillation of the self-consistent "
                     "condition on [%g, %g]" % (lo, hi))
         for br in brackets:
-            e_root = find_root_bracketed(target, br, tol=1e-12)
-            x_root = (e0 - e_root) / 2.0
-            levels.append(EnergyLevel(
-                E=e_root, x=x_root, bracket=br,
-                branch_index=_branch_index(poles, x_root)))
-    levels.sort(key=lambda lev: lev.E)
-    return levels[:max_levels]
+            yield find_root_bracketed(target, br, tol=1e-12), br
+
+    roots = _ordered_roots(cuts, e_lo, e_hi, solve, 2.0 * EDGE_CLEARANCE)
+    levels = (EnergyLevel(E=e, x=(e0 - e) / 2.0, bracket=br,
+                          branch_index=_branch_index(poles, (e0 - e) / 2.0))
+              for e, br in roots)
+    return list(islice(levels, max_levels))
 
 
 def _scan_sign_changes(target, lo, hi, n):

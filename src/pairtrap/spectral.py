@@ -205,7 +205,7 @@ def f_eval(arg):
     """
     x, eta = arg.x, arg.eta
     pole = _nearest_pole(x, eta)
-    if pole is not None and abs(x - pole) < POLE_TOL:
+    if abs(x - pole) < POLE_TOL:
         raise PoleSignal("x = %.17g is within %.1e of pole %.17g"
                          % (x, POLE_TOL, pole), pole)
     n_cigar = round(eta)
@@ -218,18 +218,22 @@ def f_eval(arg):
 
 
 def _nearest_pole(x, eta):
+    # poles -(j + k eta): loop over the index with the larger step (k when
+    # eta >= 1, j otherwise), so the loop runs O(|x|/max(1, eta)) times.
+    # For x <= 0 a pole lies within half the smaller step, so the nearest
+    # one has its other index in m - 1 .. m + 1; for 0 < x <= 1/2 it is
+    # the pole at 0, where best starts.
     if x > 0.5:
         return 0.0
-    best = None
-    k_max = int(math.ceil(max(0.0, -x) / eta)) + 1
-    for k in range(k_max + 1):
-        j = round(-x - k * eta)
-        for jj in (j - 1, j, j + 1):
-            if jj < 0:
-                continue
-            p = -(jj + k * eta)
-            if best is None or abs(x - p) < abs(x - best):
-                best = p
+    step, other = (eta, 1.0) if eta >= 1.0 else (1.0, eta)
+    best = 0.0
+    for n in range(int(math.ceil(-x / step)) + 2):
+        m = round((-x - n * step) / other)
+        for mm in (m - 1, m, m + 1):
+            if mm >= 0:
+                p = -(mm * other + n * step)
+                if abs(x - p) < abs(x - best):
+                    best = p
     return best
 
 

@@ -3,14 +3,11 @@
 import math
 
 from pairtrap import cli
+from pairtrap.solver import InteractionModel, TrapGeometry, bound_state_exact
 
 
 def _run(argv):
-    # usage errors leave through argparse's SystemExit, with code 1
-    try:
-        return cli.main(argv + ["--threads", "1"])
-    except SystemExit as exc:
-        return exc.code
+    return cli.main(argv + ["--threads", "1"])
 
 
 def test_check_fast_passes(capsys):
@@ -38,3 +35,35 @@ def test_window_needs_both_ends():
 def test_eta_must_be_finite():
     for command in ("spectrum", "bound"):
         assert _run([command, "--eta", "inf", "--a", "1"]) == 1
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["spectrum", "--help"]) == 0
+    assert "--resonance" in capsys.readouterr().out
+
+
+def test_spectrum_sweep_default_window(capsys):
+    # the default window reaches below the bound level at every 1/a
+    assert _run(["spectrum", "--eta", "2.37", "--inv-a-min", "-1",
+                 "--inv-a-max", "1", "--inv-a-steps", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "inv_a,E_1,E_2,E_3,E_4,E_5,E_6"
+    assert len(rows) == 3
+    for row in rows:
+        cells = row.split(",")
+        assert "NA" not in cells
+        bound = bound_state_exact(
+            InteractionModel.from_inverse_a(float(cells[0])),
+            TrapGeometry(2.37))
+        assert abs(float(cells[1]) - bound.E) < 1e-10
+
+
+def test_spectrum_resonance_default_window(capsys):
+    assert _run(["spectrum", "--eta", "2.37", "--resonance", "0.5,0.3,3.5",
+                 "--levels", "2"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "inv_a,E_1,E_2"
+    cells = row.split(",")
+    # an energy-dependent model has no single 1/a
+    assert cells[0] == "NA"
+    assert "NA" not in cells[1:]

@@ -194,6 +194,40 @@ def test_eigenenergies_window_clips():
         [0.5, 2.5, 4.5, 6.5, 8.5], abs=1e-10)
 
 
+def test_default_window_holds_deep_bound_level():
+    # a = 0.1 binds at E = -99.9988, far below E0 - 70
+    model, g = InteractionModel.fixed(0.1), TrapGeometry(1.0)
+    levels = eigenenergies(model, g, max_levels=3)
+    assert len(levels) == 3
+    assert abs(levels[0].E - bound_state_exact(model, g).E) < 1e-10
+
+
+def _pairs(levels):
+    return [(lv.E, lv.x) for lv in levels]
+
+
+@pytest.mark.parametrize("eta", [2.37, 0.37, 3.0])
+@pytest.mark.parametrize("inv_a", [-2.0, 0.0, 2.0])
+def test_early_stop_is_exact(eta, inv_a):
+    # the pole intervals are walked in ascending E, so stopping at k levels
+    # gives exactly the first k levels of a longer walk
+    model, g = InteractionModel.from_inverse_a(inv_a), TrapGeometry(eta)
+    e0 = ground_energy_offset(g)
+    e_b = bound_state_exact(model, g).E
+    for window in (None, (e_b - 1.0, e0 + 20.0)):
+        for k in (1, 3):
+            short = eigenenergies(model, g, window=window, max_levels=k)
+            long = eigenenergies(model, g, window=window, max_levels=k + 6)
+            assert len(short) == k and len(long) == k + 6
+            assert _pairs(short) == _pairs(long[:k])
+    # a window wholly below E0 holds just the bound level
+    levels = eigenenergies(model, g, window=(e_b - 1.0, 0.5 * (e_b + e0)),
+                           max_levels=5)
+    assert len(levels) == 1
+    assert abs(levels[0].E - e_b) < 1e-10
+    assert levels[0].branch_index == 0
+
+
 def test_eigenenergies_sorted_and_residual():
     levels = _ladder(2.0, -2.0, -1.0, 8.0, 6)
     assert all(a.E < b.E for a, b in zip(levels, levels[1:]))
@@ -318,6 +352,29 @@ def test_self_consistent_resonance_converges():
             resid = f_eval(SpectralArgument(lv.x, 1.0)).value \
                 + SQRT_2PI / a_here
             assert abs(resid) < 1e-7
+
+
+def test_self_consistent_early_stop_is_exact():
+    g = TrapGeometry(1.0)
+    model = InteractionModel.from_resonance(0.5, 0.8, 4.0)
+    short = solve_self_consistent(model, g, max_levels=2)
+    long = solve_self_consistent(model, g, max_levels=8)
+    assert len(short) == 2 and len(long) == 8
+    assert _pairs(short) == _pairs(long[:2])
+
+
+def test_self_consistent_default_window_keeps_deep_level():
+    # small a_bg keeps 1/a_eff near 3 below E0, so the lowest level sits
+    # near E = -11, below the bound level of every 1/a in [-2, 2]
+    g = TrapGeometry(1.0)
+    e0 = 1.5
+    model = InteractionModel.from_resonance(0.3, 0.5, 4.0)
+    got = solve_self_consistent(model, g, max_levels=4)
+    deep = solve_self_consistent(model, g, window=(e0 - 70.0, e0 + 12.0),
+                                 max_levels=4)
+    assert len(got) == 4
+    assert got[0].E < e0 - 10.0
+    assert _pairs(got) == _pairs(deep)
 
 
 def test_energy_level_is_frozen_record():

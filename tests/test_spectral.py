@@ -261,10 +261,17 @@ def test_f_eval_raises_at_poles():
     with pytest.raises(PoleSignal) as err:
         f_eval(SpectralArgument(-1.7, 1.7))
     assert err.value.location == pytest.approx(-1.7)
-    for x, eta in ((-1.0, 1.0), (-2.5, 2.5), (-3.4, 1.7)):
+    for x, eta in ((-1.0, 1.0), (-2.5, 2.5), (-3.4, 1.7),
+                   (-(3 + 100 * 0.003), 0.003), (-(2 + 0.003), 0.003),
+                   (-300.0, 300.0), (-(7 + 300.0), 300.0)):
         with pytest.raises(PoleSignal) as err:
             f_eval(SpectralArgument(x, eta))
         assert err.value.location == pytest.approx(x)
+    # just above the pole at 0, on the bound side
+    for eta in (0.003, 300.0):
+        with pytest.raises(PoleSignal) as err:
+            f_eval(SpectralArgument(5e-10, eta))
+        assert err.value.location == 0.0
 
 
 def test_spectral_argument_validation():
