@@ -35,7 +35,7 @@ def _warn(msg):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation: one command plus its grids and tolerances."""
+    """Validated invocation: one command plus its grids and options."""
 
     command: str
     eta: float = None
@@ -49,7 +49,6 @@ class RunConfig:
     energy: float = None
     out: str = None
     threads: int = None
-    tol: float = 1e-12
     fast: bool = False
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class RunConfig:
             raise ValueError("axis must be axial or radial")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ def _resonance(text):
 
 
 _CONFIG_CASTS = {
-    "eta": float, "a": float, "energy": float, "tol": float,
+    "eta": float, "a": float, "energy": float,
     "inv_a_min": float, "inv_a_max": float, "inv_a_steps": int,
     "window_min": float, "window_max": float,
     "grid_min": float, "grid_max": float, "grid_steps": int,
@@ -221,16 +218,13 @@ def _build_parser():
     wf.add_argument("--grid-min", type=float)
     wf.add_argument("--grid-max", type=float)
     wf.add_argument("--grid-steps", type=int)
-    wf.add_argument("--tol", type=float,
-                    help="quadrature absolute tolerance (default 1e-12)")
 
     f1 = add("fig1", "spectrum sweep with the documented default grid")
     f1.add_argument("--levels", type=int)
     f1.add_argument("--window-min", type=float)
     f1.add_argument("--window-max", type=float)
 
-    f2 = add("fig2", "unitarity profiles, exact vs asymptotic, both axes")
-    f2.add_argument("--tol", type=float)
+    add("fig2", "unitarity profiles, exact vs asymptotic, both axes")
 
     ck = add("check", "cross-route invariant battery", eta_required=False)
     ck.add_argument("--fast", action="store_true",
@@ -294,16 +288,11 @@ def parse(argv=None):
         kw["axis"] = ns.axis or "axial"
         kw["energy"] = ns.energy
         kw["coord_grid"] = grid("grid")
-        if ns.tol is not None:
-            kw["tol"] = ns.tol
     if ns.command == "fig1":
         if ns.levels is not None:
             kw["levels"] = ns.levels
         kw["window"] = window
         kw["inv_a_grid"] = _FIG1_GRID
-    if ns.command == "fig2":
-        if ns.tol is not None:
-            kw["tol"] = ns.tol
     if ns.command == "check":
         kw["fast"] = ns.fast
     try:
@@ -341,15 +330,14 @@ def _bound_cell(task):
 
 
 def _wavefn_cell(task):
-    eta, energy, axis, coord, tol = task
+    eta, energy, axis, coord = task
     g = TrapGeometry(eta)
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=1e-10)
     trunc = SeriesTruncation(max_terms=20000, tail_tol=1e-11)
     rho, z = (0.0, coord) if axis == "axial" else (coord, 0.0)
     exact = asym = None
     notes = []
     try:
-        exact = psi(rho, z, energy, g, spec=spec, trunc=trunc)
+        exact = psi(rho, z, energy, g, trunc=trunc)
     except (ValueError, NumericsError, PoleSignal) as exc:
         notes.append("exact at %g: %s" % (coord, exc))
     try:
@@ -428,8 +416,8 @@ def _ground_energy(cfg, g):
     return bound_state_exact(model, g).E
 
 
-def _wavefn_table(eta, energy, axis, grid, tol, threads):
-    tasks = [(eta, energy, axis, c, tol) for c in grid]
+def _wavefn_table(eta, energy, axis, grid, threads):
+    tasks = [(eta, energy, axis, c) for c in grid]
     rows = []
     for (exact, asym, note), coord in zip(
             _pool_map(_wavefn_cell, tasks, threads), grid):
@@ -450,8 +438,7 @@ def run_wavefunction(cfg):
         grid = _linspace(0.0, 3.0, 61)
     else:
         grid = _linspace(0.0, 3.0 / math.sqrt(max(1.0, cfg.eta)), 61)
-    return _wavefn_table(cfg.eta, energy, cfg.axis, grid, cfg.tol,
-                         cfg.threads)
+    return _wavefn_table(cfg.eta, energy, cfg.axis, grid, cfg.threads)
 
 
 def run_fig1(cfg):
@@ -478,8 +465,7 @@ def run_fig2(cfg):
     out = {}
     for axis in ("axial", "radial"):
         grid = _linspace(*_FIG2_GRIDS[regime][axis])
-        out[axis] = _wavefn_table(cfg.eta, energy, axis, grid, cfg.tol,
-                                  cfg.threads)
+        out[axis] = _wavefn_table(cfg.eta, energy, axis, grid, cfg.threads)
     return out
 
 
@@ -516,6 +502,9 @@ def _check_battery(fast):
 
     e_bound = bound_state_exact(InteractionModel.fixed(1.0), g2).E
     ref = psi_integral(0.5, 0.5, e_bound, g2)
+    add("psi node table vs quadpack",
+        abs(psi_integral(0.5, 0.5, e_bound, g2, QuadratureSpec()) / ref - 1.0),
+        1e-10)
     if not fast:
         tr = SeriesTruncation(max_terms=20000, tail_tol=1e-12)
         rad = psi_series_radial(0.5, 0.5, e_bound, g2, tr)

@@ -372,11 +372,13 @@ def bound_state_exact(model, g):
 def _bracket_by_doubling(target, lo, hi, limit, sign=1.0):
     # target has the sign `sign` between lo and its one root above lo;
     # double hi until it lies past the root
-    while sign * target(hi) > 0:
+    f_hi = target(hi)
+    while sign * f_hi > 0:
         hi *= 2.0
         if hi > limit:
             raise NoBoundState("no sign change up to %g" % hi)
-    return bracket_from_signs(target, lo, hi)
+        f_hi = target(hi)
+    return bracket_from_signs(target, lo, hi, f_hi=f_hi)
 
 
 def bound_state_quasi1d(a, g):
@@ -512,6 +514,6 @@ def _scan_sign_changes(target, lo, hi, n):
             prev_t, prev_v = t, v
             continue
         if v != 0.0 and math.copysign(1.0, v) != math.copysign(1.0, prev_v):
-            out.append(bracket_from_signs(target, prev_t, t))
+            out.append(bracket_from_signs(target, prev_t, t, prev_v, v))
         prev_t, prev_v = t, v
     return out

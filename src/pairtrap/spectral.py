@@ -19,9 +19,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import digamma
 
-from .numerics import (NumericsError, QuadratureSpec,
+from .numerics import (NumericsError, integrate,
                        integrate_semi_infinite_with_error)
 from .specfun import (
     PoleSignal,
@@ -80,16 +81,67 @@ def _check_ladder_pole(arg):
         raise PoleSignal("F pole: gamma ladder argument %.17g" % arg, arg)
 
 
-def f_integral(arg, spec=QuadratureSpec()):
+# log q(s), q(s) = (1 - e^(-s))/s, is -s/2 - sum_n c_n s^2n with
+# c_n = -B_2n / (2n (2n)!), listed from n = 7 down to n = 1.  The log of a
+# quotient near 1 carries an absolute error of an ulp, a relative error of
+# 1e-16/s, and the node table reaches s = 1e-51; so below s = 1/2 the
+# series is used, where seven terms leave a relative error under 1e-17.
+_LNQ_SPLIT = 0.5
+_LNQ_SERIES = ((7, -1.0 / 1046139494400.0), (6, 691.0 / 15692092416000.0),
+               (5, -1.0 / 479001600.0), (4, 1.0 / 9676800.0),
+               (3, -1.0 / 181440.0), (2, 1.0 / 2880.0), (1, -1.0 / 24.0))
+
+
+def _log_q(s):
+    # log q by the quotient, for s >= _LNQ_SPLIT
+    m = -s
+    return np.log(np.expm1(m) / m)
+
+
+def _excess_log(t, eta):
+    # L(t) = -log(q(t))/2 - log(q(eta t)) on an ascending array of nodes.
+    # While both t and eta t lie below the split, one series in t:
+    #   L = (1/4 + eta/2) t + sum_n c_n (1/2 + eta^2n) t^2n;
+    # above it, the quotient form, whose ulp error is small beside L.
+    n = int(np.searchsorted(t, _LNQ_SPLIT / max(1.0, eta)))
+    out = np.empty_like(t)
+    head, tail = t[:n], t[n:]
+    h2 = head * head
+    acc = out[:n]
+    acc.fill(0.0)
+    for k, c in _LNQ_SERIES:
+        acc += c * (0.5 + eta ** (2 * k))
+        acc *= h2
+    acc += (0.25 + 0.5 * eta) * head
+    np.subtract(-0.5 * _log_q(tail), _log_q(eta * tail), out=out[n:])
+    return out
+
+
+def f_integral(arg, spec=None):
     """F by the defining integral; requires x > 0 (energy below E0).
 
-    The integrand is evaluated as t^(-3/2) expm1(L(t)) with
-    L = -x t - log(q(t))/2 - log(q(eta t)), q(s) = (1 - e^(-s))/s,
-    which is exact and avoids the t -> 0 cancellation of the raw form.
+    With F written as t^(-3/2) expm1(L(t)) under the integral,
+    L = -x t - log(q(t))/2 - log(q(eta t)), q(s) = (1 - e^(-s))/s, the
+    default route takes the x-only part t^(-3/2) (e^(-x t) - 1) out
+    exactly, as -2 sqrt(pi x), and integrates the rest,
+    t^(-3/2) e^(-x t) expm1(-log(q(t))/2 - log(q(eta t))), which is
+    positive and decays like e^(-x t), on the numerics exp-sinh node table
+    with scale 1/x; log q comes from its series at small argument.  An
+    explicit QuadratureSpec selects the quadpack reference route on the
+    unsplit integrand instead.
     """
     x, eta = arg.x, arg.eta
     if not x > 0:
         raise ValueError("f_integral needs x > 0; use f_eval for x <= 0")
+    if spec is None:
+        def rest(t):
+            return np.exp(-x * t) / (t * np.sqrt(t)) * np.expm1(
+                _excess_log(t, eta))
+
+        value, est = integrate(rest, 1.0 / x)
+        head = 2.0 * math.sqrt(math.pi * x)
+        return SpectralValue(value - head, "integral",
+                             est + 2.0 ** -52 * head)
 
     def lnq(s):
         if s < 1e-300:
@@ -172,11 +224,12 @@ def f_pancake(x, n):
     return SpectralValue(value, "pancake", 1e-14 * (1.0 + abs(value)))
 
 
-def f_recurrence_extend(arg, spec=QuadratureSpec()):
+def f_recurrence_extend(arg, spec=None):
     """Continue F to arbitrary x by F(x) = eta sqrt(pi) G(x) + F(x + eta).
 
     G(x) = Gamma(x)/Gamma(x+1/2).  m is minimal with x + m eta >= max(eta,1)/2
-    so the terminal integral stays well-conditioned.
+    so the terminal integral stays well-conditioned; spec goes to its
+    f_integral (None: the node table).
     """
     x, eta = arg.x, arg.eta
     target = 0.5 * max(eta, 1.0)

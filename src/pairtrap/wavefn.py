@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import k0 as bessel_k0
 
 from .numerics import (
     NumericsError,
-    QuadratureSpec,
     SeriesError,
+    integrate,
     integrate_semi_infinite_with_error,
     sum_series_with_error,
 )
@@ -89,20 +90,56 @@ def _coth(s):
     return 1.0 + 2.0 / math.expm1(2.0 * s)
 
 
-def psi_integral(rho, z, E, g, spec=QuadratureSpec()):
-    """Proper-time integral for Psi at energies below E0.
-
-    The integrand decays like exp(t (E - E0)) at large t, so the energy must
-    sit strictly below E0; the r != 0 Gaussian suppression exp(-r^2/(2t))
-    tames the t^{-3/2} short-time divergence.
-    """
-    if rho < 0:
+def _check_integral_domain(rhos, zs, E, g):
+    # the integral route's domain, for every point of the grid rhos x zs
+    if any(rho < 0 for rho in rhos):
         raise ValueError("rho must be nonnegative")
-    if rho == 0.0 and z == 0.0:
+    if 0.0 in rhos and 0.0 in zs:
         raise ValueError("Psi diverges at the origin; use contact_coefficient")
     e0 = ground_energy_offset(g)
     if not E < e0:
         raise ValueError("integral route needs E < E0 = %g" % e0)
+
+
+def _psi_integral_row(rhos, z, E, g):
+    # Psi at (rho, z) for every rho of a 1-D array, on the exp-sinh node
+    # table with scale sqrt(r^2/(E0 - E)) per point: the integrand climbs
+    # like exp(-r^2/(2t)) and falls like exp(-(E0 - E) t).  The exponent is
+    # t (E - E0) + 3/2 log 2 - z^2 coth(t)/2 - eta rho^2 coth(eta t)/2
+    #   - log(1 - e^(-2t))/2 - log(1 - e^(-2 eta t)),
+    # which is the log-sinh form with its linear parts collected, so no
+    # large terms cancel and nothing overflows.
+    eta = g.eta
+    de = E - ground_energy_offset(g)
+    half_z2 = 0.5 * z * z
+    half_w = (0.5 * eta) * (rhos * rhos)[:, None]
+    scale = np.sqrt((rhos * rhos + z * z) / -de)
+
+    def f(t):
+        eta_t = eta * t
+        ex = (t * de + 1.5 * LN2
+              - half_z2 / np.tanh(t) - half_w / np.tanh(eta_t)
+              - 0.5 * np.log(-np.expm1(-2.0 * t))
+              - np.log(-np.expm1(-2.0 * eta_t)))
+        return np.exp(ex)
+
+    value, _ = integrate(f, scale)
+    return (eta / TWO_PI ** 1.5) * value
+
+
+def psi_integral(rho, z, E, g, spec=None):
+    """Proper-time integral for Psi at energies below E0.
+
+    The integrand decays like exp(t (E - E0)) at large t, so the energy must
+    sit strictly below E0; the r != 0 Gaussian suppression exp(-r^2/(2t))
+    tames the t^{-3/2} short-time divergence.  The default route is the
+    numerics exp-sinh node table with scale sqrt(r^2/(E0 - E)), the same
+    kernel sample_grid runs row by row; an explicit QuadratureSpec selects
+    the quadpack reference route.
+    """
+    _check_integral_domain((rho,), (z,), E, g)
+    if spec is None:
+        return float(_psi_integral_row(np.array([float(rho)]), z, E, g)[0])
     eta = g.eta
     half_z2 = 0.5 * z * z
     half_w = 0.5 * eta * rho * rho
@@ -228,7 +265,7 @@ def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
     return math.exp(-0.5 * (w + zz)) * _PREF * total
 
 
-def psi(rho, z, E, g, route=None, spec=QuadratureSpec(), trunc=SeriesTruncation()):
+def psi(rho, z, E, g, route=None, trunc=SeriesTruncation()):
     """Evaluate Psi picking the route suited to the energy and geometry.
 
     Below E0 and away from the origin the integral is used; otherwise the
@@ -243,7 +280,7 @@ def psi(rho, z, E, g, route=None, spec=QuadratureSpec(), trunc=SeriesTruncation(
         else:
             route = "axial_series" if rho > 1e-6 else "radial_series"
     if route == "integral":
-        return psi_integral(rho, z, E, g, spec)
+        return psi_integral(rho, z, E, g)
     if route == "radial_series":
         return psi_series_radial(rho, z, E, g, trunc)
     if route == "axial_series":
@@ -251,26 +288,32 @@ def psi(rho, z, E, g, route=None, spec=QuadratureSpec(), trunc=SeriesTruncation(
     raise ValueError("unknown route %r" % (route,))
 
 
-def sample_grid(rhos, zs, E, g, route=None, spec=QuadratureSpec(),
-                trunc=SeriesTruncation()):
+def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     """Evaluate Psi on the tensor grid rhos x zs (z outer, rho inner).
 
     One route is used for every point so the samples stay homogeneous; the
     default picks the integral below E0 and the geometry-matched series
-    otherwise.
+    otherwise.  The integral route evaluates one z row at a time on the
+    exp-sinh node table (the kernel psi_integral uses), and rejects a grid
+    holding a point outside its domain with psi_integral's ValueError; a
+    series route evaluates Psi point by point.
     """
     if route is None:
         if E < ground_energy_offset(g):
             route = "integral"
         else:
             route = "radial_series" if g.eta >= 1.0 else "axial_series"
-    coords = []
-    values = []
-    for z in zs:
-        for rho in rhos:
-            coords.append((rho, z))
-            values.append(psi(rho, z, E, g, route=route, spec=spec, trunc=trunc))
-    return ProfileSamples(tuple(coords), tuple(values), route)
+    coords = tuple((rho, z) for z in zs for rho in rhos)
+    if route == "integral":
+        _check_integral_domain(rhos, zs, E, g)
+        row = np.array(rhos, dtype=float)
+        values = []
+        for z in zs:
+            values.extend(_psi_integral_row(row, z, E, g).tolist())
+    else:
+        values = [psi(rho, z, E, g, route=route, trunc=trunc)
+                  for rho, z in coords]
+    return ProfileSamples(coords, tuple(values), route)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +536,7 @@ def normalize(samples, g):
                           samples.method, normalized=True, norm_constant=norm)
 
 
-def contact_coefficient(E, g, spec=QuadratureSpec()):
+def contact_coefficient(E, g):
     """Richardson limit of d/dr (r Psi) at the origin, along the z axis.
 
     The boundary condition ties the returned slope s to the scattering
@@ -506,7 +549,7 @@ def contact_coefficient(E, g, spec=QuadratureSpec()):
     inv_2pi = 1.0 / TWO_PI
     slopes = []
     for h in (0.2, 0.1, 0.05, 0.025):
-        slopes.append((h * psi_integral(0.0, h, E, g, spec) - inv_2pi) / h)
+        slopes.append((h * psi_integral(0.0, h, E, g) - inv_2pi) / h)
     r1 = [2.0 * slopes[i + 1] - slopes[i] for i in range(3)]
     r2 = [(4.0 * r1[i + 1] - r1[i]) / 3.0 for i in range(2)]
     scatter = abs(r2[1] - r2[0])
@@ -516,9 +559,9 @@ def contact_coefficient(E, g, spec=QuadratureSpec()):
     return r2[1]
 
 
-def contact_scattering_length(E, g, spec=QuadratureSpec()):
+def contact_scattering_length(E, g):
     """Scattering length recovered from the contact slope, a = -1/(sqrt2 pi s)."""
-    s = contact_coefficient(E, g, spec)
+    s = contact_coefficient(E, g)
     if s == 0.0:
         return math.inf
     return -1.0 / (math.sqrt(2.0) * math.pi * s)

@@ -12,7 +12,7 @@ def _run(argv):
 
 def test_check_fast_passes(capsys):
     assert _run(["check", "--fast"]) == 0
-    assert "5 checks" in capsys.readouterr().out
+    assert "6 checks" in capsys.readouterr().out
 
 
 def test_spectrum_window_leaves_na_cells(capsys):
@@ -67,3 +67,18 @@ def test_spectrum_resonance_default_window(capsys):
     # an energy-dependent model has no single 1/a
     assert cells[0] == "NA"
     assert "NA" not in cells[1:]
+
+
+def test_spectrum_csv_same_across_worker_counts(tmp_path):
+    # one process or a pool of two: the CSV is the same byte for byte, so
+    # no value depends on which process computed it
+    out = {}
+    for threads in ("1", "2"):
+        path = tmp_path / ("threads%s.csv" % threads)
+        assert cli.main(["spectrum", "--eta", "2.37", "--inv-a-min", "-1",
+                         "--inv-a-max", "1", "--inv-a-steps", "4",
+                         "--levels", "3", "--threads", threads,
+                         "--out", str(path)]) == 0
+        out[threads] = path.read_bytes()
+    assert out["1"] == out["2"]
+    assert out["1"].count(b"\n") == 5 and b"NA" not in out["1"]

@@ -9,6 +9,7 @@ both sides so neither a regression nor a silent formula change can hide.
 import math
 import re
 
+import mpmath
 import pytest
 
 from conftest import args_of, fval, oracle_lines, oracle_values
@@ -73,8 +74,10 @@ def test_integral_route_frozen_cross_checks(key):
     # the integral route on its own, also where f_eval takes a closed form
     table = ORA2 if key in ORA2 else ORA1
     x, eta = args_of(key)
-    got = f_integral(SpectralArgument(x, eta)).value
-    _close(got, fval(table, key), 5e-10)
+    got = f_integral(SpectralArgument(x, eta))
+    _close(got.value, fval(table, key), 5e-10)
+    # the node table's error estimate bounds its error
+    assert abs(got.value - fval(table, key)) <= got.est_error
 
 
 @pytest.mark.parametrize("key",
@@ -136,6 +139,35 @@ def test_recurrence_extension_matches_direct():
             assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
     _close(f_recurrence_extend(SpectralArgument(-0.35, 0.25)).value,
            fval(ORA1, "F(-0.35,0.25)_steps"), 5e-11)
+
+
+# ---------------------------------------------------------------------------
+# node table against the quadpack reference route
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eta", (0.003, 0.26, 2.37, 3.9, 300.0))
+def test_node_table_matches_quadpack_sweep(eta):
+    # f_integral's node table at x itself, against the quadpack route of an
+    # explicit spec; quadpack flags its own estimate at x <= 1e-6, so it is
+    # reached through the recurrence, whose terminal point max(eta, 1)/2 is
+    # swept too.  The quadpack estimate does not bound quadpack's own error
+    # (off by up to 8x near 1e-13), so est_error is checked on the exact
+    # recurrence identity instead, with its gamma ratio from mpmath
+    # (gamma_ratio loses 1e-11 relative at x = 1e4).
+    spec = QuadratureSpec()
+    for x in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5 * max(eta, 1.0), 1.0, 7.3,
+              100.0, 1e4, 1e6):
+        got = f_integral(SpectralArgument(x, eta))
+        ref = f_recurrence_extend(SpectralArgument(x, eta), spec).value
+        assert abs(got.value - ref) <= 1e-12 * (1.0 + abs(ref)), \
+            "x=%g: got %.17g ref %.17g" % (x, got.value, ref)
+        up = f_integral(SpectralArgument(x + eta, eta))
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(x)
+            ladder = float(eta * mpmath.sqrt(mpmath.pi) * mpmath.gamma(xm)
+                           / mpmath.gamma(xm + 0.5))
+        assert (abs(got.value - up.value - ladder)
+                <= got.est_error + up.est_error + 2.0 ** -52 * abs(ladder))
 
 
 # ---------------------------------------------------------------------------

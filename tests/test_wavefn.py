@@ -98,6 +98,29 @@ def test_integral_even_in_z(energies):
     assert a == pytest.approx(b, rel=1e-13)
 
 
+@pytest.mark.parametrize("eta", (0.01, 0.5, 2.0, 100.0))
+def test_node_table_matches_quadpack_grids(eta):
+    # the node-table rows of sample_grid against point-by-point quadpack
+    # (an explicit spec) on graded grids in the trap's own lengths, with
+    # points at rho = 1e-3 and z = 1e-3 and an on-axis column, for a
+    # unitarity and a weakly bound state
+    g = TrapGeometry(eta)
+    grade = (1e-3, 0.03, 0.1, 0.25, 0.5, 1.0, 1.7, 2.6)
+    rhos = [u / math.sqrt(eta) for u in grade]
+    zs = (0.0,) + grade
+    spec = QuadratureSpec()
+    for inv_a in (0.0, -1.0):
+        e = bound_state_exact(InteractionModel.from_inverse_a(inv_a), g).E
+        samples = sample_grid(rhos, zs, e, g)
+        got = dict(zip(samples.coordinates, samples.values))
+        got.update(((0.0, z), psi_integral(0.0, z, e, g)) for z in zs[1:])
+        want = {p: psi_integral(*p, e, g, spec=spec) for p in got}
+        peak = max(abs(v) for v in want.values())
+        for p, w in want.items():
+            if abs(w) >= 1e-3 * peak:
+                assert abs(got[p] / w - 1.0) <= 1e-10, (inv_a, p)
+
+
 # ---------------------------------------------------------------------------
 # series routes against the integral (full battery in test_acceptance)
 # ---------------------------------------------------------------------------
@@ -240,14 +263,14 @@ def test_normalize_idempotent_and_scale_invariant():
 
 
 def test_normalize_singular_grid_matches_analytic_norm(energies):
-    # contact 1/r core: subtraction handling, coarse grid
-    h = 0.04
-    rhos = [h * (i + 1) for i in range(int(3.2 / h))]
-    zs = [h * j for j in range(int(4.5 / h))]
-    samples = sample_grid(rhos, zs, energies["A"], G2)
-    out = normalize(samples, G2)
+    # contact 1/r core: subtraction handling, coarse and fine grids
     want = fval(ORA2, "norm2_A")
-    assert abs(out.norm_constant ** 2 / want - 1.0) < 1.5e-3
+    for h, bound in ((0.04, 1.5e-3), (0.02, 3e-4)):
+        rhos = [h * (i + 1) for i in range(int(3.2 / h))]
+        zs = [h * j for j in range(int(4.5 / h))]
+        samples = sample_grid(rhos, zs, energies["A"], G2)
+        out = normalize(samples, G2)
+        assert abs(out.norm_constant ** 2 / want - 1.0) < bound, h
 
 
 def test_normalize_rejects_truncated_grid():
@@ -411,12 +434,15 @@ def test_excited_mode_dominance_eta001(energies):
 
 def test_psi_integral_domain(energies):
     e = energies["A"]
-    with pytest.raises(ValueError):
-        psi_integral(-0.1, 0.5, e, G2)
-    with pytest.raises(ValueError):
-        psi_integral(0.0, 0.0, e, G2)
-    with pytest.raises(ValueError):
-        psi_integral(0.5, 0.5, ground_energy_offset(G2), G2)
+    e0 = ground_energy_offset(G2)
+    # a point, and a grid holding it, raise the same error
+    for rho, z, energy in ((-0.1, 0.5, e), (0.0, 0.0, e), (0.5, 0.5, e0),
+                           (0.5, 0.5, e0 + 0.3)):
+        with pytest.raises(ValueError) as point:
+            psi_integral(rho, z, energy, G2)
+        with pytest.raises(ValueError) as grid:
+            sample_grid((0.3, rho), (z, 0.7), energy, G2, route="integral")
+        assert str(grid.value) == str(point.value)
 
 
 def test_series_domain(energies):
@@ -454,6 +480,15 @@ def test_sample_grid_layout(energies):
     assert samples.coordinates[2] == (0.3, 0.4)
     want = psi_integral(0.6, 0.4, energies["A"], G2)
     assert samples.values[3] == pytest.approx(want, rel=1e-13)
+    # a larger grid, with an on-axis column and rows at z < 0: every point
+    # is the value psi_integral gives
+    rhos = [0.0] + [0.05 * 1.4 ** i for i in range(12)]
+    zs = [-0.9, -0.1] + [0.05 * 1.5 ** j for j in range(10)]
+    samples = sample_grid(rhos, zs, energies["A"], G2)
+    assert len(samples.values) == len(rhos) * len(zs)
+    for (rho, z), got in zip(samples.coordinates, samples.values):
+        assert got == pytest.approx(psi_integral(rho, z, energies["A"], G2),
+                                    rel=1e-13)
 
 
 def test_profile_samples_validation():
