@@ -74,6 +74,8 @@ class RunConfig:
             raise ValueError("axis must be axial or radial")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.resonance is not None:
+            InteractionModel.from_resonance(*self.resonance)  # validates
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ strictly decreasing between consecutive poles, so each pole interval holds
 exactly one level for every a != 0.  This module turns that condition into
 spectra, bound states (exact and quasi-1D/2D asymptotic), renormalized
 low-dimensional scattering lengths, the low-dimensional reference spectra,
-and the self-consistent solve for energy-dependent interactions.
+and the self-consistent solve for energy-dependent interactions: one
+bracketed root per interval where a Resonance with det >= 0 certifies a
+rising 1/a_eff, a dense sign scan otherwise.
 """
 
 import math
@@ -39,6 +41,7 @@ from .spectral import (
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 EDGE_CLEARANCE = 3e-9  # keep brackets clear of the 1e-9 pole guard
+SCAN_POINTS = 48  # sign-scan grid of the self-consistent solve's fallback
 
 
 class NoBoundState(Exception):
@@ -56,75 +59,92 @@ class TrapGeometry:
             raise ValueError("eta must be positive and finite")
 
 
-@dataclass(frozen=True)
 class InteractionModel:
-    """Contact interaction: fixed scattering length or energy-dependent.
+    """Contact interaction: FixedLength, Resonance or EnergyDependent.  The
+    last two carry a_eff(E), inv_a_eff(E) and breakpoints (a_eff zeros)."""
 
-    Fixed models carry inv_a = 1/a (0 at unitarity a = +-inf, +-inf for the
-    noninteracting a = 0).  Energy-dependent models carry a_eff(E) and its
-    reciprocal, plus the energies where a_eff vanishes (poles of 1/a_eff,
-    which split root-search intervals).
-    """
+    @staticmethod
+    def fixed(a):
+        return FixedLength(math.inf if a == 0 else 1.0 / a)
 
-    kind: str
-    inv_a: float = math.nan
-    a_eff: object = None
-    inv_a_eff: object = None
-    breakpoints: tuple = ()
+    @staticmethod
+    def from_inverse_a(inv_a):
+        return FixedLength(float(inv_a) if math.isfinite(inv_a) else math.inf)
+
+    @staticmethod
+    def from_resonance(a_bg, gamma, e_res):
+        return Resonance(a_bg, gamma, e_res)
+
+    @staticmethod
+    def energy_dependent(a_eff, breakpoints=()):
+        return EnergyDependent(a_eff, tuple(breakpoints))
+
+
+@dataclass(frozen=True)
+class FixedLength(InteractionModel):
+    """inv_a = 1/a: 0 at unitarity, +-inf for the noninteracting a = 0."""
+
+    inv_a: float
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "energy_dependent"):
-            raise ValueError("kind must be 'fixed' or 'energy_dependent'")
-        if self.kind == "fixed" and math.isnan(self.inv_a):
-            raise ValueError("fixed model needs inv_a")
-        if self.kind == "energy_dependent" and self.a_eff is None:
-            raise ValueError("energy-dependent model needs a_eff")
+        if math.isnan(self.inv_a):
+            raise ValueError("1/a must not be NaN")
 
     @property
     def noninteracting(self):
-        return self.kind == "fixed" and math.isinf(self.inv_a)
+        return math.isinf(self.inv_a)
 
-    @classmethod
-    def fixed(cls, a):
-        if a == 0:
-            return cls(kind="fixed", inv_a=math.inf)
-        if math.isinf(a):
-            return cls(kind="fixed", inv_a=0.0)
-        return cls(kind="fixed", inv_a=1.0 / a)
 
-    @classmethod
-    def from_inverse_a(cls, inv_a):
-        if not math.isfinite(inv_a):
-            return cls(kind="fixed", inv_a=math.inf)
-        return cls(kind="fixed", inv_a=float(inv_a))
+@dataclass(frozen=True)
+class Resonance(InteractionModel):
+    """a_eff(E) = resonance_a_eff(E, a_bg, gamma, e_res).
 
-    @classmethod
-    def from_resonance(cls, a_bg, gamma, e_res):
-        def a_eff(e):
-            return resonance_a_eff(e, a_bg, gamma, e_res)
+    1/a_eff is a Moebius map of E, its one pole the breakpoint; its slope
+    has the sign of det = gamma (1 - a_bg gamma + a_bg^2 e_res), which is
+    >= 0 for every e_res > gamma^2/4 when gamma >= 0.
+    """
 
-        def inv_a_eff(e):
-            num = a_bg * (e - e_res) + gamma
-            if num == 0.0:
-                raise PoleSignal("1/a_eff pole at E = %.17g" % e, e)
-            return ((e - e_res) - a_bg * gamma * e) / num
+    a_bg: float
+    gamma: float
+    e_res: float
 
-        points = []
-        if a_bg != 0.0 and gamma != 0.0:
-            points.append(e_res - gamma / a_bg)  # a_eff zero
-        return cls(kind="energy_dependent", a_eff=a_eff,
-                   inv_a_eff=inv_a_eff, breakpoints=tuple(points))
+    def __post_init__(self):
+        if self.a_bg == 0.0 and self.gamma == 0.0:
+            raise ValueError("a_bg = gamma = 0 makes a_eff vanish at every E")
 
-    @classmethod
-    def energy_dependent(cls, a_eff, breakpoints=()):
-        def inv(e):
-            v = a_eff(e)
-            if v == 0.0:
-                raise PoleSignal("1/a_eff pole at E = %.17g" % e, e)
-            return 1.0 / v
+    @property
+    def det(self):
+        return self.gamma * (1.0 - self.a_bg * self.gamma
+                             + self.a_bg * self.a_bg * self.e_res)
 
-        return cls(kind="energy_dependent", a_eff=a_eff, inv_a_eff=inv,
-                   breakpoints=tuple(breakpoints))
+    @property
+    def breakpoints(self):
+        if self.a_bg == 0.0 or self.gamma == 0.0:
+            return ()
+        return (self.e_res - self.gamma / self.a_bg,)  # the a_eff zero
+
+    def a_eff(self, e):
+        return resonance_a_eff(e, self.a_bg, self.gamma, self.e_res)
+
+    def inv_a_eff(self, e):
+        num = self.a_bg * (e - self.e_res) + self.gamma
+        if num == 0.0:
+            raise PoleSignal("1/a_eff pole at E = %.17g" % e, e)
+        return ((e - self.e_res) - self.a_bg * self.gamma * e) / num
+
+
+@dataclass(frozen=True)
+class EnergyDependent(InteractionModel):
+    """Any a_eff(E), with its zeros listed as breakpoints."""
+
+    a_eff: object
+    breakpoints: tuple = ()
+
+    def inv_a_eff(self, e):
+        v = self.a_eff(e)
+        if v == 0.0:
+            raise PoleSignal("1/a_eff pole at E = %.17g" % e, e)
+        return 1.0 / v
 
 
 @dataclass(frozen=True)
@@ -220,7 +240,7 @@ def eigenenergies(model, g, window=None, max_levels=20):
     max_levels-th level.  With a = 0 the levels are the noninteracting pole
     energies, tagged as such.
     """
-    if model.kind != "fixed":
+    if not isinstance(model, FixedLength):
         raise ValueError("eigenenergies needs a fixed model; "
                          "use solve_self_consistent")
     if window is None:
@@ -352,7 +372,7 @@ def bound_state_exact(model, g):
     The search interval grows geometrically until the condition changes
     sign; F spans (+inf, -inf) on x > 0, so any a != 0 yields a root.
     """
-    if model.kind != "fixed":
+    if not isinstance(model, FixedLength):
         raise ValueError("bound_state_exact needs a fixed model")
     if model.noninteracting:
         raise NoBoundState("a = 0 has no level below E0")
@@ -448,17 +468,18 @@ def resonance_a_eff(e, a_bg, gamma, e_res):
     return num / den
 
 
-def solve_self_consistent(model, g, window=None, max_levels=20,
-                          scan_points=48):
+def solve_self_consistent(model, g, window=None, max_levels=20):
     """Levels of F(x, eta) + sqrt(2 pi)/a_eff(E) = 0, a_eff energy-dependent.
 
-    Search intervals are delimited by both the F poles and the zeros of
-    a_eff (poles of 1/a_eff) and walked in ascending E until max_levels
-    levels are found; inside each, sign changes are located on a scan grid
-    whose resolution is doubled once as a stability check (a still-changing
-    root count raises a diagnostic error).
+    Search intervals are delimited by the F poles and the a_eff zeros (poles
+    of 1/a_eff) and walked in ascending E until max_levels levels are found.
+    F rises in E between its poles, and so does 1/a_eff of a Resonance with
+    det >= 0: each interval then holds at most one root, found by one
+    bracketed search.  Other models (det < 0, EnergyDependent) can hold
+    several, found on a sign-scan grid that must keep its root count when
+    its resolution is doubled (else a diagnostic error is raised).
     """
-    if model.kind != "energy_dependent":
+    if not isinstance(model, (Resonance, EnergyDependent)):
         raise ValueError("solve_self_consistent needs an "
                          "energy-dependent model")
     e0 = ground_energy_offset(g)
@@ -470,37 +491,37 @@ def solve_self_consistent(model, g, window=None, max_levels=20,
         lo, hi = _default_window(g, max_levels + 2, (-2.0, 2.0))
         window = (min(lo, e0 - 70.0), hi)
     e_lo, e_hi = window
-    inv = model.inv_a_eff
 
     def target(e):
         x = (e0 - e) / 2.0
         return (f_eval(SpectralArgument(x, g.eta)).value
-                + SQRT_2PI * inv(e))
+                + SQRT_2PI * model.inv_a_eff(e))
 
     # cuts in E: F poles, a_eff zeros and the window ends (intervals
     # outside the window are clipped away)
     poles = _pole_xs(g.eta, (e0 - e_hi) / 2.0)
     cuts = sorted({e0 - 2.0 * p for p in poles}
                   | set(model.breakpoints) | {e_lo, e_hi})
-
-    def solve(lo, hi):
-        brackets = _scan_sign_changes(target, lo, hi, scan_points)
-        check = _scan_sign_changes(target, lo, hi, 2 * scan_points + 1)
-        if len(check) != len(brackets):
-            brackets = _scan_sign_changes(target, lo, hi, 8 * scan_points)
-            if len(brackets) != len(_scan_sign_changes(
-                    target, lo, hi, 16 * scan_points + 1)):
-                raise NumericsError(
-                    "unresolved oscillation of the self-consistent "
-                    "condition on [%g, %g]" % (lo, hi))
-        for br in brackets:
-            yield find_root_bracketed(target, br, tol=1e-12), br
-
+    monotone = isinstance(model, Resonance) and model.det >= 0.0
+    solve = partial(_root_in_segment if monotone else _scan_roots, target)
     roots = _ordered_roots(cuts, e_lo, e_hi, solve, 2.0 * EDGE_CLEARANCE)
     levels = (EnergyLevel(E=e, x=(e0 - e) / 2.0, bracket=br,
                           branch_index=_branch_index(poles, (e0 - e) / 2.0))
               for e, br in roots)
     return list(islice(levels, max_levels))
+
+
+def _scan_roots(target, lo, hi):
+    # every root on [lo, hi], once a grid twice as fine finds as many
+    for n in (SCAN_POINTS, 8 * SCAN_POINTS):
+        brackets = _scan_sign_changes(target, lo, hi, n)
+        if len(brackets) == len(_scan_sign_changes(target, lo, hi, 2 * n + 1)):
+            break
+    else:
+        raise NumericsError("unresolved oscillation of the self-consistent "
+                            "condition on [%g, %g]" % (lo, hi))
+    for br in brackets:
+        yield find_root_bracketed(target, br, tol=1e-12), br
 
 
 def _scan_sign_changes(target, lo, hi, n):
@@ -510,10 +531,7 @@ def _scan_sign_changes(target, lo, hi, n):
     for i in range(1, n + 1):
         t = lo + i * step
         v = target(t)
-        if prev_v == 0.0:
-            prev_t, prev_v = t, v
-            continue
-        if v != 0.0 and math.copysign(1.0, v) != math.copysign(1.0, prev_v):
+        if prev_v != 0.0 and v != 0.0 and (v > 0.0) != (prev_v > 0.0):
             out.append(bracket_from_signs(target, prev_t, t, prev_v, v))
         prev_t, prev_v = t, v
     return out

@@ -37,6 +37,11 @@ def test_eta_must_be_finite():
         assert _run([command, "--eta", "inf", "--a", "1"]) == 1
 
 
+def test_resonance_with_vanishing_a_eff_is_usage_error():
+    # a_bg = gamma = 0 makes a_eff vanish everywhere
+    assert _run(["spectrum", "--eta", "1", "--resonance", "0,0,3"]) == 1
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["spectrum", "--help"]) == 0
     assert "--resonance" in capsys.readouterr().out

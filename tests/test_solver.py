@@ -6,6 +6,7 @@ import re
 import pytest
 
 from conftest import fval, oracle_lines, oracle_values
+from pairtrap import solver
 from pairtrap.solver import (EnergyLevel, InteractionModel, NoBoundState,
                              TrapGeometry, a1d_effective, a2d_effective,
                              bound_state_exact, bound_state_quasi1d,
@@ -375,6 +376,78 @@ def test_self_consistent_default_window_keeps_deep_level():
     assert len(got) == 4
     assert got[0].E < e0 - 10.0
     assert _pairs(got) == _pairs(deep)
+
+
+def test_resonance_with_vanishing_a_eff_rejected():
+    # a_bg = gamma = 0 gives a_eff = 0 at every E: no 1/a_eff to solve with
+    with pytest.raises(ValueError):
+        InteractionModel.from_resonance(0.0, 0.0, 3.0)
+    assert InteractionModel.from_resonance(0.0, 0.5, 3.0).breakpoints == ()
+    assert InteractionModel.from_resonance(0.7, 0.0, 3.0).breakpoints == ()
+
+
+@pytest.mark.parametrize("params, eta, window", [
+    ((0.5, 0.8, 4.0), 1.0, (1.6, 9.0)),    # a_eff zero at 2.4, mid-window
+    ((0.5, 0.8, 4.0), 1.0, None),
+    ((0.7, 0.0, 30.0), 1.0, None),         # gamma = 0: a_eff = a_bg
+    ((-1.0, 0.5, 3.0), 2.37, None),        # a_eff zero at 3.5
+    ((0.5, 0.3, 3.5), 2.37, None),
+    ((1.2, 0.6, 1.5), 0.37, None),         # a_eff zero at 1.0
+    ((-0.8, 0.9, 1.2), 0.37, None),
+])
+def test_certified_resonance_matches_scan(params, eta, window):
+    # det >= 0 takes one bracketed root per interval; the same a_eff as a
+    # generic callable takes the sign scan, and both give the same levels
+    model = InteractionModel.from_resonance(*params)
+    assert model.det >= 0.0
+    generic = InteractionModel.energy_dependent(
+        lambda e: resonance_a_eff(e, *params), model.breakpoints)
+    g = TrapGeometry(eta)
+    got = solve_self_consistent(model, g, window=window, max_levels=6)
+    want = solve_self_consistent(generic, g, window=window, max_levels=6)
+    assert len(got) == len(want) >= 3
+    assert ([lv.branch_index for lv in got]
+            == [lv.branch_index for lv in want])
+    for a, b in zip(got, want):
+        assert abs(a.E - b.E) <= 1e-10
+
+
+def test_negative_det_resonance_keeps_two_roots_per_interval():
+    # det < 0: 1/a_eff falls while F rises, and branch 0 holds two levels
+    model = InteractionModel.from_resonance(3.0, 2.5, -0.25)
+    assert model.det < 0.0
+    levels = solve_self_consistent(model, TrapGeometry(1.0),
+                                   window=(-4.5, 7.5))
+    want = [-0.2131436729, 0.9850331877, 2.9677121073, 4.9264217842,
+            6.8923303374]
+    assert [lv.E for lv in levels] == pytest.approx(want, abs=1e-9)
+    assert [lv.branch_index for lv in levels] == [0, 0, 1, 2, 3]
+
+
+def test_certified_resonance_f_call_budget(monkeypatch):
+    # one bracketed root search per interval: at most 15 F calls per level
+    # on models from the benchmark's ranges (the sign scan spends ~160)
+    cases = []
+    for eta, a_bg, gamma, u in ((0.3, -1.4, 0.15, 2.7), (0.8, 1.1, 0.9, 0.4),
+                                (1.7, -0.3, 0.55, 1.6), (3.6, 0.6, 0.3, 2.2)):
+        g = TrapGeometry(eta)
+        e_res = ground_energy_offset(g) + 2.0 * min(1.0, eta) * u
+        model = InteractionModel.from_resonance(a_bg, gamma, e_res)
+        assert model.det > 0.0
+        cases.append((model, g, solver._default_window(g, 2, (-2.0, 2.0))))
+    calls = []
+    f_eval_orig = solver.f_eval
+
+    def counted(arg):
+        calls.append(arg)
+        return f_eval_orig(arg)
+
+    monkeypatch.setattr(solver, "f_eval", counted)
+    n_levels = sum(len(solve_self_consistent(model, g, window=window,
+                                             max_levels=2))
+                   for model, g, window in cases)
+    assert n_levels == 8
+    assert len(calls) <= 15 * n_levels
 
 
 def test_energy_level_is_frozen_record():
