@@ -21,7 +21,8 @@ from .solver import (InteractionModel, NoBoundState, TrapGeometry,
                      _default_window, bound_state_exact, eigenenergies,
                      solve_self_consistent)
 from .specfun import PoleSignal, gamma_ratio
-from .spectral import SpectralArgument, f_eval, phi
+from .spectral import (SpectralArgument, f_cigar, f_eval, f_pancake,
+                       f_recurrence_extend, phi)
 from .wavefn import (SeriesTruncation, profile_quasi1d, profile_quasi2d, psi,
                      psi_integral, psi_series_axial, psi_series_radial)
 
@@ -495,6 +496,14 @@ def _check_battery(fast):
         rhs = eta * math.sqrt(math.pi) * gamma_ratio(x, x + 0.5)
         worst = max(worst, abs(lhs - rhs))
     add("recurrence residual", worst, 1e-9)
+
+    worst = 0.0
+    for closed, eta, n in ((f_cigar, 2.0, 2), (f_cigar, 10.0, 10),
+                           (f_pancake, 0.25, 4)):
+        for x in (1.7, 0.3, -0.5 * min(eta, 1.0), -2.6 * min(eta, 1.0)):
+            ref = f_recurrence_extend(SpectralArgument(x, eta)).value
+            worst = max(worst, abs(closed(x, n).value - ref) / (1 + abs(ref)))
+    add("closed forms vs recurrence", worst, 1e-12)
 
     levels = eigenenergies(InteractionModel.from_inverse_a(0.0), g1,
                            window=(0.0, 9.4), max_levels=5)

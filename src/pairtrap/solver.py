@@ -109,6 +109,8 @@ class Resonance(InteractionModel):
     e_res: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a_bg, self.gamma, self.e_res))):
+            raise ValueError("resonance parameters must be finite")
         if self.a_bg == 0.0 and self.gamma == 0.0:
             raise ValueError("a_bg = gamma = 0 makes a_eff vanish at every E")
 

@@ -8,9 +8,10 @@ F is defined for x > 0 (energies below the noninteracting ground level) by
 and continued analytically elsewhere.  Eigenenergies solve
 -sqrt(2 pi)/a = F(x, eta) with x = -(E - E0)/2, E0 = 1/2 + eta.
 
-Routes: the defining integral, closed forms for integer eta (cigar) and
-integer 1/eta (pancake), the gamma-ladder recurrence that continues F to
-x < 0, and the quasi-1D / quasi-2D asymptotes for extreme anisotropy.
+Routes: the defining integral, the gamma-ladder recurrence that continues it
+to x < 0, closed forms for integer eta (cigar; f_eval takes it only up to
+CIGAR_MAX_ETA, where it is cheaper) and integer 1/eta (pancake), and the
+quasi-1D / quasi-2D asymptotes for extreme anisotropy.
 F has simple poles at x = -(j + k eta), j,k >= 0, and is strictly
 decreasing between consecutive poles.
 """
@@ -34,6 +35,9 @@ from .specfun import (
 
 POLE_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-12
+# f_eval takes the recurrence for integer eta above this: the cigar form's
+# eta - 1 continued fractions cost more than the recurrence from eta = 4 on.
+CIGAR_MAX_ETA = 3
 
 
 @dataclass(frozen=True)
@@ -249,12 +253,12 @@ def f_recurrence_extend(arg, spec=None):
 
 
 def f_eval(arg):
-    """Evaluate F(x, eta) picking the best route.
+    """Evaluate F(x, eta) by the cheapest accurate route.
 
-    Integer eta (within 1e-12) uses the cigar closed form, integer 1/eta the
-    pancake form, anything else the recurrence-extended integral.  Inputs
-    within 1e-9 of a pole x = -(j + k eta) raise a pole signal carrying the
-    nearest pole location.
+    eta = 1 and integer eta <= CIGAR_MAX_ETA (within 1e-12) use the cigar
+    closed form, integer 1/eta the pancake form, anything else the
+    recurrence-extended integral.  Inputs within 1e-9 of a pole
+    x = -(j + k eta) raise a pole signal carrying the nearest pole location.
     """
     x, eta = arg.x, arg.eta
     pole = _nearest_pole(x, eta)
@@ -262,7 +266,7 @@ def f_eval(arg):
         raise PoleSignal("x = %.17g is within %.1e of pole %.17g"
                          % (x, POLE_TOL, pole), pole)
     n_cigar = round(eta)
-    if n_cigar >= 1 and abs(eta - n_cigar) < CLOSED_FORM_TOL:
+    if 1 <= n_cigar <= CIGAR_MAX_ETA and abs(eta - n_cigar) < CLOSED_FORM_TOL:
         return f_cigar(x, n_cigar)
     n_pan = round(1.0 / eta)
     if n_pan >= 1 and abs(1.0 / eta - n_pan) < CLOSED_FORM_TOL:

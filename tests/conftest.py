@@ -1,7 +1,16 @@
-"""Shared loaders for the frozen oracle tables under tests/oracles/."""
+"""Shared loaders for the frozen oracle tables under tests/oracles/, and the
+hypothesis profile of the property tests."""
 
 import os
 import re
+
+from hypothesis import settings
+
+# Property tests draw the same examples on every run (no example database),
+# without a per-example deadline, and few enough to keep the suite fast.
+settings.register_profile("pairtrap", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("pairtrap")
 
 ORACLE_DIR = os.path.join(os.path.dirname(__file__), "oracles")
 

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from pairtrap import cli
 from pairtrap.solver import InteractionModel, TrapGeometry, bound_state_exact
 
@@ -12,7 +14,7 @@ def _run(argv):
 
 def test_check_fast_passes(capsys):
     assert _run(["check", "--fast"]) == 0
-    assert "6 checks" in capsys.readouterr().out
+    assert "7 checks" in capsys.readouterr().out
 
 
 def test_spectrum_window_leaves_na_cells(capsys):
@@ -40,6 +42,11 @@ def test_eta_must_be_finite():
 def test_resonance_with_vanishing_a_eff_is_usage_error():
     # a_bg = gamma = 0 makes a_eff vanish everywhere
     assert _run(["spectrum", "--eta", "1", "--resonance", "0,0,3"]) == 1
+
+
+@pytest.mark.parametrize("params", ["nan,0.5,3", "0.5,inf,3"])
+def test_resonance_with_nonfinite_parameters_is_usage_error(params):
+    assert _run(["spectrum", "--eta", "1", "--resonance", params]) == 1
 
 
 def test_help_exits_zero(capsys):

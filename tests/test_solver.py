@@ -386,6 +386,14 @@ def test_resonance_with_vanishing_a_eff_rejected():
     assert InteractionModel.from_resonance(0.7, 0.0, 3.0).breakpoints == ()
 
 
+@pytest.mark.parametrize("params", [(math.nan, 0.5, 3.0), (0.5, math.inf, 3.0),
+                                    (0.5, 0.5, -math.inf)])
+def test_resonance_with_nonfinite_parameters_rejected(params):
+    # a NaN or infinite parameter makes every target value NaN
+    with pytest.raises(ValueError):
+        InteractionModel.from_resonance(*params)
+
+
 @pytest.mark.parametrize("params, eta, window", [
     ((0.5, 0.8, 4.0), 1.0, (1.6, 9.0)),    # a_eff zero at 2.4, mid-window
     ((0.5, 0.8, 4.0), 1.0, None),

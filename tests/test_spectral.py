@@ -11,13 +11,15 @@ import re
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import args_of, fval, oracle_lines, oracle_values
 from pairtrap.numerics import QuadratureSpec
 from pairtrap.specfun import PoleSignal, gamma_ratio
-from pairtrap.spectral import (SpectralArgument, f_cigar, f_eval, f_integral,
-                               f_pancake, f_quasi1d, f_quasi2d,
-                               f_recurrence_extend, phi, pole_grid)
+from pairtrap.spectral import (CIGAR_MAX_ETA, SpectralArgument, f_cigar,
+                               f_eval, f_integral, f_pancake, f_quasi1d,
+                               f_quasi2d, f_recurrence_extend, phi, pole_grid)
 
 ORA1 = oracle_values("spectral_oracle.out")
 ORA2 = oracle_values("spectral_oracle2.out")
@@ -87,6 +89,25 @@ def test_cigar_closed_form_frozen(key):
     table = ORA1 if key in ORA1 else ORA2
     x, n = args_of(key)
     _close(f_cigar(x, int(n)).value, fval(table, key), 5e-11)
+
+
+# the bound branch and three points in each of the first six pole intervals
+_CIGAR_XS = (0.3, 1.7, 5.0) + tuple(-j - f for j in range(6)
+                                    for f in (0.13, 0.5, 0.87))
+
+
+@pytest.mark.parametrize("eta", list(range(2, 13)) + [100])
+def test_cigar_closed_form_matches_f_eval(eta):
+    # f_eval takes the node-table recurrence above CIGAR_MAX_ETA; the closed
+    # form must agree with that route at every integer eta.  At eta = 100
+    # the closed form's gamma ratios at x + 100 carry ~ulp(lgamma) ~ 6e-14
+    # relative error each, and it is up to 1.3e-12 off over these intervals
+    # (the recurrence is the one within 1e-14 of 40-digit mpmath there).
+    tol = 1e-13 if eta <= 12 else 2e-12
+    for x in _CIGAR_XS:
+        want = f_recurrence_extend(SpectralArgument(x, float(eta))).value
+        got = f_cigar(x, eta).value
+        assert abs(got - want) <= tol * (1.0 + abs(want)), (x, got, want)
 
 
 @pytest.mark.parametrize("key", [k for k in ORA1 if k.startswith("Fpan(")])
@@ -314,10 +335,38 @@ def test_spectral_argument_validation():
 
 
 def test_route_reporting():
+    general = ("integral", "recurrence")
+    assert f_eval(SpectralArgument(0.7, 1.0)).route == "spherical"
     assert f_eval(SpectralArgument(0.7, 2.0)).route == "cigar"
     assert f_eval(SpectralArgument(0.7, 0.25)).route == "pancake"
-    assert f_eval(SpectralArgument(0.7, 1.618)).route in ("integral",
-                                                          "recurrence")
+    assert f_eval(SpectralArgument(0.7, 1.618)).route in general
+    for eta in (4.0, 10.0, 100.0):
+        for x in (0.7, -1.3):
+            assert f_eval(SpectralArgument(x, eta)).route in general
+    for n in (2, 12):
+        assert f_eval(SpectralArgument(-1.3 / n, 1.0 / n)).route == "pancake"
+
+
+# every closed-form switch f_eval keeps: (eta, pole spacing along x)
+_SWITCHES = ([(float(n), 1.0) for n in range(1, CIGAR_MAX_ETA + 1)]
+             + [(1.0 / n, 1.0 / n) for n in (2, 4, 10)])
+
+
+@given(switch=st.sampled_from(_SWITCHES), interval=st.integers(-1, 5),
+       frac=st.floats(0.05, 0.95))
+def test_f_continuous_across_closed_form_switch(switch, interval, frac):
+    # The closed form at eta equals the midpoint of the recurrence at
+    # eta (1 +- 1e-11); the two recurrence values alone differ by dF/deta
+    # times the step, which is large next to a pole.
+    eta, spacing = switch
+    x = -(interval + frac) * spacing
+    closed = f_eval(SpectralArgument(x, eta))
+    assert closed.route in ("spherical", "cigar", "pancake")
+    sides = [f_eval(SpectralArgument(x, eta * (1.0 + d)))
+             for d in (-1e-11, 1e-11)]
+    assert all(v.route in ("integral", "recurrence") for v in sides)
+    mid = 0.5 * (sides[0].value + sides[1].value)
+    assert abs(closed.value - mid) <= 1e-13 * (1.0 + abs(closed.value))
 
 
 def test_integral_spec_override():
