@@ -4,9 +4,9 @@ Two quadratures on (0, inf): a fixed exp-sinh node table that integrates a
 numpy-vectorized integrand in one pass (the default route of the package's
 proper-time integrals), and adaptive quadpack with an integrable endpoint
 singularity (the reference route, taken when a QuadratureSpec is given).
-Also bracketed root-finding and tolerance-controlled series summation.  All
-routines are pure functions of their inputs and keep no mutable state, so
-they are safe to call concurrently.
+Also bracketed root-finding, and the error types of the series the
+wavefunction module sums.  All routines are pure functions of their inputs
+and keep no mutable state, so they are safe to call concurrently.
 """
 
 import math
@@ -35,7 +35,8 @@ class QuadratureError(NumericsError):
 
 
 class SeriesError(NumericsError):
-    """Series summation ran out of terms before the tail bound met tol."""
+    """A series ran out of terms, or stopped decaying, before its tail
+    bound met the tolerance."""
 
     def __init__(self, message, value, est_error, terms_used):
         super().__init__(message)
@@ -239,48 +240,3 @@ def bracket_from_signs(f, lo, hi, f_lo=None, f_hi=None):
     if slo * shi >= 0:
         raise NumericsError("no sign change on [%g, %g]" % (lo, hi))
     return RootBracket(lo, hi, slo, shi, flo, fhi)
-
-
-def sum_series_with_error(term, tol=1e-12, max_terms=100000):
-    """Sum term(k) for k = 0, 1, ... with an estimated tail bound <= tol.
-
-    Returns (value, est_error, terms_used).  The tail estimate handles both
-    geometric decay (bound |t|*r/(1-r)) and algebraic decay ~ k^(-p)
-    (integral-test bound |t|*k/(p-1), with p fitted from consecutive
-    ratios).  Terms must eventually decrease in magnitude.  Raises
-    SeriesError when max_terms is exhausted before the bound meets tol,
-    carrying the partial sum and the achieved estimate.
-    """
-    total = 0.0
-    prev = None
-    est = math.inf
-    for k in range(max_terms):
-        t = term(k)
-        total += t
-        at = abs(t)
-        if at == 0.0:
-            # A lone zero term may be structural (e.g. a vanishing
-            # coefficient); two in a row means the series has ended.
-            if prev == 0.0:
-                return total, 0.0, k + 1
-            prev = 0.0
-            continue
-        if prev is not None and prev > 0.0 and k >= 4:
-            r = at / prev
-            if r < 0.9:
-                est = at * r / (1.0 - r)
-            elif r < 1.0:
-                # Algebraic decay: fit t ~ k^(-p) from the last ratio.
-                p = math.log(prev / at) / math.log((k + 1.0) / k)
-                if p > 1.05:
-                    est = at * (k + 1.0) / (p - 1.0)
-                else:
-                    est = math.inf
-            else:
-                est = math.inf
-            if est <= tol:
-                return total, est, k + 1
-        prev = at
-    raise SeriesError("series did not converge in %d terms" % max_terms,
-                      total, est, max_terms)
-

@@ -1,17 +1,20 @@
 """Special-function kernel for the routines scipy does not cover.
 
-Log-gamma with sign tracking, gamma ratios with pole bookkeeping, the
-Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
-2F1(1,x;x+1/2;z) on the unit circle, Kummer's U for b in {1/2, 1, 3/2} and
-Laguerre polynomials.  Digamma and the modified Bessel function K0 come
-from scipy.special and the Gauss-Legendre nodes from numpy.  The Hurwitz
-zeta stays here because scipy.special.zeta(0.5, q) returns nan.
+Log-gamma with sign tracking, gamma ratios (scipy's poch) with pole
+bookkeeping, the Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
+2F1(1,x;x+1/2;z) on the unit circle, log Gamma(a) U(a, b, w) for b in
+{1/2, 1, 3/2} on the numerics exp-sinh node table (one pass for an array of
+a), Kummer's U built on it, and Laguerre polynomials.  Digamma and the
+Pochhammer symbol come from scipy.special.  The Hurwitz zeta stays here
+because scipy.special.zeta(0.5, q) returns nan.
 """
 
 import math
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, poch
+
+from .numerics import integrate
 
 EULER_GAMMA = 0.5772156649015328606065
 SQRT_PI = math.sqrt(math.pi)
@@ -53,7 +56,7 @@ def ln_gamma(x):
 
 
 def gamma_ratio(num, den):
-    """Gamma(num)/Gamma(den) via lgamma differences with sign tracking.
+    """Gamma(num)/Gamma(den) as 1/poch(num, den - num).
 
     A denominator pole gives 0.0 (the ratio vanishes) and a numerator pole
     raises PoleSignal; a pole in both arguments is rejected with ValueError
@@ -67,12 +70,8 @@ def gamma_ratio(num, den):
         raise PoleSignal("gamma ratio pole at num = %g" % num, num)
     if den_pole:
         return 0.0
-    ln_n, s_n = ln_gamma(num)
-    ln_d, s_d = ln_gamma(den)
-    diff = ln_n - ln_d
-    if diff > 709.0:
-        return math.inf * s_n * s_d
-    return s_n * s_d * math.exp(diff)
+    rising = float(poch(num, den - num))
+    return 1.0 / rising if rising != 0.0 else math.copysign(math.inf, rising)
 
 
 # Euler-Maclaurin coefficients for zeta(1/2, q): B_2j/(2j)! * (1/2)_(2j-1),
@@ -159,10 +158,6 @@ def hyp2f1_one(x, z, tol=1e-15, max_iter=20000):
 
 _SUPPORTED_B = (0.5, 1.0, 1.5)
 
-# 48-point Gauss-Legendre rule on [-1, 1] for the ln_gamma_u panels, nodes
-# in descending order
-_GL_NODES, _GL_WEIGHTS = (v[::-1] for v in np.polynomial.legendre.leggauss(48))
-
 
 def _check_b(b):
     for bb in _SUPPORTED_B:
@@ -174,104 +169,52 @@ def _check_b(b):
 def ln_gamma_u(a, b, w):
     """log of Gamma(a)*U(a, b, w) for a > 0, w > 0, b in {1/2, 1, 3/2}.
 
-    Uses the Laplace integral int_0^inf exp(-w t) t^(a-1) (1+t)^(b-a-1) dt,
+    a may be a float or a 1-D array (one row per entry, all rows in one
+    exp-sinh pass); a float gives a float.  The value is the log of the
+    Laplace integral int_0^inf exp(psi(log t)) dlog t with
+      psi(l) = (b - 1) l - w t + (b - a - 1) log1p(1/t),  t = e^l,
     whose integrand is positive, so the product stays representable in log
-    form even where Gamma(a) alone would overflow.  Layout: a head panel
-    [0, T] with the t^(a-1) factor absorbed exactly by t = T v^(1/a)
-    (accumulated in its own log normalization), Gauss-Legendre panels laid
-    out around the interior peak when there is one, and rate-capped
-    doubling panels for the tail.
+    form even where Gamma(a) alone would overflow; log1p(1/t) keeps the
+    large-a exponent free of cancellation.  Each row is scaled at the peak c
+    of psi, the positive root of w t^2 + (w + 1 - b) t - a = 0, and
+    integrated in y after log(t/c) = p (v + k (v - sqrt(v^2 + 1))),
+    v = log y.  p = min(1, 10 width), width the relative peak width, widens
+    a sharp peak (large a w) to 0.1 in v, where the table resolves it; k > 0
+    only for a < 1/2, where it steepens the left branch to slope
+    p (1 + 2k) = p/(2a) so that the slow t^a rise from t = 0 ends inside
+    the table.
     """
     b = _check_b(b)
-    if not (a > 0 and w > 0):
+    a_in = np.asarray(a, dtype=float)
+    av = a_in.reshape(-1, 1)
+    if not (np.all(av > 0) and w > 0):
         raise ValueError("ln_gamma_u needs a > 0 and w > 0")
-    c = b - a - 1.0
+    q = w + 1.0 - b
+    disc = np.sqrt(q * q + (4.0 * w) * av)
+    c = 2.0 * av / (disc + q) if q >= 0.0 else (disc - q) / (2.0 * w)
+    # -psi''(log c), the inverse square of the relative peak width
+    curv = (av + (1.0 - b)) * c / ((1.0 + c) * (1.0 + c)) + w * c
+    p = np.minimum(1.0, 10.0 / np.sqrt(curv))
+    pk = p * np.maximum(0.0, 0.25 / av - 0.5)
+    lc = np.log(c)
+    bam1 = (b - 1.0) - av
 
-    def phi(t):
-        return -w * t + (a - 1.0) * np.log(t) + c * np.log1p(t)
+    def psi(lt):
+        return ((b - 1.0) * lt - w * np.exp(lt)
+                + bam1 * np.logaddexp(0.0, -lt))
 
-    def phi1(t):
-        return -w * t + (a - 1.0) * math.log(t) + c * math.log1p(t)
+    psi0 = psi(lc)
 
-    def dphi(t):
-        return -w + (a - 1.0) / t + c / (1.0 + t)
+    def f(y):
+        v = np.log(y[:1])
+        hyp = np.sqrt(v * v + 1.0)
+        lt = (lc + (p + pk) * v) - pk * hyp
+        jac = (p + pk) - pk * (v / hyp)
+        return np.exp(psi(lt) - (psi0 + v)) * jac
 
-    # Head boundary: keep w*T <= 2 and |c|*log1p(T) <= 35 so the head
-    # integrand spans few enough e-folds for the fixed node count.
-    T = min(1.0, 2.0 / w if w > 2.0 else 1.0, math.expm1(35.0 / max(abs(c), 1.0)))
-
-    # Head over (0, T) by a tanh-sinh rule accumulated in log form: the
-    # node/weight products absorb the t^(a-1) endpoint behavior for any
-    # strength a > 0, and the log accumulation keeps huge |phi| safe.
-    h = 0.08
-    u_hi = math.asinh(45.0 / (math.pi * min(a, 1.0)))
-    u = h * np.arange(-math.ceil(3.4 / h), math.ceil(u_hi / h) + 1)
-    s = 0.5 * math.pi * np.sinh(u)
-    t_head = T / (1.0 + np.exp(np.minimum(2.0 * s, 700.0)))
-    ln_t = math.log(T) - np.logaddexp(0.0, 2.0 * s)
-    abs_s = np.abs(s)
-    ln_cosh_s = abs_s + np.log1p(np.exp(-2.0 * abs_s)) - math.log(2.0)
-    ln_wt = (math.log(0.25 * math.pi * h * T) + np.log(np.cosh(u))
-             - 2.0 * ln_cosh_s)
-    e_head = -w * t_head + (a - 1.0) * ln_t + c * np.log1p(t_head) + ln_wt
-    k_head = float(np.max(e_head))
-    head_ln = k_head + math.log(float(np.sum(np.exp(e_head - k_head))))
-
-    # Peak marks (interior maximum exists only for a > 1 and sits at the
-    # positive root of w t^2 + (w+2-b) t - (a-1) = 0).
-    marks = []
-    shift = phi1(T)
-    if a > 1.0:
-        q = w + 2.0 - b
-        tp = (math.sqrt(q * q + 4.0 * w * (a - 1.0)) - q) / (2.0 * w)
-        if tp > T:
-            shift = phi1(tp)
-            curv = (a - 1.0) / (tp * tp) - (a + 1.0 - b) / ((1.0 + tp) ** 2)
-            sigma = 1.0 / math.sqrt(max(curv, 1e-300))
-            raw = [tp + s * sigma for s in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)]
-            for m in sorted(raw):
-                if m > T * (1.0 + 1e-12) and (not marks or m > marks[-1] * (1.0 + 1e-12)):
-                    marks.append(m)
-
-    # Panel edge layout: geometric fill between the head edge and the first
-    # peak mark (values out there are suppressed by the -8 sigma mark, so
-    # the fixed ratio bounds the per-panel e-fold count), the sigma marks,
-    # then doubling tail panels capped at ~35 e-folds each.
-    edges = [T]
-    if marks:
-        lo = T
-        while lo < marks[0] / 1.5:
-            lo *= 1.5
-            edges.append(lo)
-        edges.extend(m for m in marks if m > edges[-1] * (1.0 + 1e-14))
-    edge = edges[-1]
-    width = edges[-1] - edges[-2] if len(edges) > 1 else T
-    acc = 0.0
-    for _ in range(250):
-        rate = max(w, -dphi(edge), 1e-300)
-        width = min(2.0 * width, 35.0 / rate)
-        edge += width
-        edges.append(edge)
-        drop = phi1(edge) - shift
-        val_lb = math.exp(min(drop, 700.0)) * width
-        acc += val_lb
-        if val_lb <= 1e-18 * acc and drop < -41.0:
-            break
-
-    arr = np.asarray(edges)
-    lo_e = arr[:-1]
-    half = 0.5 * (arr[1:] - arr[:-1])
-    t_all = (lo_e[:, None]
-             + half[:, None] * (_GL_NODES[None, :] + 1.0)).ravel()
-    w_all = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    total = float(np.sum(w_all * np.exp(phi(t_all) - shift)))
-
-    # Combine panel mass (normalized at shift) with the head in log space.
-    if total > 0.0:
-        body_ln = shift + math.log(total)
-        hi = max(body_ln, head_ln)
-        return hi + math.log1p(math.exp(min(body_ln, head_ln) - hi))
-    return head_ln
+    value, _ = integrate(f, np.ones(len(av)))
+    out = psi0[:, 0] + np.log(value)
+    return float(out[0]) if a_in.ndim == 0 else out
 
 
 def _kummer_u_log_series(a, z):

@@ -11,7 +11,8 @@ and continued analytically elsewhere.  Eigenenergies solve
 Routes: the defining integral, the gamma-ladder recurrence that continues it
 to x < 0, closed forms for integer eta (cigar; f_eval takes it only up to
 CIGAR_MAX_ETA, where it is cheaper) and integer 1/eta (pancake), and the
-quasi-1D / quasi-2D asymptotes for extreme anisotropy.
+quasi-1D / quasi-2D asymptotes for extreme anisotropy, whose quasi-2D
+function Phi is one proper-time integral on the same node table as F.
 F has simple poles at x = -(j + k eta), j,k >= 0, and is strictly
 decreasing between consecutive poles.
 """
@@ -77,6 +78,13 @@ class PoleGrid:
 def _gamma_ladder_term(arg):
     # Gamma(arg)/Gamma(arg + 1/2), with denominator poles collapsing to 0.
     return gamma_ratio(arg, arg + 0.5)
+
+
+def _ratio_rounding(arg):
+    # relative rounding bound of gamma_ratio(arg, arg +- 1/2): below
+    # |arg| = 1e4 poch exponentiates a difference of two log-gammas, each
+    # good to an ulp or two of lgamma(arg)
+    return 2.0 ** -51 * (4.0 + abs(math.lgamma(arg)))
 
 
 def _check_ladder_pole(arg):
@@ -186,13 +194,14 @@ def f_cigar(x, n):
         return _spherical(x)
 
     ladder = 0.0
-    lifts = 0
+    ladder_err = 0.0
     x_work = x
     while x_work <= 0.25:
         _check_ladder_pole(x_work)
-        ladder += n * SQRT_PI * _gamma_ladder_term(x_work)
+        term = n * SQRT_PI * _gamma_ladder_term(x_work)
+        ladder += term
+        ladder_err += abs(term) * _ratio_rounding(x_work)
         x_work += n
-        lifts += 1
 
     hyp_sum = 0.0 + 0.0j
     for m in range(1, n):
@@ -205,7 +214,9 @@ def f_cigar(x, n):
     sph = 2.0 * SQRT_PI * gamma_ratio(x_work, x_work - 0.5)
     value = ladder + front * hyp_sum.real - sph
     scale = abs(ladder) + abs(front) * (abs(hyp_sum.real) + n) + abs(sph)
-    return SpectralValue(value, "cigar", 1e-14 * scale)
+    est = (1e-14 * scale + ladder_err
+           + (abs(front * hyp_sum.real) + abs(sph)) * _ratio_rounding(x_work))
+    return SpectralValue(value, "cigar", est)
 
 
 def f_pancake(x, n):
@@ -321,9 +332,9 @@ def f_quasi1d(arg, bound_state=False, min_eta=10.0):
 def f_quasi2d(arg, bound_state=False, max_eta=0.1):
     """Quasi-2D asymptote for strongly pancake-shaped traps (eta << 1).
 
-    -phi_series(x) - log(eta) - digamma(x/eta); with bound_state=True the
+    -Phi(x) - log(eta) - digamma(x/eta); with bound_state=True the
     digamma is replaced by its large-argument logarithm, giving
-    -phi_series(x) - log(x).  Valid for x > -1.
+    -Phi(x) - log(x).  Valid for x > -1.
     """
     x, eta = arg.x, arg.eta
     if eta > max_eta:
@@ -343,55 +354,46 @@ def f_quasi2d(arg, bound_state=False, max_eta=0.1):
 
 
 def phi(x):
-    """Phi(x) = 2 - log(1+x) + 2 sum_k w_k [(k+1/2) log((x+k)/(x+k+1)) + 1].
+    """Phi(x), the quasi-2D function, for x > -1, by one proper-time integral:
 
-    w_k = (2k)!/(2^k k!)^2 ~ 1/sqrt(pi k), so the terms decay only as
-    k^(-3/2); the head is summed directly (with a cancellation-free small-u
-    branch) and the remainder by a 4-term asymptotic tail in Hurwitz zetas.
+      Phi(x) = 2 sqrt(pi) + log(1 + x)/2 - int_0^inf (dt/t) [e^(-x t)
+               (1/sqrt(1 - e^(-t)) - 1) - (e^(-(1+x) t) - e^(-t))/2
+               + e^(-t) - e^(-t)/sqrt(t)],
+
+    F's integral split at eta/(1 - e^(-eta t)) = 1/t + [...] with Frullani
+    terms for log x and log(1 + x) taken out, so that the integrand decays
+    like e^(-t) for every x > -1 and the node table runs at scale 1.  Below
+    t = 1/2 the bracket is e^(-t)/t [t^(-1/2) expm1((1 - x) t - log q(t)/2)
+    - expm1((1 - x) t) - expm1(-x t)/2], log q from its series; above, it
+    is [e^(-(1+x) t) (r - 1/2) + e^(-t) (3/2 - t^(-1/2))]/t with
+    r = (1/sqrt(1 - u) - 1)/u, u = e^(-t), and r = 1/2 once u underflows.
     """
     if not x > -1.0:
         raise ValueError("phi needs x > -1")
-    k_top = 400 * max(1, int(math.ceil(abs(x))))
-    total = 2.0 - math.log1p(x)
-    w = 1.0
-    for k in range(1, k_top + 1):
-        w *= (2 * k - 1) / (2.0 * k)
-        u = 1.0 / (k + x + 1.0)
-        if u < 0.04:
-            # B_k = x u + sum_{j>=2} (x/j - (j-1)/(2j(j+1))) u^j, exact
-            # rearrangement of 1 + (k+1/2) log(1-u); avoids cancellation.
-            bk = 0.0
-            up = u
-            for j in range(1, 12):
-                if j > 1:
-                    up *= u
-                bk += (x / j - (j - 1) / (2.0 * j * (j + 1.0))) * up
-        else:
-            bk = 1.0 + (k + 0.5) * math.log1p(-u)
-        total += 2.0 * w * bk
-    # Tail: w_k B_k = (x k^(-3/2) + c2 k^(-5/2) + c3 k^(-7/2) + c4 k^(-9/2)
-    #                 + O(k^(-11/2))) / sqrt(pi)
-    b2 = -x * x - 0.5 * x - 1.0 / 12.0
-    b3 = x ** 3 + x * x + 0.5 * x + 1.0 / 12.0
-    b4 = -x ** 4 - 1.5 * x ** 3 - 1.25 * x * x - 0.5 * x - 3.0 / 40.0
-    c2 = b2 - x / 8.0
-    c3 = b3 - b2 / 8.0 + x / 128.0
-    c4 = b4 - b3 / 8.0 + b2 / 128.0 + 5.0 * x / 1024.0
-    q = k_top + 1.0
-    tail = (x * _zeta_large_q(1.5, q) + c2 * _zeta_large_q(2.5, q)
-            + c3 * _zeta_large_q(3.5, q) + c4 * _zeta_large_q(4.5, q))
-    return total + 2.0 / SQRT_PI * tail
 
+    def bracket(t):
+        n = int(np.searchsorted(t, _LNQ_SPLIT))
+        out = np.empty_like(t)
+        head, tail = t[:n], t[n:]
+        h2 = head * head
+        acc = np.zeros_like(head)
+        for _, c in _LNQ_SERIES:
+            acc += c
+            acc *= h2
+        # (1 - x) t - log q(t)/2 = (5/4 - x) t + sum_n c_n t^2n / 2
+        out[:n] = np.exp(-head) / head * (
+            np.expm1((1.25 - x) * head + 0.5 * acc) / np.sqrt(head)
+            - np.expm1((1.0 - x) * head) - 0.5 * np.expm1(-x * head))
+        u = np.exp(-tail)
+        live = u > 0.0
+        r_half = np.zeros_like(tail)
+        r_half[live] = np.expm1(-0.5 * np.log1p(-u[live])) / u[live] - 0.5
+        out[n:] = (np.exp(-(1.0 + x) * tail) * r_half
+                   + u * (1.5 - 1.0 / np.sqrt(tail))) / tail
+        return out
 
-def _zeta_large_q(s, q):
-    # Euler-Maclaurin for zeta(s, q) at large q; enough terms for q >= 400.
-    invq = 1.0 / q
-    val = q ** (1.0 - s) / (s - 1.0) + 0.5 * q ** -s
-    val += s * q ** (-s - 1.0) / 12.0
-    val -= s * (s + 1.0) * (s + 2.0) * q ** (-s - 3.0) / 720.0
-    val += (s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0)
-            * q ** (-s - 5.0) / 30240.0)
-    return val
+    value, _ = integrate(bracket, 1.0)
+    return 2.0 * SQRT_PI + 0.5 * math.log1p(x) - value
 
 
 def pole_grid(eta, x_min):

@@ -4,26 +4,28 @@ Psi(rho, z) carries a 1/(2 pi r) contact core at the origin and a Gaussian
 envelope at large distance.  Three exact routes are provided: a proper-time
 integral valid below the ground energy E0 = 1/2 + eta, a radial series in
 Laguerre x Kummer-U products (fast for cigars), and an axial series (fast
-for pancakes).  Asymptotic quasi-1d and quasi-2d profiles, grid
-normalization with analytic treatment of the integrable 1/r^2 density, and
+for pancakes).  The integral, the asymptotic quasi-1d and quasi-2d profile
+sums and the series coefficients Gamma(a) U(a, b, w) (one ln_gamma_u call
+per block of terms) all run on the numerics exp-sinh node table; the series
+themselves are summed term by term under a shared tail control.  Grid
+normalization with analytic treatment of the integrable 1/r^2 density and
 the small-r contact extrapolation complete the module.  All lengths are in
 axial oscillator units; energies include the 3/2-equivalent zero point
 through E0.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import k0 as bessel_k0
 
 from .numerics import (
     NumericsError,
     SeriesError,
     integrate,
     integrate_semi_infinite_with_error,
-    sum_series_with_error,
 )
 from .solver import ground_energy_offset
 from .specfun import (
@@ -153,31 +155,64 @@ def psi_integral(rho, z, E, g, spec=None):
     return eta * value / TWO_PI ** 1.5
 
 
-@lru_cache(maxsize=1 << 18)
-def _gamma_u(a, b, w):
-    # Gamma(a) U(a, b, w): log route keeps huge Gamma factors in range for
-    # a >= 1/2; smaller and negative a go through the direct product, whose
-    # magnitude stays moderate away from the Gamma poles.
-    if a >= 0.5:
-        ln = ln_gamma_u(a, b, w)
-        return math.exp(ln) if ln > -745.0 else 0.0
-    if is_nonpositive_integer(a):
-        raise PoleSignal("Gamma(%.17g) pole in a series coefficient" % a, a)
-    lg, sign = ln_gamma(a)
-    return sign * math.exp(lg) * kummer_u(a, b, w)
+def _gamma_u_block(a, b, w):
+    # Gamma(a) U(a, b, w) for a 1-D array of a: one ln_gamma_u call for
+    # a >= 1/2, whose log form keeps huge Gamma factors in range; the
+    # finitely many smaller and negative a take the signed direct product,
+    # whose magnitude stays moderate away from the Gamma poles.
+    out = np.empty(len(a))
+    big = a >= 0.5
+    if big.any():
+        out[big] = np.exp(ln_gamma_u(a[big], b, w))
+    for i in np.flatnonzero(~big):
+        lg, sign = ln_gamma(a[i])
+        out[i] = sign * math.exp(lg) * kummer_u(a[i], b, w)
+    return out
 
 
-def _sum_terms(term_at, trunc, label, osc_x, decay_beta):
-    # Shared tail control.  Terms carry a Laguerre factor oscillating with
-    # phase 2 sqrt(m osc_x), so single-term tests alias with its nodes: the
-    # envelope is taken over a window of at least half a period.  The
-    # envelope decays like exp(-decay_beta sqrt(m)), giving the tail bound
-    # env * 2 sqrt(m)/decay_beta.  A window-to-window envelope that stops
-    # falling means the partial sums have stalled (divergent regime).
+# Largest coefficient block: the kernel holds a few (block, 273) arrays, so
+# this caps its memory at ~20 MB; the cost per term is flat past ~100 rows.
+_MAX_BLOCK = 1024
+
+
+class _Coefficients:
+    """Gamma(a_m) U(a_m, b, w) for m = 0, 1, ..., max_terms - 1, a_m given
+    by a_of(m) on an index array.  Iteration yields them in order; they are
+    computed on first use in blocks of 32, 64, 128, ... up to _MAX_BLOCK
+    terms, one kernel call per block, and kept, so every point of a grid
+    line that needs the same sequence shares them."""
+
+    def __init__(self, a_of, b, w, max_terms):
+        self._a_of, self._b, self._w = a_of, b, w
+        self._max_terms = max_terms
+        self._blocks = []
+        self._size = 0
+
+    def __iter__(self):
+        for i in itertools.count():
+            if i == len(self._blocks):
+                if self._size == self._max_terms:
+                    return
+                stop = min(self._size + min(self._size + 32, _MAX_BLOCK),
+                           self._max_terms)
+                a = self._a_of(np.arange(self._size, stop))
+                self._blocks.append(
+                    _gamma_u_block(a, self._b, self._w).tolist())
+                self._size = stop
+            yield from self._blocks[i]
+
+
+def _sum_terms(terms, trunc, label, osc_x, decay_beta):
+    # Shared tail control over an iterable of terms.  Terms carry a Laguerre
+    # factor oscillating with phase 2 sqrt(m osc_x), so single-term tests
+    # alias with its nodes: the envelope is taken over a window of at least
+    # half a period.  The envelope decays like exp(-decay_beta sqrt(m)),
+    # giving the tail bound env * 2 sqrt(m)/decay_beta.  A window-to-window
+    # envelope that stops falling means the partial sums have stalled
+    # (divergent regime).
     total = 0.0
     hist = []
-    for m in range(trunc.max_terms):
-        t = term_at(m)
+    for m, t in zip(range(trunc.max_terms), terms):
         total += t
         hist.append(abs(t))
         if osc_x > 0.0:
@@ -185,15 +220,14 @@ def _sum_terms(term_at, trunc, label, osc_x, decay_beta):
             win = min(max(8, int(0.5 * period) + 1), 1000)
         else:
             win = 2
-        if m + 1 >= 2 * win:
-            newer = max(hist[-win:])
-            older = max(hist[-2 * win:-win])
-            if older > 0.0 and newer >= 0.97 * older:
-                raise SeriesError(
-                    "%s terms are not decaying after %d terms" % (label, m + 1),
-                    total, newer, m + 1)
         if m + 1 >= win:
             env = max(hist[-win:])
+            if m + 1 >= 2 * win:
+                older = max(hist[-2 * win:-win])
+                if older > 0.0 and env >= 0.97 * older:
+                    raise SeriesError(
+                        "%s terms are not decaying after %d terms"
+                        % (label, m + 1), total, env, m + 1)
             tail = env * (2.0 * math.sqrt(m + 1.0) / decay_beta
                           if decay_beta > 0.0 else 1.0)
             if tail <= trunc.tail_tol * abs(total):
@@ -213,14 +247,10 @@ def _check_coefficient_poles(first, step, scale):
         a += step
 
 
-def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
-    """Laguerre expansion over radial modes; converges fastest for eta >= 1.
-
-    Term m carries Gamma(a_m) U(a_m, 1/2, z^2) L_m(eta rho^2) with
-    a_m = eta m - (E - E0)/2.  On the z = 0 line the terms decay only like
-    m^{-3/4} with oscillating sign, so that line is rejected.
-    """
-    if rho < 0:
+def _radial_row(rhos, z, E, g, trunc):
+    # psi_series_radial at every rho of one z row; the coefficients depend
+    # on z only, so the row shares them
+    if any(rho < 0 for rho in rhos):
         raise ValueError("rho must be nonnegative")
     if z == 0.0:
         raise ValueError("radial series is conditionally convergent at z = 0; "
@@ -228,17 +258,51 @@ def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
     eta = g.eta
     cal_e = E - ground_energy_offset(g)
     _check_coefficient_poles(-0.5 * cal_e, eta, 1.0)
-    w = eta * rho * rho
     zz = z * z
-    lag = laguerre_iter(w)
+    coef = _Coefficients(lambda m: eta * m - 0.5 * cal_e, 0.5, zz,
+                         trunc.max_terms)
+    out = []
+    for rho in rhos:
+        w = eta * rho * rho
+        # envelope decay exp(-2|z| sqrt(eta m)); oscillation from L_m(eta rho^2)
+        total = _sum_terms(map(operator.mul, coef, laguerre_iter(w)), trunc,
+                           "radial series", w, 2.0 * abs(z) * math.sqrt(eta))
+        out.append(eta * math.exp(-0.5 * (w + zz)) * _PREF * total)
+    return out
 
-    def term(m):
-        return _gamma_u(eta * m - 0.5 * cal_e, 0.5, zz) * next(lag)
 
-    # envelope decay exp(-2|z| sqrt(eta m)); oscillation from L_m(eta rho^2)
-    total = _sum_terms(term, trunc, "radial series", w,
-                       2.0 * abs(z) * math.sqrt(eta))
-    return eta * math.exp(-0.5 * (w + zz)) * _PREF * total
+def _axial_column(rho, zs, E, g, trunc):
+    # psi_series_axial at every z of one rho column; the coefficients depend
+    # on rho only, so the column shares them
+    if rho <= 0:
+        raise ValueError("axial series needs rho > 0 (U(., 1, 0) diverges)")
+    eta = g.eta
+    cal_e = E - ground_energy_offset(g)
+    _check_coefficient_poles(-0.5 * cal_e / eta, 1.0 / eta, eta)
+    w = eta * rho * rho
+    coef = _Coefficients(lambda k: (k - 0.5 * cal_e) / eta, 1.0, w,
+                         trunc.max_terms)
+    out = []
+    for z in zs:
+        zz = z * z
+        # envelope decay exp(-2 rho sqrt(k)); oscillation from L_k^(-1/2)(z^2)
+        total = _sum_terms(
+            map(operator.mul, coef, laguerre_iter(zz, alpha=-0.5)), trunc,
+            "axial series", zz, 2.0 * rho)
+        out.append(math.exp(-0.5 * (w + zz)) * _PREF * total)
+    return out
+
+
+def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
+    """Laguerre expansion over radial modes; converges fastest for eta >= 1.
+
+    Term m carries Gamma(a_m) U(a_m, 1/2, z^2) L_m(eta rho^2) with
+    a_m = eta m - (E - E0)/2.  On the z = 0 line the terms decay only like
+    m^{-3/4} with oscillating sign, so that line is rejected.  The
+    coefficients come in blocks of 32, 64, ... from one ln_gamma_u call
+    each; the sum adds them term by term under the tail control.
+    """
+    return _radial_row((rho,), z, E, g, trunc)[0]
 
 
 def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
@@ -246,23 +310,10 @@ def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
 
     Term k carries L_k^{(-1/2)}(z^2) Gamma(b_k) U(b_k, 1, eta rho^2) with
     b_k = (k - (E - E0)/2)/eta.  U(., 1, .) is logarithmic at zero argument,
-    so the rho = 0 axis is rejected for this route.
+    so the rho = 0 axis is rejected for this route.  Coefficients and sum
+    as for psi_series_radial.
     """
-    if rho <= 0:
-        raise ValueError("axial series needs rho > 0 (U(., 1, 0) diverges)")
-    eta = g.eta
-    cal_e = E - ground_energy_offset(g)
-    _check_coefficient_poles(-0.5 * cal_e / eta, 1.0 / eta, eta)
-    w = eta * rho * rho
-    zz = z * z
-    lag = laguerre_iter(zz, alpha=-0.5)
-
-    def term(k):
-        return _gamma_u((k - 0.5 * cal_e) / eta, 1.0, w) * next(lag)
-
-    # envelope decay exp(-2 rho sqrt(k)); oscillation from L_k^(-1/2)(z^2)
-    total = _sum_terms(term, trunc, "axial series", zz, 2.0 * rho)
-    return math.exp(-0.5 * (w + zz)) * _PREF * total
+    return _axial_column(rho, (z,), E, g, trunc)[0]
 
 
 def psi(rho, z, E, g, route=None, trunc=SeriesTruncation()):
@@ -296,7 +347,8 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     otherwise.  The integral route evaluates one z row at a time on the
     exp-sinh node table (the kernel psi_integral uses), and rejects a grid
     holding a point outside its domain with psi_integral's ValueError; a
-    series route evaluates Psi point by point.
+    series route sums Psi point by point, each z row (radial) or rho column
+    (axial) sharing one coefficient sequence.
     """
     if route is None:
         if E < ground_energy_offset(g):
@@ -310,9 +362,13 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
         values = []
         for z in zs:
             values.extend(_psi_integral_row(row, z, E, g).tolist())
+    elif route == "radial_series":
+        values = [v for z in zs for v in _radial_row(rhos, z, E, g, trunc)]
+    elif route == "axial_series":
+        cols = [_axial_column(rho, zs, E, g, trunc) for rho in rhos]
+        values = [col[j] for j in range(len(zs)) for col in cols]
     else:
-        values = [psi(rho, z, E, g, route=route, trunc=trunc)
-                  for rho, z in coords]
+        raise ValueError("unknown route %r" % (route,))
     return ProfileSamples(coords, tuple(values), route)
 
 
@@ -324,7 +380,9 @@ def profile_quasi1d(axis, coordinate, E, g):
     """Tight-cigar asymptotic profile along one axis, for E < E0.
 
     Axial: (eta/2 pi) sum_m exp(-2|z| sqrt(q_m))/sqrt(q_m) with
-    q_m = m eta - (E - E0)/2.  Radial: the closed form
+    q_m = m eta + x, x = (E0 - E)/2, summed under the integral
+    eta/(2 pi^{3/2}) int_0^inf s^{-1/2} e^{-x s - z^2/s}/(1 - e^{-eta s}) ds
+    on the exp-sinh node table at scale |z|/sqrt(x).  Radial: the closed form
     exp(-eta rho^2/2) [1/rho + sqrt(eta) zeta(1/2, q_0)]/(2 pi).
     On-axis points are rejected; both expressions diverge there.
     """
@@ -344,20 +402,22 @@ def profile_quasi1d(axis, coordinate, E, g):
         az = abs(coordinate)
         if az == 0.0:
             raise ValueError("axial profile diverges at z = 0")
+        zz = az * az
 
-        def term(m):
-            q = m * eta + x
-            return math.exp(-2.0 * az * math.sqrt(q)) / math.sqrt(q)
+        def f(s):
+            return np.exp(-x * s - zz / s) / (np.sqrt(s) * -np.expm1(-eta * s))
 
-        total, _, _ = sum_series_with_error(term, tol=1e-13)
-        return eta * total / TWO_PI
+        value, _ = integrate(f, az / math.sqrt(x))
+        return eta * _PREF * value
     raise ValueError("axis must be 'axial' or 'radial'")
 
 
 def profile_quasi2d(axis, coordinate, E, g):
     """Tight-pancake asymptotic profile along one axis, for E < E0.
 
-    Radial: pi^{-3/2} sum_m [(2m)!/(2^m m!)^2] K0(2 rho sqrt(m + x)).
+    Radial: pi^{-3/2} sum_m [(2m)!/(2^m m!)^2] K0(2 rho sqrt(m + x)), summed
+    under the integral 1/(2 pi^{3/2}) int_0^inf s^{-1} e^{-x s - rho^2/s}
+    (1 - e^{-s})^{-1/2} ds on the exp-sinh node table at scale rho/sqrt(x).
     Axial: exp(-z^2/2) [1/|z| - (Phi(x) + ln x)/sqrt(pi)]/(2 pi), x = (E0-E)/2.
     On-axis points are rejected; both expressions diverge there.
     """
@@ -369,14 +429,13 @@ def profile_quasi2d(axis, coordinate, E, g):
         rho = coordinate
         if not rho > 0:
             raise ValueError("radial profile needs rho > 0")
+        rr = rho * rho
 
-        def term(m):
-            w = math.exp(math.lgamma(2 * m + 1) - 2 * m * LN2
-                         - 2.0 * math.lgamma(m + 1))
-            return w * bessel_k0(2.0 * rho * math.sqrt(m + x))
+        def f(s):
+            return np.exp(-x * s - rr / s) / (s * np.sqrt(-np.expm1(-s)))
 
-        total, _, _ = sum_series_with_error(term, tol=1e-13)
-        return total / math.pi ** 1.5
+        value, _ = integrate(f, rho / math.sqrt(x))
+        return _PREF * value
     if axis == "axial":
         az = abs(coordinate)
         if az == 0.0:

@@ -14,7 +14,7 @@ def _run(argv):
 
 def test_check_fast_passes(capsys):
     assert _run(["check", "--fast"]) == 0
-    assert "7 checks" in capsys.readouterr().out
+    assert "8 checks" in capsys.readouterr().out
 
 
 def test_spectrum_window_leaves_na_cells(capsys):

@@ -1,4 +1,4 @@
-"""Quadrature, root finding, and series summation contracts."""
+"""Quadrature and root finding contracts."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from pairtrap.numerics import (NumericsError, QuadratureError, QuadratureSpec,
-                               RootBracket, SeriesError, bracket_from_signs,
+                               RootBracket, bracket_from_signs,
                                find_root_bracketed, integrate,
-                               integrate_semi_infinite_with_error,
-                               sum_series_with_error)
+                               integrate_semi_infinite_with_error)
 
 
 def test_quadrature_smooth_exponential():
@@ -116,34 +115,3 @@ def test_bracket_from_signs_fields():
     br = bracket_from_signs(lambda x: x - 0.25, 0.0, 1.0)
     assert br.lo <= 0.25 <= br.hi
     assert br.f_lo_sign == -1 and br.f_hi_sign == 1
-
-
-def test_sum_series_geometric():
-    total, est, used = sum_series_with_error(lambda k: 0.5 ** k)
-    assert abs(total - 2.0) < 1e-12
-    assert used < 100
-    assert abs(total - 2.0) <= 10.0 * max(est, 1e-16)
-
-
-def test_sum_series_alternating():
-    # log(2) = sum (-1)^(k) / (k+1) is too slow for the cap; a transformed
-    # fast series must pass: sum 1/(2^k (k+1)) = 2 log 2
-    total, _, _ = sum_series_with_error(lambda k: 1.0 / (2.0 ** k * (k + 1.0)))
-    assert abs(total - 2.0 * math.log(2.0)) < 1e-12
-
-
-def test_sum_series_divergence_reported():
-    with pytest.raises(SeriesError) as err:
-        sum_series_with_error(lambda k: 1.0 / (k + 1.0), tol=1e-12,
-                              max_terms=2000)
-    assert err.value.terms_used == 2000
-
-
-def test_series_error_carries_partial_state():
-    try:
-        sum_series_with_error(lambda k: 1.0, tol=1e-12, max_terms=50)
-    except SeriesError as err:
-        assert err.value == pytest.approx(50.0)
-        assert err.terms_used == 50
-    else:
-        pytest.fail("non-decaying series must raise")

@@ -110,6 +110,19 @@ def test_cigar_closed_form_matches_f_eval(eta):
         assert abs(got - want) <= tol * (1.0 + abs(want)), (x, got, want)
 
 
+def test_cigar_error_estimate_covers_recurrence_gap():
+    # est_error carries the rounding of each gamma ratio, ~ulp(lgamma) at
+    # x + 100, so over the first six pole intervals at eta = 100 the two
+    # routes stay within the sum of their estimates
+    for j in range(6):
+        for i in range(1, 16):
+            x = -j - i / 16.0
+            closed = f_cigar(x, 100)
+            rec = f_recurrence_extend(SpectralArgument(x, 100.0))
+            assert (abs(closed.value - rec.value)
+                    <= closed.est_error + rec.est_error), x
+
+
 @pytest.mark.parametrize("key", [k for k in ORA1 if k.startswith("Fpan(")])
 def test_pancake_closed_form_frozen(key):
     x, n = args_of(key)
@@ -278,6 +291,15 @@ def test_phi_frozen(key):
     (x,) = args_of(key)
     _close(phi(x), fval(PHI if key in PHI else ORA1, key), 5e-12,
            abs_floor=5e-13)
+
+
+@pytest.mark.parametrize("key", [k for k in PHI
+                                 if re.fullmatch(r"phi\([^)]*\)", k)])
+def test_phi_integral_matches_check_rows(key):
+    # the proper-time integral reaches the rows of phi_check.out, x = -0.995
+    # to 4.5, to a few ulps
+    (x,) = args_of(key)
+    _close(phi(x), fval(PHI, key), 1e-14)
 
 
 def test_phi_oracle_consistency_across_files():

@@ -6,17 +6,22 @@ sections used a wrong convention and are superseded by wavefn_oracle2.out;
 only its integral/series/profile sections are read here.
 """
 
+import itertools
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.special import k0
 
 from conftest import fval, oracle_values
 from pairtrap.numerics import NumericsError, QuadratureSpec, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies,
                              ground_energy_offset)
-from pairtrap.specfun import PoleSignal, kummer_u, ln_gamma
-from pairtrap.wavefn import (ProfileSamples, SeriesTruncation,
+from pairtrap.specfun import (PoleSignal, kummer_u, laguerre_iter, ln_gamma,
+                              ln_gamma_u)
+from pairtrap.wavefn import (ProfileSamples, SeriesTruncation, _sum_terms,
                              contact_coefficient, contact_scattering_length,
                              norm_squared_exact, normalize, profile_quasi1d,
                              profile_quasi2d, psi, psi_integral,
@@ -371,6 +376,111 @@ def test_profile_domain_errors(energies):
         profile_quasi1d("axial", 0.5, 101.0, G100)   # E above E0
     with pytest.raises(ValueError):
         profile_quasi2d("axial", 0.0, energies["u001"], G001)
+
+
+def test_quasi1d_axial_profile_near_axis_vs_mpmath():
+    # z = 0.01: the mode sum decays like exp(-0.02 sqrt(eta m)) and ran past
+    # its 100,000-term cap; the integral form takes one node-table pass
+    for eta in (10.0, 20.0):
+        g = TrapGeometry(eta)
+        e = ground_energy_offset(g) - 0.6
+        x = 0.5 * (ground_energy_offset(g) - e)
+        with mpmath.workdps(30):
+            z = mpmath.mpf(0.01)
+
+            def mode(m):
+                q = m * eta + x
+                return mpmath.exp(-2 * z * mpmath.sqrt(q)) / mpmath.sqrt(q)
+
+            want = eta * mpmath.nsum(mode, [0, mpmath.inf], method="e") \
+                / (2 * mpmath.pi)
+        _close(profile_quasi1d("axial", 0.01, e, g), float(want), 1e-13)
+
+
+def _k0_mode_sum(rho, x):
+    # pi^(-3/2) sum_m (2m)!/(2^m m!)^2 K0(2 rho sqrt(m + x)): mpmath for
+    # m < 16, scipy's K0 with the weights carried on for the slow tail
+    with mpmath.workdps(30):
+        head = mpmath.fsum(mpmath.binomial(2 * m, m) / mpmath.mpf(4) ** m
+                           * mpmath.besselk(0, 2 * rho * mpmath.sqrt(m + x))
+                           for m in range(16))
+        w16 = float(mpmath.binomial(32, 16) / mpmath.mpf(4) ** 16)
+    m = np.arange(16, 40000)
+    ratio = (2 * m[1:] - 1) / (2.0 * m[1:])
+    w = w16 * np.cumprod(np.concatenate(([1.0], ratio)))
+    return (float(head) + math.fsum(w * k0(2 * rho * np.sqrt(m + x)))) \
+        / math.pi ** 1.5
+
+
+def test_quasi2d_radial_profile_vs_k0_sum():
+    e = ground_energy_offset(G001) - 0.6
+    x = 0.5 * (ground_energy_offset(G001) - e)
+    for rho in (0.25, 6.0):
+        _close(profile_quasi2d("radial", rho, e, G001), _k0_mode_sum(rho, x),
+               1e-13)
+
+
+# ---------------------------------------------------------------------------
+# series routes: block coefficients against the term-by-term scalar kernel
+# ---------------------------------------------------------------------------
+
+def _scalar_series(route, rho, z, E, g, trunc):
+    # the series summed term by term, one scalar ln_gamma_u call per
+    # coefficient (the signed product below a = 1/2), under the same tail
+    # control as the block path
+    eta = g.eta
+    cal_e = E - ground_energy_offset(g)
+    w, zz = eta * rho * rho, z * z
+    if route == "radial":
+        def a_of(m):
+            return eta * m - 0.5 * cal_e
+        b, arg, lag = 0.5, zz, laguerre_iter(w)
+        osc, beta, pref = w, 2.0 * abs(z) * math.sqrt(eta), eta
+    else:
+        def a_of(k):
+            return (k - 0.5 * cal_e) / eta
+        b, arg, lag = 1.0, w, laguerre_iter(zz, alpha=-0.5)
+        osc, beta, pref = zz, 2.0 * rho, 1.0
+
+    def term(m):
+        a = a_of(m)
+        if a >= 0.5:
+            coef = math.exp(ln_gamma_u(a, b, arg))
+        else:
+            lg, sign = ln_gamma(a)
+            coef = sign * math.exp(lg) * kummer_u(a, b, arg)
+        return coef * next(lag)
+
+    total = _sum_terms(map(term, itertools.count()), trunc, route + " series",
+                       osc, beta)
+    return pref * math.exp(-0.5 * (w + zz)) * 0.5 / math.pi ** 1.5 * total
+
+
+@pytest.mark.parametrize("rho, z", [(0.5, 0.5), (1.2, 0.8), (0.9, 1.3)])
+def test_series_blocks_match_scalar_terms(rho, z, energies):
+    trunc = SeriesTruncation(max_terms=4000, tail_tol=1e-12)
+    above = ground_energy_offset(G2) + 0.7
+    for route, fn, g, e in (("radial", psi_series_radial, G2, energies["A"]),
+                            ("radial", psi_series_radial, G2, above),
+                            ("axial", psi_series_axial, G05, energies["B"]),
+                            ("axial", psi_series_axial, G05,
+                             ground_energy_offset(G05) + 0.3)):
+        want = _scalar_series(route, rho, z, e, g, trunc)
+        _close(fn(rho, z, e, g, trunc), want, 1e-14)
+
+
+@pytest.mark.parametrize("rho, z, trunc", [
+    (6.0, 0.05, SeriesTruncation()),                # terms grow: stalls
+    (3.0, 0.1, SeriesTruncation(max_terms=100)),    # runs out of terms
+])
+def test_series_blocks_raise_like_scalar_terms(rho, z, trunc):
+    e = ground_energy_offset(G2) + 0.3
+    with pytest.raises(SeriesError) as ref:
+        _scalar_series("radial", rho, z, e, G2, trunc)
+    with pytest.raises(SeriesError) as got:
+        psi_series_radial(rho, z, e, G2, trunc)
+    assert str(got.value) == str(ref.value)
+    assert got.value.terms_used == ref.value.terms_used
 
 
 # ---------------------------------------------------------------------------
