@@ -99,12 +99,15 @@ def _tolerance_exceeded(value, est, spec):
 # at import.  The nodes reach t/c = 2e-51 at the bottom, enough for an
 # integrable t^(-1/2) endpoint, and t/c = 2e11 at the top.  The grid nests
 # three rules: step 1/16 (k % 4 == 0), 1/32 (k even) and 1/64 (all k).
+# NODE_TABLE holds the nodes at scale 1 in k order; integrate() asks for the
+# even ones first and the odd ones only for its fine pass.
 _ES_U = np.arange(-320, 225) / 64.0
-_ES_T = np.exp(0.5 * math.pi * np.sinh(_ES_U))
-_ES_W = 0.5 * math.pi * np.cosh(_ES_U) * _ES_T / 64.0
-_ES_T_EVEN, _ES_W_EVEN = _ES_T[::2], 2.0 * _ES_W[::2]  # k = -320: even
+NODE_TABLE = np.exp(0.5 * math.pi * np.sinh(_ES_U))
+NODE_TABLE.flags.writeable = False
+_ES_W = 0.5 * math.pi * np.cosh(_ES_U) * NODE_TABLE / 64.0
+_ES_T_EVEN, _ES_W_EVEN = NODE_TABLE[::2], 2.0 * _ES_W[::2]  # k = -320: even
 _ES_W_QUARTER = 4.0 * _ES_W[::4]
-_ES_T_ODD, _ES_W_ODD = _ES_T[1::2], _ES_W[1::2]
+_ES_T_ODD, _ES_W_ODD = NODE_TABLE[1::2], _ES_W[1::2]
 # rounding floor of the estimate, relative to sum |w f|: a few ulps per
 # integrand value plus log2(545) for the pairwise sum
 _ES_ROUNDING = 16.0 * 2.0 ** -52

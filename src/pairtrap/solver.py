@@ -14,6 +14,17 @@ low-dimensional scattering lengths, the low-dimensional reference spectra,
 and the self-consistent solve for energy-dependent interactions: one
 bracketed root per interval where a Resonance with det >= 0 certifies a
 rising 1/a_eff, a dense sign scan otherwise.
+
+The bracketed searches next to F poles run on the pole-cleared target
+target(y) (y - p1)(p2 - y)/(p2 - p1), p1 < p2 the poles at the ends (just
+y - p1 for the bound branch, whose upper end is no pole).  It has the same
+roots, is smooth up to the poles, and tends to F's residue there (in E the
+residue is -2 times F's), so Brent's method converges in a few steps and
+an end next to a pole takes that limit as its value instead of an F call.
+Where the root comes out within a few tolerances of such an end, the limit
+may have the wrong sign (the root lies between the pole and the end): the
+search then runs again on the plain target with both ends evaluated, so
+the level set is the one the plain search gives.
 """
 
 import math
@@ -41,6 +52,7 @@ from .spectral import (
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 EDGE_CLEARANCE = 3e-9  # keep brackets clear of the 1e-9 pole guard
+ROOT_TOL = 1e-12  # bracket width of the level roots
 SCAN_POINTS = 48  # sign-scan grid of the self-consistent solve's fallback
 
 
@@ -198,40 +210,88 @@ def _default_window(g, levels, inv_values):
 
 def _pole_xs(eta, x_lo):
     # F poles (in x, descending) down to below x_lo, so the lowest interval
-    # is bounded; the pole at 0 is always kept as the bound branch's floor
+    # is bounded, and F's residues there; the pole at 0 is always kept as
+    # the bound branch's floor
     if x_lo >= 0:
-        return [0.0]
-    return list(pole_grid(eta, x_lo - 2.0 * eta - 2.0).poles)
+        return [0.0], [eta]
+    grid = pole_grid(eta, x_lo - 2.0 * eta - 2.0)
+    return list(grid.poles), list(grid.residues)
 
 
 def _branch_index(poles, x):
     return sum(1 for p in poles if p >= x - POLE_TOL)
 
 
-def _ordered_roots(cuts, lo, hi, solve, clearance=EDGE_CLEARANCE):
+def _ordered_roots(cuts, lo, hi, solve, clearance=EDGE_CLEARANCE,
+                   residues=None):
     """Yield the roots between consecutive cuts, in ascending E.
 
     cuts run in ascending E, in the coordinate solve works in (x falls as
     E rises, so cuts in x descend).  Each interval is kept `clearance` off
-    its cuts and clipped to [lo, hi]; solve(a, b) returns or yields the
-    interval's roots in ascending E.  The walk is lazy, so a caller that
-    stops after n roots solves only the intervals that hold them.
+    its cuts and clipped to [lo, hi]; solve(a, b, pole_a, pole_b) returns
+    or yields the interval's roots in ascending E.  residues maps a cut
+    that is a pole of the target to its residue there; pole_a is
+    (cut, residue) when a is that pole's clearance point, else None, and
+    likewise pole_b.  The walk is lazy, so a caller that stops after n
+    roots solves only the intervals that hold them.
     """
+    residues = residues or {}
     for c1, c2 in zip(cuts, cuts[1:]):
-        a = max(min(c1, c2) + clearance, lo)
-        b = min(max(c1, c2) - clearance, hi)
+        c_lo, c_hi = min(c1, c2), max(c1, c2)
+        a = max(c_lo + clearance, lo)
+        b = min(c_hi - clearance, hi)
         if a < b:
-            yield from solve(a, b)
+            pole_a = (c_lo, residues[c_lo]) if (
+                c_lo in residues and a == c_lo + clearance) else None
+            pole_b = (c_hi, residues[c_hi]) if (
+                c_hi in residues and b == c_hi - clearance) else None
+            yield from solve(a, b, pole_a, pole_b)
 
 
-def _root_in_segment(target, lo, hi):
+def _pole_cleared(target, pole_a, pole_b):
+    # target times a weight that is positive between the poles and
+    # vanishes linearly at them, scaled so that the product tends to the
+    # residue at pole_a and to minus the residue at pole_b
+    if pole_b is None:
+        (p1, _) = pole_a
+        return lambda y: target(y) * (y - p1)
+    if pole_a is None:
+        (p2, _) = pole_b
+        return lambda y: target(y) * (p2 - y)
+    (p1, _), (p2, _) = pole_a, pole_b
+    width = p2 - p1
+    return lambda y: target(y) * ((y - p1) * (p2 - y) / width)
+
+
+def _near_pole_end(root, br, pole_a, pole_b):
+    # the root lies within a few of find_root_bracketed's tolerances of an
+    # end whose value is a residue, not an evaluation
+    slack = 4.0 * (ROOT_TOL + 4.0 * 2.0 ** -52 * abs(root))
+    return ((pole_a is not None and root - br.lo <= slack)
+            or (pole_b is not None and br.hi - root <= slack))
+
+
+def _root_in_segment(target, lo, hi, pole_a=None, pole_b=None):
     # the root of a target monotone on [lo, hi], as a list of 0 or 1
-    # (root, bracket) pairs
+    # (root, bracket) pairs; an end next to a pole (pole_a, pole_b as
+    # _ordered_roots passes them) takes the residue limit of the
+    # pole-cleared target as its value
+    if pole_a is not None or pole_b is not None:
+        cleared = _pole_cleared(target, pole_a, pole_b)
+        try:
+            br = bracket_from_signs(cleared, lo, hi,
+                                    pole_a and pole_a[1],
+                                    pole_b and -pole_b[1])
+        except (NumericsError, PoleSignal):
+            return []
+        root = find_root_bracketed(cleared, br, tol=ROOT_TOL)
+        if not _near_pole_end(root, br, pole_a, pole_b):
+            return [(root, br)]
     try:
         br = bracket_from_signs(target, lo, hi)
     except (NumericsError, PoleSignal):
         return []
-    return [(find_root_bracketed(target, br, tol=1e-12), br)]
+    return [(find_root_bracketed(target, br, tol=ROOT_TOL), br)]
 
 
 def eigenenergies(model, g, window=None, max_levels=20):
@@ -254,7 +314,7 @@ def eigenenergies(model, g, window=None, max_levels=20):
     x_lo = (e0 - e_hi) / 2.0
     x_hi = (e0 - e_lo) / 2.0
 
-    poles = _pole_xs(g.eta, x_lo)
+    poles, residues = _pole_xs(g.eta, x_lo)
     if model.noninteracting:
         out = [EnergyLevel(E=e0 - 2.0 * p, x=p,
                            branch_index=_branch_index(poles, p),
@@ -269,7 +329,8 @@ def eigenenergies(model, g, window=None, max_levels=20):
 
     # the bound branch x in (0, x_hi] first: F falls from +inf there
     roots = _ordered_roots([math.inf] + poles, x_lo, x_hi,
-                           partial(_root_in_segment, target))
+                           partial(_root_in_segment, target),
+                           residues=dict(zip(poles, residues)))
     levels = (EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
                           branch_index=_branch_index(poles, x))
               for x, br in roots if e_lo <= e0 - 2.0 * x <= e_hi)
@@ -384,14 +445,21 @@ def bound_state_exact(model, g):
     def target(x):
         return f_eval(SpectralArgument(x, g.eta)).value + SQRT_2PI * inv_a
 
-    br = _bracket_by_doubling(target, EDGE_CLEARANCE,
-                              max(1.0, 0.75 * inv_a * inv_a), 1e7)
-    x = find_root_bracketed(target, br, tol=1e-12)
+    # on x times the target, whose limit at the pole x = 0 is eta; the
+    # plain target again when the root comes out next to that end
+    hi = max(1.0, 0.75 * inv_a * inv_a)
+    pole = (0.0, g.eta)
+    cleared = _pole_cleared(target, pole, None)
+    br = _bracket_by_doubling(cleared, EDGE_CLEARANCE, hi, 1e7, f_lo=g.eta)
+    x = find_root_bracketed(cleared, br, tol=ROOT_TOL)
+    if _near_pole_end(x, br, pole, None):
+        br = _bracket_by_doubling(target, EDGE_CLEARANCE, hi, 1e7)
+        x = find_root_bracketed(target, br, tol=ROOT_TOL)
     return EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
                        branch_index=0)
 
 
-def _bracket_by_doubling(target, lo, hi, limit, sign=1.0):
+def _bracket_by_doubling(target, lo, hi, limit, sign=1.0, f_lo=None):
     # target has the sign `sign` between lo and its one root above lo;
     # double hi until it lies past the root
     f_hi = target(hi)
@@ -400,7 +468,7 @@ def _bracket_by_doubling(target, lo, hi, limit, sign=1.0):
         if hi > limit:
             raise NoBoundState("no sign change up to %g" % hi)
         f_hi = target(hi)
-    return bracket_from_signs(target, lo, hi, f_hi=f_hi)
+    return bracket_from_signs(target, lo, hi, f_lo=f_lo, f_hi=f_hi)
 
 
 def bound_state_quasi1d(a, g):
@@ -500,21 +568,26 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
                 + SQRT_2PI * model.inv_a_eff(e))
 
     # cuts in E: F poles, a_eff zeros and the window ends (intervals
-    # outside the window are clipped away)
-    poles = _pole_xs(g.eta, (e0 - e_hi) / 2.0)
-    cuts = sorted({e0 - 2.0 * p for p in poles}
-                  | set(model.breakpoints) | {e_lo, e_hi})
+    # outside the window are clipped away).  An F pole that is also a
+    # breakpoint or a window end gets no residue: there it is evaluated.
+    poles, residues = _pole_xs(g.eta, (e0 - e_hi) / 2.0)
+    plain = set(model.breakpoints) | {e_lo, e_hi}
+    pole_res = {e0 - 2.0 * p: -2.0 * r for p, r in zip(poles, residues)
+                if e0 - 2.0 * p not in plain}
+    cuts = sorted(set(pole_res) | plain)
     monotone = isinstance(model, Resonance) and model.det >= 0.0
     solve = partial(_root_in_segment if monotone else _scan_roots, target)
-    roots = _ordered_roots(cuts, e_lo, e_hi, solve, 2.0 * EDGE_CLEARANCE)
+    roots = _ordered_roots(cuts, e_lo, e_hi, solve, 2.0 * EDGE_CLEARANCE,
+                           pole_res)
     levels = (EnergyLevel(E=e, x=(e0 - e) / 2.0, bracket=br,
                           branch_index=_branch_index(poles, (e0 - e) / 2.0))
               for e, br in roots)
     return list(islice(levels, max_levels))
 
 
-def _scan_roots(target, lo, hi):
-    # every root on [lo, hi], once a grid twice as fine finds as many
+def _scan_roots(target, lo, hi, pole_a=None, pole_b=None):
+    # every root on [lo, hi], once a grid twice as fine finds as many; the
+    # scan evaluates its ends, so the poles are not used
     for n in (SCAN_POINTS, 8 * SCAN_POINTS):
         brackets = _scan_sign_changes(target, lo, hi, n)
         if len(brackets) == len(_scan_sign_changes(target, lo, hi, 2 * n + 1)):
@@ -523,7 +596,7 @@ def _scan_roots(target, lo, hi):
         raise NumericsError("unresolved oscillation of the self-consistent "
                             "condition on [%g, %g]" % (lo, hi))
     for br in brackets:
-        yield find_root_bracketed(target, br, tol=1e-12), br
+        yield find_root_bracketed(target, br, tol=ROOT_TOL), br
 
 
 def _scan_sign_changes(target, lo, hi, n):

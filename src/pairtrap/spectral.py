@@ -13,18 +13,29 @@ to x < 0, closed forms for integer eta (cigar; f_eval takes it only up to
 CIGAR_MAX_ETA, where it is cheaper) and integer 1/eta (pancake), and the
 quasi-1D / quasi-2D asymptotes for extreme anisotropy, whose quasi-2D
 function Phi is one proper-time integral on the same node table as F.
+
 F has simple poles at x = -(j + k eta), j,k >= 0, and is strictly
-decreasing between consecutive poles.
+decreasing between consecutive poles.  The recurrence F(x) = eta sqrt(pi)
+G(x) + F(x + eta), G(x) = Gamma(x)/Gamma(x + 1/2), puts the pole of
+G(x + k eta) at x = -(j + k eta), with residue C(2j, j)/(sqrt(pi) 4^j); so
+F's residue there is eta C(2j, j)/4^j, summed over the (j, k) that meet at
+the pole.  pole_grid carries these residues; the solver uses them as the
+end values of its pole-cleared root searches.
+
+The integral route keeps a bounded memo of the x-independent factor of its
+integrand on the node table at the power-of-two scales, keyed on
+(eta, scale): one F call then costs an exp(-x t) times a cached row.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import digamma
 
-from .numerics import (NumericsError, integrate,
+from .numerics import (NODE_TABLE, NumericsError, integrate,
                        integrate_semi_infinite_with_error)
 from .specfun import (
     PoleSignal,
@@ -39,6 +50,9 @@ CLOSED_FORM_TOL = 1e-12
 # f_eval takes the recurrence for integer eta above this: the cigar form's
 # eta - 1 continued fractions cost more than the recurrence from eta = 4 on.
 CIGAR_MAX_ETA = 3
+POLE_MERGE = 1e-12  # poles closer than this are one pole of pole_grid
+# integrand rows f_integral keeps, one per (eta, scale); 4.4 kB each
+ROW_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -70,9 +84,12 @@ class SpectralValue:
 
 @dataclass(frozen=True)
 class PoleGrid:
-    """Poles x = -(j + k eta) above a cutoff, sorted descending."""
+    """Poles x = -(j + k eta) above a cutoff, sorted descending, and F's
+    residue at each: lim (x - p) F(x) = sum of eta C(2j, j)/4^j over the
+    (j, k) that meet at p."""
 
     poles: tuple
+    residues: tuple
 
 
 def _gamma_ladder_term(arg):
@@ -129,6 +146,17 @@ def _excess_log(t, eta):
     return out
 
 
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _integrand_rows(eta, k):
+    # t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))) on the node table at
+    # scale 2^k, as (even nodes, odd nodes); scaling by 2^k is exact, so
+    # these are the nodes integrate() hands f_integral, bit for bit
+    t = math.ldexp(1.0, k) * NODE_TABLE
+    row = np.expm1(_excess_log(t, eta)) / (t * np.sqrt(t))
+    row.flags.writeable = False
+    return row[::2], row[1::2]
+
+
 def f_integral(arg, spec=None):
     """F by the defining integral; requires x > 0 (energy below E0).
 
@@ -136,21 +164,26 @@ def f_integral(arg, spec=None):
     L = -x t - log(q(t))/2 - log(q(eta t)), q(s) = (1 - e^(-s))/s, the
     default route takes the x-only part t^(-3/2) (e^(-x t) - 1) out
     exactly, as -2 sqrt(pi x), and integrates the rest,
-    t^(-3/2) e^(-x t) expm1(-log(q(t))/2 - log(q(eta t))), which is
-    positive and decays like e^(-x t), on the numerics exp-sinh node table
-    with scale 1/x; log q comes from its series at small argument.  An
-    explicit QuadratureSpec selects the quadpack reference route on the
-    unsplit integrand instead.
+    e^(-x t) t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))), which is
+    positive and decays like e^(-x t), on the numerics exp-sinh node table;
+    log q comes from its series at small argument.  The table runs at the
+    power of two 2^k nearest 1/x, so the factor after e^(-x t) depends on
+    (eta, k) only: it comes from a memo of ROW_CACHE_SIZE rows, and a call
+    costs one exp(-x t) times a row.  An explicit QuadratureSpec selects
+    the quadpack reference route on the unsplit integrand instead.
     """
     x, eta = arg.x, arg.eta
     if not x > 0:
         raise ValueError("f_integral needs x > 0; use f_eval for x <= 0")
     if spec is None:
-        def rest(t):
-            return np.exp(-x * t) / (t * np.sqrt(t)) * np.expm1(
-                _excess_log(t, eta))
+        k = -round(math.log2(x))
+        even, odd = _integrand_rows(eta, k)
 
-        value, est = integrate(rest, 1.0 / x)
+        def rest(t):
+            # integrate() asks for the even nodes, then maybe the odd ones
+            return np.exp(-x * t) * (even if t.size == even.size else odd)
+
+        value, est = integrate(rest, math.ldexp(1.0, k))
         head = 2.0 * math.sqrt(math.pi * x)
         return SpectralValue(value - head, "integral",
                              est + 2.0 ** -52 * head)
@@ -397,20 +430,26 @@ def phi(x):
 
 
 def pole_grid(eta, x_min):
-    """All poles x = -(j + k eta) with x >= x_min, descending, deduplicated."""
+    """All poles x = -(j + k eta) with x >= x_min, descending, with F's
+    residues; poles within POLE_MERGE are one pole with the summed residue."""
     if not x_min < 0:
         raise ValueError("x_min must be < 0")
     vals = []
     k = 0
     while k * eta <= -x_min:
         j = 0
+        c = 1.0  # C(2j, j)/4^j
         while j + k * eta <= -x_min:
-            vals.append(-(j + k * eta))
+            vals.append((-(j + k * eta), eta * c))
             j += 1
+            c *= (2.0 * j - 1.0) / (2.0 * j)
         k += 1
     vals.sort(reverse=True)
-    out = []
-    for v in vals:
-        if not out or out[-1] - v > 1e-12:
-            out.append(v)
-    return PoleGrid(poles=tuple(out))
+    poles, residues = [], []
+    for v, r in vals:
+        if poles and poles[-1] - v <= POLE_MERGE:
+            residues[-1] += r
+        else:
+            poles.append(v)
+            residues.append(r)
+    return PoleGrid(poles=tuple(poles), residues=tuple(residues))

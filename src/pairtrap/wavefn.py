@@ -17,6 +17,7 @@ through E0.
 import itertools
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +203,25 @@ class _Coefficients:
             yield from self._blocks[i]
 
 
+class _SuffixMax:
+    """max(values[i:]) for any i, over an append-only sequence: the
+    indices whose value exceeds every later one, with those values."""
+
+    def __init__(self):
+        self.index, self.value = [], []
+
+    def push(self, i, v):
+        index, value = self.index, self.value
+        while value and value[-1] <= v:
+            index.pop()
+            value.pop()
+        index.append(i)
+        value.append(v)
+
+    def since(self, i):
+        return self.value[bisect_left(self.index, i)]
+
+
 def _sum_terms(terms, trunc, label, osc_x, decay_beta):
     # Shared tail control over an iterable of terms.  Terms carry a Laguerre
     # factor oscillating with phase 2 sqrt(m osc_x), so single-term tests
@@ -209,21 +229,30 @@ def _sum_terms(terms, trunc, label, osc_x, decay_beta):
     # half a period.  The envelope decays like exp(-decay_beta sqrt(m)),
     # giving the tail bound env * 2 sqrt(m)/decay_beta.  A window-to-window
     # envelope that stops falling means the partial sums have stalled
-    # (divergent regime).
+    # (divergent regime).  Both window maxima come from suffix maxima: env
+    # over all terms so far, older over the terms up to the window's start,
+    # fed as that start advances (win grows by at most 1 per term once
+    # m + 1 >= 2 win, as half a period then grows by under 1/4).
     total = 0.0
     hist = []
+    recent, before = _SuffixMax(), _SuffixMax()
+    fed = 0
     for m, t in zip(range(trunc.max_terms), terms):
         total += t
         hist.append(abs(t))
+        recent.push(m, hist[-1])
         if osc_x > 0.0:
             period = TWO_PI * math.sqrt((m + 1.0) / osc_x)
             win = min(max(8, int(0.5 * period) + 1), 1000)
         else:
             win = 2
         if m + 1 >= win:
-            env = max(hist[-win:])
+            env = recent.since(m + 1 - win)
             if m + 1 >= 2 * win:
-                older = max(hist[-2 * win:-win])
+                while fed < m + 1 - win:
+                    before.push(fed, hist[fed])
+                    fed += 1
+                older = before.since(m + 1 - 2 * win)
                 if older > 0.0 and env >= 0.97 * older:
                     raise SeriesError(
                         "%s terms are not decaying after %d terms"

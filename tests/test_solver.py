@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 
 import pytest
 
@@ -462,3 +463,106 @@ def test_energy_level_is_frozen_record():
     lv = EnergyLevel(E=1.0, x=0.25)
     with pytest.raises((AttributeError, TypeError)):
         lv.E = 2.0
+
+
+# ---------------------------------------------------------------------------
+# pole-cleared root searches
+# ---------------------------------------------------------------------------
+
+def _plain_search(monkeypatch):
+    # the search with every end evaluated: no residues reach the interval
+    # walker, and bound_state_exact takes its plain-target route
+    walk = solver._ordered_roots
+
+    def without_residues(cuts, lo, hi, solve, clearance=solver.EDGE_CLEARANCE,
+                         residues=None):
+        return walk(cuts, lo, hi, solve, clearance)
+
+    monkeypatch.setattr(solver, "_ordered_roots", without_residues)
+    monkeypatch.setattr(solver, "_near_pole_end", lambda *args: True)
+
+
+def _outcome(fn):
+    try:
+        levels = fn()
+    except (NoBoundState, PoleSignal, solver.NumericsError) as err:
+        return type(err).__name__
+    if isinstance(levels, EnergyLevel):
+        levels = [levels]
+    return [(lv.branch_index, lv.E) for lv in levels]
+
+
+def _same_levels(got, want):
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return ([b for b, _ in got] == [b for b, _ in want]
+            and all(abs(e - f) <= 1e-10 * (1.0 + abs(f))
+                    for (_, e), (_, f) in zip(got, want)))
+
+
+_LEVEL_SET_CASES = [
+    # eta with near-degenerate poles (2 + 1e-8: two poles 1e-8 apart, the
+    # root between them inside the edge clearance) and |1/a| >= 1e6, where
+    # roots sit within 1e-6 of the poles
+    (eta, inv_a)
+    for eta in (2.37, 0.37, 2.0 + 1e-8, 2.0 + 1e-6, 2.0)
+    for inv_a in (-1e7, -1e6, -2.0, 0.0, 2.0, 1e6, 1e7)
+]
+
+
+def test_pole_cleared_search_keeps_the_plain_level_set(monkeypatch):
+    # count, branch_index and energies as with both ends evaluated, for
+    # windows that end at a pole, inside its clearance and between poles
+    fired = []
+    near = solver._near_pole_end
+
+    def spy(*args):
+        fired.append(near(*args))
+        return fired[-1]
+
+    monkeypatch.setattr(solver, "_near_pole_end", spy)
+    requests = []
+    for eta, inv_a in _LEVEL_SET_CASES:
+        g, model = TrapGeometry(eta), InteractionModel.from_inverse_a(inv_a)
+        e0 = ground_energy_offset(g)
+        for window in ((-1.0, 9.0), (e0, e0 + 5.0),
+                       (e0 + 2.0 + 4e-9, e0 + 6.0 - 1e-9)):
+            requests.append(partial(eigenenergies, model, g, window=window,
+                                    max_levels=6))
+        requests.append(partial(bound_state_exact, model, g))
+    for params in ((0.5, 0.3, 3.5), (-1.0, 0.5, 3.0), (1.2, 1e-7, 1.0)):
+        model = InteractionModel.from_resonance(*params)
+        for eta in (2.37, 2.0 + 1e-8):
+            requests.append(partial(solve_self_consistent, model,
+                                    TrapGeometry(eta), window=(-1.0, 9.0),
+                                    max_levels=6))
+    got = [_outcome(fn) for fn in requests]
+    assert any(fired), "no root came out next to a residue end"
+    with monkeypatch.context() as plain:
+        _plain_search(plain)
+        want = [_outcome(fn) for fn in requests]
+    for fn, a, b in zip(requests, got, want):
+        assert _same_levels(a, b), (fn.args, fn.keywords, a, b)
+
+
+def test_fig1_f_call_budget(monkeypatch):
+    # Work-count guard: the pole-cleared searches take at most 7.5 F calls
+    # per level on fig1 cells (the plain bracketed search took about 11.5)
+    cells = []
+    for eta in (0.37, 2.37, 10.0):
+        g = TrapGeometry(eta)
+        window = solver._default_window(g, 6, (-4.0, 4.0))
+        cells += [(InteractionModel.from_inverse_a(v), g, window)
+                  for v in (-4.0, -1.0, 0.0, 1.0, 4.0)]
+    calls = []
+    f_eval_orig = solver.f_eval
+
+    def counted(arg):
+        calls.append(arg)
+        return f_eval_orig(arg)
+
+    monkeypatch.setattr(solver, "f_eval", counted)
+    n_levels = sum(len(eigenenergies(model, g, window=window, max_levels=6))
+                   for model, g, window in cells)
+    assert n_levels == 6 * len(cells)
+    assert len(calls) <= 7.5 * n_levels

@@ -15,7 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import args_of, fval, oracle_lines, oracle_values
-from pairtrap.numerics import QuadratureSpec
+import numpy as np
+
+from pairtrap import spectral
+from pairtrap.numerics import QuadratureSpec, integrate
 from pairtrap.specfun import PoleSignal, gamma_ratio
 from pairtrap.spectral import (CIGAR_MAX_ETA, SpectralArgument, f_cigar,
                                f_eval, f_integral, f_pancake, f_quasi1d,
@@ -325,6 +328,66 @@ def test_pole_grid_contents():
     assert grid == (-0.0, -0.75, -1.0, -1.5, -1.75, -2.0)
     # eta = 1/2: the k >= 2 poles coincide with integer ones
     assert pole_grid(0.5, -1.6).poles == (0.0, -0.5, -1.0, -1.5)
+
+
+@pytest.mark.parametrize("eta", [0.61, 1.0, 2.0, 3.0, 0.5, 1.5, 10.0])
+def test_pole_residues(eta):
+    # lim (x - p) F(x) = sum of eta C(2j, j)/4^j over the (j, k) meeting
+    # at p, on every route: generic eta (recurrence), the spherical, cigar
+    # and pancake closed forms, coincident poles at eta = 1/2, 3/2, 2, 3, and
+    # the recurrence at integer eta = 10
+    grid = pole_grid(eta, -8.0)
+    for p, r in list(zip(grid.poles, grid.residues))[:8]:
+        for d in (1e-7, -1e-7):
+            got = f_eval(SpectralArgument(p + d, eta)).value * d
+            assert abs(got - r) <= 1e-6, (p, d, got, r)
+
+
+def test_pole_residue_values():
+    def residue(eta, x):
+        grid = pole_grid(eta, x - 1.0)
+        return grid.residues[grid.poles.index(x)]
+
+    assert residue(2.0, -2.0) == 2.75       # (j, k) = (2, 0) and (0, 1)
+    assert residue(0.5, -1.0) == 0.75       # (1, 0) and (0, 2)
+    assert residue(1.5, -3.0) == pytest.approx(1.5 * (5.0 / 16.0 + 1.0))
+    assert residue(2.37, 0.0) == 2.37
+    assert residue(2.37, -2.0) == pytest.approx(2.37 * 3.0 / 8.0)
+
+
+def _fresh_f_integral(x, eta, scale):
+    # the default route with no memo, on the node table at any scale
+    def rest(t):
+        return np.exp(-x * t) * (np.expm1(spectral._excess_log(t, eta))
+                                 / (t * np.sqrt(t)))
+
+    value, est = integrate(rest, scale)
+    head = 2.0 * math.sqrt(math.pi * x)
+    return value - head, est + 2.0 ** -52 * head
+
+
+@pytest.mark.parametrize("eta", [0.003, 0.26, 2.37, 3.9, 300.0, 1e5])
+def test_integrand_row_memo(eta):
+    # F from the memo row at scale 2^k equals a fresh table at that scale
+    # bit for bit, and cold and warm calls agree bit for bit (at eta = 1e5
+    # and x below ~0.6 the fine pass runs, on the odd row).  Against a
+    # fresh table at scale 1/x it moves by at most 4 ulp (1 + |F|), or,
+    # where the table's own estimate is larger (x below ~1e-6, and eta =
+    # 300 below x ~ 100), by under a quarter of the two estimates.
+    ulp = 2.0 ** -52
+    for x in np.logspace(-8.0, 6.0, 29):
+        x = float(x)
+        arg = SpectralArgument(x, eta)
+        spectral._integrand_rows.cache_clear()
+        cold = f_integral(arg)
+        warm = f_integral(arg)
+        assert (cold.value, cold.est_error) == (warm.value, warm.est_error)
+        k = -round(math.log2(x))
+        assert cold.value == _fresh_f_integral(x, eta, 2.0 ** k)[0]
+        fresh, fresh_est = _fresh_f_integral(x, eta, 1.0 / x)
+        gap = abs(cold.value - fresh)
+        assert (gap <= 4.0 * ulp * (1.0 + abs(fresh))
+                or gap <= 0.25 * (cold.est_error + fresh_est)), (x, gap)
 
 
 def test_f_eval_raises_at_poles():

@@ -483,6 +483,68 @@ def test_series_blocks_raise_like_scalar_terms(rho, z, trunc):
     assert got.value.terms_used == ref.value.terms_used
 
 
+def _sum_terms_rescan(terms, trunc, label, osc_x, decay_beta):
+    # _sum_terms' tail control with both window maxima taken by rescanning
+    # the history: the brute-force reference of the suffix-maximum stacks
+    total, hist = 0.0, []
+    for m, t in zip(range(trunc.max_terms), terms):
+        total += t
+        hist.append(abs(t))
+        if osc_x > 0.0:
+            period = 2.0 * math.pi * math.sqrt((m + 1.0) / osc_x)
+            win = min(max(8, int(0.5 * period) + 1), 1000)
+        else:
+            win = 2
+        if m + 1 >= win:
+            env = max(hist[-win:])
+            if m + 1 >= 2 * win:
+                older = max(hist[-2 * win:-win])
+                if older > 0.0 and env >= 0.97 * older:
+                    raise SeriesError(
+                        "%s terms are not decaying after %d terms"
+                        % (label, m + 1), total, env, m + 1)
+            tail = env * (2.0 * math.sqrt(m + 1.0) / decay_beta
+                          if decay_beta > 0.0 else 1.0)
+            if tail <= trunc.tail_tol * abs(total):
+                return total
+    raise SeriesError("%s did not converge in %d terms"
+                      % (label, trunc.max_terms), total, abs(hist[-1]),
+                      trunc.max_terms)
+
+
+def _summed(fn, terms, trunc, osc_x, beta):
+    try:
+        return ("sum", fn(iter(terms), trunc, "test", osc_x, beta))
+    except SeriesError as err:
+        return ("raise", str(err), err.value, err.est_error, err.terms_used)
+
+
+def test_sum_terms_window_maxima_match_rescan():
+    # decaying Laguerre-like terms, stalled ones (constant envelope),
+    # slowly decaying ones that run out of terms, and repeated values and
+    # zeros (ties in the stacks), over window rules from the fixed 2 to
+    # the 1000 cap: sums, messages and terms_used bit-identical
+    n = 2500
+    trunc = SeriesTruncation(max_terms=n, tail_tol=1e-13)
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for osc_x in (0.0, 1e-4, 0.05, 0.7, 40.0):
+        m = np.arange(n, dtype=float)
+        phase = np.cos(2.0 * np.sqrt(m * osc_x) + 0.3)
+        sequences = [(np.exp(-beta * np.sqrt(m)) * phase, beta)
+                     for beta in (0.05, 0.4, 2.0)]
+        sequences += [(np.where(m % 2 == 0, 1.0, -1.0), 0.3),
+                      (phase / np.sqrt(m + 1.0), 0.3),
+                      (rng.choice([0.0, 0.5, 1.0], n)
+                       * np.exp(-0.03 * np.sqrt(m)), 0.5)]
+        for terms, beta in sequences:
+            terms = terms.tolist()
+            want = _summed(_sum_terms_rescan, terms, trunc, osc_x, beta)
+            assert _summed(_sum_terms, terms, trunc, osc_x, beta) == want
+            outcomes.add(want[1][:20] if want[0] == "raise" else "sum")
+    assert len(outcomes) == 3  # converged, stalled, out of terms
+
+
 # ---------------------------------------------------------------------------
 # excited states: single-mode dominance far from the axis/plane
 # ---------------------------------------------------------------------------
