@@ -22,7 +22,7 @@ from .numerics import NumericsError, QuadratureSpec
 from .solver import (InteractionModel, NoBoundState, TrapGeometry,
                      _default_window, bound_state_exact, eigenenergies,
                      solve_self_consistent)
-from .specfun import SQRT_PI, PoleSignal, gamma_ratio, ln_gamma_u
+from .specfun import SQRT_PI, PoleSignal, gamma_ratio, gamma_u
 from .spectral import (SpectralArgument, f_cigar, f_eval, f_pancake,
                        f_recurrence_extend, phi)
 from .wavefn import (SeriesTruncation, profile_quasi1d, profile_quasi2d, psi,
@@ -507,12 +507,16 @@ def _check_battery(fast):
             worst = max(worst, abs(closed(x, n).value - ref) / (1 + abs(ref)))
     add("closed forms vs recurrence", worst, 1e-12)
 
-    # Gamma(1) U(1, 1, x) = e^x E1(x), Gamma(1/2) U(1/2, 3/2, x) = sqrt(pi/x)
+    # Gamma(1) U(1, 1, x) = e^x E1(x), Gamma(1/2) U(1/2, 3/2, x) = sqrt(pi/x),
+    # and through the recurrence branch Gamma(-1/2) U(-1/2, 1/2, x)
+    # = -2 sqrt(pi x)
     worst = 0.0
     for x in (0.1, 1.0, 10.0):
-        u11 = math.exp(ln_gamma_u(1.0, 1.0, x)) / (math.exp(x) * exp1(x))
-        u_half = math.exp(ln_gamma_u(0.5, 1.5, x)) * math.sqrt(x) / SQRT_PI
-        worst = max(worst, abs(u11 - 1.0), abs(u_half - 1.0))
+        u11 = gamma_u(1.0, 1.0, x) / (math.exp(x) * exp1(x))
+        u_half = gamma_u(0.5, 1.5, x) * math.sqrt(x) / SQRT_PI
+        u_neg = gamma_u(-0.5, 0.5, x) / (-2.0 * SQRT_PI * math.sqrt(x))
+        worst = max(worst, abs(u11 - 1.0), abs(u_half - 1.0),
+                    abs(u_neg - 1.0))
     add("Gamma U kernel vs closed forms", worst, 1e-13)
 
     levels = eigenenergies(InteractionModel.from_inverse_a(0.0), g1,

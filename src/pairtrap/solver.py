@@ -41,9 +41,10 @@ from .numerics import (
     bracket_from_signs,
     find_root_bracketed,
 )
-from .specfun import PoleSignal, gamma_ratio, hurwitz_zeta_half
+from .specfun import POLE_TOL, PoleSignal, gamma_ratio, hurwitz_zeta_half
 from .spectral import (
-    POLE_TOL,
+    QUASI1D_MIN_ETA,
+    QUASI2D_MAX_ETA,
     SpectralArgument,
     f_eval,
     phi,
@@ -479,9 +480,9 @@ def bound_state_quasi1d(a, g):
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    if g.eta < 10.0:
-        warnings.warn("quasi-1d bound state asked for eta = %g < 10"
-                      % g.eta, stacklevel=2)
+    if g.eta < QUASI1D_MIN_ETA:
+        warnings.warn("quasi-1d bound state asked for eta = %g < %g"
+                      % (g.eta, QUASI1D_MIN_ETA), stacklevel=2)
     inv_a = 0.0 if math.isinf(a) else 1.0 / a
     c = math.sqrt(2.0) * inv_a / math.sqrt(g.eta)
 
@@ -502,9 +503,9 @@ def bound_state_quasi2d(a, g):
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    if g.eta > 0.1:
-        warnings.warn("quasi-2d bound state asked for eta = %g > 0.1"
-                      % g.eta, stacklevel=2)
+    if g.eta > QUASI2D_MAX_ETA:
+        warnings.warn("quasi-2d bound state asked for eta = %g > %g"
+                      % (g.eta, QUASI2D_MAX_ETA), stacklevel=2)
     inv_a = 0.0 if math.isinf(a) else 1.0 / a
     c = SQRT_2PI * inv_a
 

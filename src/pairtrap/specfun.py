@@ -1,22 +1,23 @@
 """Special-function kernel for the routines scipy does not cover.
 
-Log-gamma with sign tracking, gamma ratios (scipy's poch) with pole
-bookkeeping, the Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
-2F1(1,x;x+1/2;z) on the unit circle, log Gamma(a) U(a, b, w) for b in
-{1/2, 1, 3/2} on the numerics exp-sinh node table (one pass for an array of
-a), Kummer's U built on it, and Laguerre polynomials.  Digamma and the
-Pochhammer symbol come from scipy.special.  The Hurwitz zeta stays here
-because scipy.special.zeta(0.5, q) returns nan.
+Gamma ratios (scipy's poch) with pole bookkeeping, the Hurwitz zeta
+function at s = 1/2, the Gauss hypergeometric 2F1(1,x;x+1/2;z) on the unit
+circle, Gamma(a) U(a, b, w) for b in {1/2, 1, 3/2} (Tricomi's U times
+Gamma(a), the pair wavefunction's series coefficient) and Laguerre
+polynomials.  ln_gamma_u gives log Gamma(a) U for a > 0 on the numerics
+exp-sinh node table, one pass for an array of a; gamma_u gives the signed
+product for any a off the Gamma poles from one such pass, with the rows
+below a = 1/2 recurred down from seeds in the same pass.  The Hurwitz zeta
+stays here because scipy.special.zeta(0.5, q) returns nan.
 """
 
 import math
 
 import numpy as np
-from scipy.special import digamma, poch
+from scipy.special import poch
 
 from .numerics import integrate
 
-EULER_GAMMA = 0.5772156649015328606065
 SQRT_PI = math.sqrt(math.pi)
 
 # Nonpositive-integer proximity that is treated as an exact pole.
@@ -38,22 +39,6 @@ def is_nonpositive_integer(x, tol=POLE_TOL):
 # ----------------------------------------------------------------------
 # gamma family
 # ----------------------------------------------------------------------
-
-def ln_gamma(x):
-    """Return (log|Gamma(x)|, sign of Gamma(x)).
-
-    Accurate to >= 13 significant digits for |x| <= 170.  Raises PoleSignal
-    at nonpositive integers.
-    """
-    if is_nonpositive_integer(x, tol=0.0) or (x <= 0 and x == round(x)):
-        raise PoleSignal("gamma pole at x = %g" % x, x)
-    if x > 0:
-        return math.lgamma(x), 1
-    # Gamma alternates sign between consecutive negative integers.
-    n = math.floor(x)
-    sign = 1 if n % 2 == 0 else -1
-    return math.lgamma(x), sign
-
 
 def gamma_ratio(num, den):
     """Gamma(num)/Gamma(den) as 1/poch(num, den - num).
@@ -105,6 +90,11 @@ def hurwitz_zeta_half(q):
 # Gauss hypergeometric 2F1(1, x; x+1/2; z) on the unit circle
 # ----------------------------------------------------------------------
 
+# Lentz stops after two successive factors within this of 1
+_HYP2F1_TOL = 1e-15
+_HYP2F1_MAX_ITER = 20000
+
+
 def _hyp2f1_cf_coef(x, j):
     # Gauss continued-fraction coefficients for 2F1(x,1;x+1/2;z) against
     # the terminating companion 2F1(x,0;x-1/2;z) = 1; the j = 1 entry is
@@ -117,7 +107,7 @@ def _hyp2f1_cf_coef(x, j):
     return -k * (k - 0.5) / ((x + 2 * k - 1.5) * (x + 2 * k - 0.5))
 
 
-def hyp2f1_one(x, z, tol=1e-15, max_iter=20000):
+def hyp2f1_one(x, z):
     """2F1(1, x; x+1/2; z) for z on the unit circle, z != 1.
 
     The defining series diverges there (c - a - b = -1/2), so the value is
@@ -132,7 +122,7 @@ def hyp2f1_one(x, z, tol=1e-15, max_iter=20000):
     c = f
     d = complex(0.0)
     ok = 0
-    for j in range(1, max_iter):
+    for j in range(1, _HYP2F1_MAX_ITER):
         a_j = complex(1.0) if j == 1 else _hyp2f1_cf_coef(x, j - 1) * z
         d = 1.0 + a_j * d
         if d == 0:
@@ -143,7 +133,7 @@ def hyp2f1_one(x, z, tol=1e-15, max_iter=20000):
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _HYP2F1_TOL:
             ok += 1
             if ok >= 2:
                 return f
@@ -153,7 +143,7 @@ def hyp2f1_one(x, z, tol=1e-15, max_iter=20000):
 
 
 # ----------------------------------------------------------------------
-# Kummer U for b in {1/2, 1, 3/2}
+# Gamma(a) U(a, b, w) for b in {1/2, 1, 3/2}
 # ----------------------------------------------------------------------
 
 _SUPPORTED_B = (0.5, 1.0, 1.5)
@@ -163,7 +153,8 @@ def _check_b(b):
     for bb in _SUPPORTED_B:
         if abs(b - bb) < 1e-12:
             return bb
-    raise ValueError("kummer_u supports b in {1/2, 1, 3/2} only, got %g" % b)
+    raise ValueError("Gamma U kernel supports b in {1/2, 1, 3/2} only, "
+                     "got %g" % b)
 
 
 def ln_gamma_u(a, b, w):
@@ -217,53 +208,40 @@ def ln_gamma_u(a, b, w):
     return float(out[0]) if a_in.ndim == 0 else out
 
 
-def _kummer_u_log_series(a, z):
-    # U(a,1,z) = -(1/Gamma(a)) sum_k ((a)_k/(k!)^2) z^k (ln z + psi(a+k) - 2 psi(1+k))
-    # Good for small z with a*z moderate (the sum then carries no deep
-    # cancellation); this is the explicit logarithmic b = 1 limit formula.
-    lnz = math.log(z)
-    psi_ak = float(digamma(a))
-    psi_k1 = -EULER_GAMMA
-    coef = 1.0
-    total = 0.0
-    for k in range(500):
-        term = coef * (lnz + psi_ak - 2.0 * psi_k1)
-        total += term
-        if k > 3 and abs(term) < 1e-18 * max(abs(total), 1e-300):
-            break
-        psi_ak += 1.0 / (a + k)
-        psi_k1 += 1.0 / (k + 1.0)
-        coef *= (a + k) * z / ((k + 1.0) * (k + 1.0))
-    return -math.exp(-math.lgamma(a)) * total
+def gamma_u(a, b, w):
+    """Signed Gamma(a) U(a, b, w) for w > 0 and b in {1/2, 1, 3/2}.
 
-
-def kummer_u(a, b, x):
-    """Tricomi's U(a, b, x) for x > 0 and b in {1/2, 1, 3/2}.
-
-    a > 0 goes through the Laplace integral; a <= 0 is reconstructed by
-    downward contiguous recurrence from seeds in (0, 1]; the b = 1
-    logarithmic case at small x uses the explicit psi-term limit series.
+    a may be a float or a 1-D array (float in, float out); an a within
+    POLE_TOL of a nonpositive integer raises PoleSignal.  Every value comes
+    from one ln_gamma_u pass: a row with a >= 1/2 directly, and a row below
+    1/2 from the two rows a + n, a + n + 1 (n the least with a + n >= 1/2)
+    appended to the same pass, by DLMF 13.3.7 written for V = Gamma U,
+      V(a - 1) = [(w + 2a - b) V(a) - (a - b + 1) V(a + 1)]/(a - 1),
+    run downward, the stable direction (U is the minimal solution as a
+    grows).  The rows below 1/2 step together, each stopping after its n.
     """
     b = _check_b(b)
-    if not x > 0:
-        raise ValueError("kummer_u needs x > 0")
-    if a == 0.0:
-        return 1.0
-    if a > 0:
-        if b == 1.0 and x <= 0.5 and a * x <= 2.0:
-            return _kummer_u_log_series(a, x)
-        return math.exp(ln_gamma_u(a, b, x) - math.lgamma(a))
-    # Downward recurrence U(a-1) = (x + 2a - b) U(a) - a (a - b + 1) U(a+1),
-    # the stable direction (U is the minimal solution as a grows).
-    n = math.floor(-a) + 1
-    a0 = a + n
-    up = kummer_u(a0 + 1.0, b, x)
-    cur = kummer_u(a0, b, x)
-    ac = a0
-    for _ in range(n):
-        up, cur = cur, (x + 2.0 * ac - b) * cur - ac * (ac - b + 1.0) * up
-        ac -= 1.0
-    return cur
+    a_in = np.asarray(a, dtype=float)
+    av = a_in.reshape(-1)
+    low = np.flatnonzero(av < 0.5)
+    for ai in av[low]:
+        if is_nonpositive_integer(ai):
+            raise PoleSignal("Gamma(a) U(a, b, w) pole at a = %.17g" % ai, ai)
+    steps = np.ceil(0.5 - av[low])
+    ac = av[low] + steps
+    rows = av.copy()
+    rows[low] = ac
+    v = np.exp(ln_gamma_u(np.concatenate((rows, ac + 1.0)), b, w))
+    out, up = v[:len(av)], v[len(av):]
+    cur = out[low]
+    for i in range(int(steps.max(initial=0.0))):
+        go = steps > i
+        down = ((w + 2.0 * ac - b) * cur - (ac - b + 1.0) * up) / (ac - 1.0)
+        up = np.where(go, cur, up)
+        cur = np.where(go, down, cur)
+        ac = ac - go
+    out[low] = cur
+    return float(out[0]) if a_in.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

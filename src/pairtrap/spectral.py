@@ -38,6 +38,7 @@ from scipy.special import digamma
 from .numerics import (NODE_TABLE, NumericsError, integrate,
                        integrate_semi_infinite_with_error)
 from .specfun import (
+    POLE_TOL,
     PoleSignal,
     SQRT_PI,
     gamma_ratio,
@@ -45,7 +46,6 @@ from .specfun import (
     hyp2f1_one,
 )
 
-POLE_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-12
 # f_eval takes the recurrence for integer eta above this: the cigar form's
 # eta - 1 continued fractions cost more than the recurrence from eta = 4 on.
@@ -53,6 +53,9 @@ CIGAR_MAX_ETA = 3
 POLE_MERGE = 1e-12  # poles closer than this are one pole of pole_grid
 # integrand rows f_integral keeps, one per (eta, scale); 4.4 kB each
 ROW_CACHE_SIZE = 64
+# anisotropies the quasi-1D and quasi-2D asymptotes accept
+QUASI1D_MIN_ETA = 10.0
+QUASI2D_MAX_ETA = 0.1
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,12 @@ def _ratio_rounding(arg):
     return 2.0 ** -51 * (4.0 + abs(math.lgamma(arg)))
 
 
-def _check_ladder_pole(arg):
-    # Gamma(arg) pole <=> F pole contribution; reject within POLE_TOL.
+def _check_ladder_pole(arg, x):
+    # Gamma(arg) pole <=> F pole contribution; reject within POLE_TOL.  arg
+    # is x plus a ladder shift, so the pole sits at x - (arg - round(arg)).
     if arg < 0.5 and abs(arg - round(arg)) < POLE_TOL and round(arg) <= 0:
-        raise PoleSignal("F pole: gamma ladder argument %.17g" % arg, arg)
+        raise PoleSignal("F pole: gamma ladder argument %.17g" % arg,
+                         x - (arg - round(arg)))
 
 
 # log q(s), q(s) = (1 - e^(-s))/s, is -s/2 - sum_n c_n s^2n with
@@ -206,7 +211,7 @@ def f_integral(arg, spec=None):
 def _spherical(x):
     # F(x, 1) = -2 sqrt(pi) Gamma(x)/Gamma(x - 1/2), analytic in x except
     # for the Gamma(x) poles (denominator poles are zeros of the ratio).
-    _check_ladder_pole(x)
+    _check_ladder_pole(x, x)
     ratio = gamma_ratio(x, x - 0.5)
     value = -2.0 * SQRT_PI * ratio
     return SpectralValue(value, "spherical", 1e-14 * (1.0 + abs(value)))
@@ -230,7 +235,7 @@ def f_cigar(x, n):
     ladder_err = 0.0
     x_work = x
     while x_work <= 0.25:
-        _check_ladder_pole(x_work)
+        _check_ladder_pole(x_work, x)
         term = n * SQRT_PI * _gamma_ladder_term(x_work)
         ladder += term
         ladder_err += abs(term) * _ratio_rounding(x_work)
@@ -266,7 +271,7 @@ def f_pancake(x, n):
     total = 0.0
     for m in range(n):
         arg = x + m / n
-        _check_ladder_pole(arg)
+        _check_ladder_pole(arg, x)
         total += gamma_ratio(arg, arg - 0.5)
     value = -(2.0 * SQRT_PI / n) * total
     return SpectralValue(value, "pancake", 1e-14 * (1.0 + abs(value)))
@@ -286,7 +291,7 @@ def f_recurrence_extend(arg, spec=None):
     ladder_abs = 0.0
     for i in range(m):
         xi = x + i * eta
-        _check_ladder_pole(xi)
+        _check_ladder_pole(xi, x)
         term = eta * SQRT_PI * _gamma_ladder_term(xi)
         ladder += term
         ladder_abs += abs(term)
@@ -301,14 +306,11 @@ def f_eval(arg):
 
     eta = 1 and integer eta <= CIGAR_MAX_ETA (within 1e-12) use the cigar
     closed form, integer 1/eta the pancake form, anything else the
-    recurrence-extended integral.  Inputs within 1e-9 of a pole
-    x = -(j + k eta) raise a pole signal carrying the nearest pole location.
+    recurrence-extended integral.  Every route's gamma ladder passes through
+    each pole x = -(j + k eta) (as Gamma(-j) at step k), so an input within
+    POLE_TOL of a pole raises PoleSignal there, carrying the pole's x.
     """
     x, eta = arg.x, arg.eta
-    pole = _nearest_pole(x, eta)
-    if abs(x - pole) < POLE_TOL:
-        raise PoleSignal("x = %.17g is within %.1e of pole %.17g"
-                         % (x, POLE_TOL, pole), pole)
     n_cigar = round(eta)
     if 1 <= n_cigar <= CIGAR_MAX_ETA and abs(eta - n_cigar) < CLOSED_FORM_TOL:
         return f_cigar(x, n_cigar)
@@ -318,27 +320,7 @@ def f_eval(arg):
     return f_recurrence_extend(arg)
 
 
-def _nearest_pole(x, eta):
-    # poles -(j + k eta): loop over the index with the larger step (k when
-    # eta >= 1, j otherwise), so the loop runs O(|x|/max(1, eta)) times.
-    # For x <= 0 a pole lies within half the smaller step, so the nearest
-    # one has its other index in m - 1 .. m + 1; for 0 < x <= 1/2 it is
-    # the pole at 0, where best starts.
-    if x > 0.5:
-        return 0.0
-    step, other = (eta, 1.0) if eta >= 1.0 else (1.0, eta)
-    best = 0.0
-    for n in range(int(math.ceil(-x / step)) + 2):
-        m = round((-x - n * step) / other)
-        for mm in (m - 1, m, m + 1):
-            if mm >= 0:
-                p = -(mm * other + n * step)
-                if abs(x - p) < abs(x - best):
-                    best = p
-    return best
-
-
-def f_quasi1d(arg, bound_state=False, min_eta=10.0):
+def f_quasi1d(arg, bound_state=False):
     """Quasi-1D asymptote for strongly cigar-shaped traps (eta >> 1).
 
     sqrt(pi eta) [zeta(1/2, 1 + x/eta) + sqrt(eta) Gamma(x)/Gamma(x+1/2)];
@@ -346,8 +328,9 @@ def f_quasi1d(arg, bound_state=False, min_eta=10.0):
     zeta(1/2, x/eta) (x > 0) is used instead.  Valid for x > -eta.
     """
     x, eta = arg.x, arg.eta
-    if eta < min_eta:
-        raise ValueError("quasi-1d asymptote needs eta >= %g" % min_eta)
+    if eta < QUASI1D_MIN_ETA:
+        raise ValueError("quasi-1d asymptote needs eta >= %g"
+                         % QUASI1D_MIN_ETA)
     if not x > -eta:
         raise ValueError("quasi-1d asymptote needs x > -eta")
     if bound_state:
@@ -355,14 +338,14 @@ def f_quasi1d(arg, bound_state=False, min_eta=10.0):
             raise ValueError("bound-state variant needs x > 0")
         value = math.sqrt(math.pi * eta) * hurwitz_zeta_half(x / eta)
     else:
-        _check_ladder_pole(x)
+        _check_ladder_pole(x, x)
         value = math.sqrt(math.pi * eta) * (
             hurwitz_zeta_half(1.0 + x / eta)
             + math.sqrt(eta) * _gamma_ladder_term(x))
     return SpectralValue(value, "quasi1d", abs(value) / eta)
 
 
-def f_quasi2d(arg, bound_state=False, max_eta=0.1):
+def f_quasi2d(arg, bound_state=False):
     """Quasi-2D asymptote for strongly pancake-shaped traps (eta << 1).
 
     -Phi(x) - log(eta) - digamma(x/eta); with bound_state=True the
@@ -370,8 +353,9 @@ def f_quasi2d(arg, bound_state=False, max_eta=0.1):
     -Phi(x) - log(x).  Valid for x > -1.
     """
     x, eta = arg.x, arg.eta
-    if eta > max_eta:
-        raise ValueError("quasi-2d asymptote needs eta <= %g" % max_eta)
+    if eta > QUASI2D_MAX_ETA:
+        raise ValueError("quasi-2d asymptote needs eta <= %g"
+                         % QUASI2D_MAX_ETA)
     if not x > -1.0:
         raise ValueError("quasi-2d asymptote needs x > -1")
     if bound_state:

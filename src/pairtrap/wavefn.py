@@ -5,13 +5,13 @@ envelope at large distance.  Three exact routes are provided: a proper-time
 integral valid below the ground energy E0 = 1/2 + eta, a radial series in
 Laguerre x Kummer-U products (fast for cigars), and an axial series (fast
 for pancakes).  The integral, the asymptotic quasi-1d and quasi-2d profile
-sums and the series coefficients Gamma(a) U(a, b, w) (one ln_gamma_u call
-per block of terms) all run on the numerics exp-sinh node table; the series
-themselves are summed term by term under a shared tail control.  Grid
-normalization with analytic treatment of the integrable 1/r^2 density and
-the small-r contact extrapolation complete the module.  All lengths are in
-axial oscillator units; energies include the 3/2-equivalent zero point
-through E0.
+sums and the series coefficients Gamma(a) U(a, b, w) (one specfun.gamma_u
+call per block of terms, signed, the first terms above E0 included) all run
+on the numerics exp-sinh node table; the series themselves are summed term
+by term under a shared tail control.  Grid normalization with analytic
+treatment of the integrable 1/r^2 density and the small-r contact
+extrapolation complete the module.  All lengths are in axial oscillator
+units; energies include the 3/2-equivalent zero point through E0.
 """
 
 import itertools
@@ -31,12 +31,10 @@ from .numerics import (
 from .solver import ground_energy_offset
 from .specfun import (
     PoleSignal,
+    gamma_u,
     hurwitz_zeta_half,
     is_nonpositive_integer,
-    kummer_u,
     laguerre_iter,
-    ln_gamma,
-    ln_gamma_u,
 )
 from .spectral import SpectralArgument, f_eval, phi
 
@@ -156,23 +154,10 @@ def psi_integral(rho, z, E, g, spec=None):
     return eta * value / TWO_PI ** 1.5
 
 
-def _gamma_u_block(a, b, w):
-    # Gamma(a) U(a, b, w) for a 1-D array of a: one ln_gamma_u call for
-    # a >= 1/2, whose log form keeps huge Gamma factors in range; the
-    # finitely many smaller and negative a take the signed direct product,
-    # whose magnitude stays moderate away from the Gamma poles.
-    out = np.empty(len(a))
-    big = a >= 0.5
-    if big.any():
-        out[big] = np.exp(ln_gamma_u(a[big], b, w))
-    for i in np.flatnonzero(~big):
-        lg, sign = ln_gamma(a[i])
-        out[i] = sign * math.exp(lg) * kummer_u(a[i], b, w)
-    return out
-
-
 # Largest coefficient block: the kernel holds a few (block, 273) arrays, so
-# this caps its memory at ~20 MB; the cost per term is flat past ~100 rows.
+# this caps its memory at ~20 MB (twice that if every row lies below
+# a = 1/2, each such row adding a second seed); the cost per term is flat
+# past ~100 rows.
 _MAX_BLOCK = 1024
 
 
@@ -197,8 +182,7 @@ class _Coefficients:
                 stop = min(self._size + min(self._size + 32, _MAX_BLOCK),
                            self._max_terms)
                 a = self._a_of(np.arange(self._size, stop))
-                self._blocks.append(
-                    _gamma_u_block(a, self._b, self._w).tolist())
+                self._blocks.append(gamma_u(a, self._b, self._w).tolist())
                 self._size = stop
             yield from self._blocks[i]
 
@@ -328,7 +312,7 @@ def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
     Term m carries Gamma(a_m) U(a_m, 1/2, z^2) L_m(eta rho^2) with
     a_m = eta m - (E - E0)/2.  On the z = 0 line the terms decay only like
     m^{-3/4} with oscillating sign, so that line is rejected.  The
-    coefficients come in blocks of 32, 64, ... from one ln_gamma_u call
+    coefficients come in blocks of 32, 64, ... from one gamma_u call
     each; the sum adds them term by term under the tail control.
     """
     return _radial_row((rho,), z, E, g, trunc)[0]

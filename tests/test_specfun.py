@@ -4,8 +4,10 @@ The frozen values in tests/oracles/specfun_oracle.out were generated at
 50-digit precision; they pin the implementation bit-for-bit over time.
 The mpmath layer re-derives a sample independently at test time so a
 stale oracle cannot hide a regression.  Digamma and K0 rows are read
-against the scipy.special functions the library calls, and the D_nu rows
-through the Kummer-U identity the library's own U satisfies.
+against the scipy.special functions the library calls.  Kummer's U, the
+D_nu rows included (through their Kummer-U identity), is read as
+gamma_u(a, b, x) * rgamma(a), the library's signed Gamma U kernel over
+Gamma(a).
 """
 
 import cmath
@@ -16,13 +18,13 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import digamma, k0
+from scipy.special import digamma, k0, rgamma
 
 from conftest import args_of, fval, oracle_values
-from pairtrap.specfun import (EULER_GAMMA, SQRT_PI, PoleSignal, gamma_ratio,
+from pairtrap.specfun import (SQRT_PI, PoleSignal, gamma_ratio, gamma_u,
                               hurwitz_zeta_half, hyp2f1_one,
-                              is_nonpositive_integer, kummer_u, laguerre_iter,
-                              ln_gamma, ln_gamma_u)
+                              is_nonpositive_integer, laguerre_iter,
+                              ln_gamma_u)
 
 ORA = oracle_values("specfun_oracle.out")
 
@@ -32,6 +34,11 @@ mpmath.mp.dps = 30
 def _close(got, want, rel, abs_floor=0.0):
     assert abs(got - want) <= rel * abs(want) + abs_floor, \
         "got %.17g want %.17g" % (got, want)
+
+
+def _kummer_u(a, b, x):
+    # Tricomi's U from the library's signed Gamma(a) U(a, b, x)
+    return gamma_u(a, b, x) * rgamma(a)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def test_hyp2f1_unit_circle_converges():
 @pytest.mark.parametrize("key", [k for k in ORA if k.startswith("kummer_u(")])
 def test_kummer_u_frozen(key):
     a, b, x = args_of(key)
-    _close(kummer_u(a, b, x), fval(ORA, key), 5e-12)
+    _close(_kummer_u(a, b, x), fval(ORA, key), 5e-12)
 
 
 @pytest.mark.parametrize("key", [k for k in ORA if k.startswith("gamma_u(")])
@@ -92,12 +99,15 @@ def test_ln_gamma_u_frozen(key):
 @pytest.mark.parametrize("key", [k for k in ORA if k.startswith("pcfd(")])
 def test_parabolic_cylinder_frozen(key):
     # D_nu(x) = 2^(nu/2) e^(-x^2/4) U(-nu/2, 1/2, x^2/2); at x = 0 the U
-    # factor is sqrt(pi)/Gamma((1 - nu)/2)
+    # factor is sqrt(pi)/Gamma((1 - nu)/2), and at nu = 0 it is U(0, ., .) = 1
+    # (Gamma U has a pole there)
     nu, x = args_of(key)
-    if x > 0:
-        u = kummer_u(-0.5 * nu, 0.5, 0.5 * x * x)
-    else:
+    if x == 0:
         u = SQRT_PI / math.gamma(0.5 - 0.5 * nu)
+    elif nu == 0:
+        u = 1.0
+    else:
+        u = _kummer_u(-0.5 * nu, 0.5, 0.5 * x * x)
     _close(2.0 ** (0.5 * nu) * math.exp(-0.25 * x * x) * u, fval(ORA, key),
            5e-12)
 
@@ -127,7 +137,7 @@ def test_gamma_ratio_large_argument_vs_mpmath():
 def test_u11_equals_exp_e1_route():
     # independent identity row: U(1,1,x) = e^x E1(x) evaluated at x = 1
     _close(fval(ORA, "u11_1_via_e1"), fval(ORA, "kummer_u(1,1,1)"), 1e-18)
-    _close(kummer_u(1.0, 1.0, 1.0), fval(ORA, "u11_1_via_e1"), 5e-12)
+    _close(_kummer_u(1.0, 1.0, 1.0), fval(ORA, "u11_1_via_e1"), 5e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +157,7 @@ def test_kummer_u_vs_mpmath():
         a = rng.uniform(0.1, 6.0)
         b = rng.choice([0.5, 1.0, 1.5])
         x = math.exp(rng.uniform(math.log(0.05), math.log(8.0)))
-        _close(kummer_u(a, b, x), float(mpmath.hyperu(a, b, x)), 5e-9)
+        _close(_kummer_u(a, b, x), float(mpmath.hyperu(a, b, x)), 5e-9)
 
 
 def test_kummer_u_negative_a_vs_mpmath():
@@ -158,8 +168,35 @@ def test_kummer_u_negative_a_vs_mpmath():
             continue
         b = rng.choice([0.5, 1.0])
         x = rng.uniform(0.2, 4.0)
-        _close(kummer_u(a, b, x), float(mpmath.hyperu(a, b, x)), 5e-9,
+        _close(_kummer_u(a, b, x), float(mpmath.hyperu(a, b, x)), 5e-9,
                abs_floor=1e-13)
+
+
+def test_gamma_u_negative_a_grid_vs_mpmath():
+    # the recurrence branch (a < 1/2) over a in [-2.6, 0.45], every b, w in
+    # [1e-4, 20] against 40-digit mpmath.  For a < 0, Gamma U has zeros in w
+    # (near them it is a cancellation of terms of size |log w|, which no
+    # method keeps to a relative 1e-13), hence the 1e-13 absolute floor;
+    # measured: 1.2e-13 relative, 1.5e-14 of |want| + 1 here, and at most
+    # 3.6e-14 of |want| + 1 on a 62 x 3 x 12 grid over the same ranges
+    grid = itertools.product(np.linspace(-2.6, 0.45, 14), _GRID_B,
+                             (1e-4, 1e-2, 0.3, 3.0, 20.0))
+    with mpmath.workdps(40):
+        for a, b, w in grid:
+            want = float(mpmath.gamma(a) * mpmath.hyperu(a, b, w))
+            _close(gamma_u(float(a), b, w), want, 1e-13, abs_floor=1e-13)
+
+
+def test_gamma_u_batch_matches_rows():
+    # float in, float out; an array mixing rows on both sides of a = 1/2
+    # gives each row's scalar value up to the rule the pass shares
+    assert isinstance(gamma_u(-0.3, 1.0, 0.5), float)
+    a = np.array([2.5, -1.7, 0.2, 0.5, -0.05, 7.0, -3.4])
+    for b in _GRID_B:
+        batch = gamma_u(a, b, 0.8)
+        assert batch.shape == a.shape
+        for x, got in zip(a, batch):
+            _close(got, gamma_u(float(x), b, 0.8), 1e-14)
 
 
 def test_hurwitz_zeta_half_vs_mpmath():
@@ -244,30 +281,14 @@ def test_ln_gamma_u_vs_mpmath_large_a():
 # ---------------------------------------------------------------------------
 
 def test_constants():
-    assert abs(EULER_GAMMA - 0.5772156649015328606) < 1e-16
     assert abs(SQRT_PI - math.sqrt(math.pi)) < 1e-16
 
 
-def test_ln_gamma_positive_matches_lgamma():
-    for x in (0.2, 1.0, 7.5, 123.4):
-        val, sign = ln_gamma(x)
-        assert sign == 1
-        assert val == pytest.approx(math.lgamma(x), rel=1e-15)
-
-
-def test_ln_gamma_negative_sign_alternation():
-    # Gamma is negative on (-1,0), positive on (-2,-1), ...
-    val, sign = ln_gamma(-0.5)
-    assert sign == -1
-    assert math.exp(val) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
-    _, sign2 = ln_gamma(-1.5)
-    assert sign2 == 1
-
-
 def test_poles_raise():
-    for x in (0.0, -1.0, -7.0):
+    # Gamma U: a pole at every nonpositive integer a, alone or in a block
+    for a in (0.0, -1.0, -7.0, -2.0 + 1e-12, np.array([0.7, -3.0, 1.5])):
         with pytest.raises(PoleSignal):
-            ln_gamma(x)
+            gamma_u(a, 0.5, 1.0)
     # gamma_ratio: a numerator pole raises, a denominator pole gives 0,
     # poles in both have no limit
     with pytest.raises(PoleSignal):
@@ -303,9 +324,9 @@ def test_laguerre_iter_generalized():
 
 def test_kummer_u_domain_errors():
     with pytest.raises(ValueError):
-        kummer_u(1.0, 2.5, 1.0)
+        _kummer_u(1.0, 2.5, 1.0)
     with pytest.raises(ValueError):
-        kummer_u(1.0, 0.5, -1.0)
+        _kummer_u(1.0, 0.5, -1.0)
 
 
 def test_ln_gamma_u_domain_errors():

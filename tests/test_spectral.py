@@ -275,9 +275,9 @@ def test_quasi2d_error_scales_linearly_in_eta():
 
 def test_quasi_variant_domain_gates():
     with pytest.raises(ValueError):
-        f_quasi1d(SpectralArgument(1.0, 2.0))   # eta below min_eta
+        f_quasi1d(SpectralArgument(1.0, 2.0))   # eta below QUASI1D_MIN_ETA
     with pytest.raises(ValueError):
-        f_quasi2d(SpectralArgument(1.0, 0.5))   # eta above max_eta
+        f_quasi2d(SpectralArgument(1.0, 0.5))   # eta above QUASI2D_MAX_ETA
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +410,23 @@ def test_f_eval_raises_at_poles():
         with pytest.raises(PoleSignal) as err:
             f_eval(SpectralArgument(5e-10, eta))
         assert err.value.location == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.003, 0.37, 1.0, 2.0, 3.0, 4.0, 2.37,
+                                 1.0 / 7.0, 300.0])
+def test_f_eval_pole_check_covers_every_pole(eta):
+    # the routes' gamma ladders are f_eval's only pole check: on all five
+    # routes (spherical, cigar, pancake, integral and recurrence) every pole
+    # of pole_grid down to -(eta + 1.05), so past the first k = 1 pole,
+    # raises at and 5e-10 either side of it (inside POLE_TOL), located
+    # within 1e-12, and 2e-9 either side of it does not
+    for p in pole_grid(eta, -(1.05 + eta)).poles:
+        for x in (p - 5e-10, p, p + 5e-10):
+            with pytest.raises(PoleSignal) as err:
+                f_eval(SpectralArgument(x, eta))
+            assert abs(err.value.location - p) <= 1e-12, (x, p)
+        for x in (p - 2e-9, p + 2e-9):
+            assert math.isfinite(f_eval(SpectralArgument(x, eta)).value)
 
 
 def test_spectral_argument_validation():

@@ -19,8 +19,7 @@ from pairtrap.numerics import NumericsError, QuadratureSpec, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies,
                              ground_energy_offset)
-from pairtrap.specfun import (PoleSignal, kummer_u, laguerre_iter, ln_gamma,
-                              ln_gamma_u)
+from pairtrap.specfun import PoleSignal, gamma_u, laguerre_iter
 from pairtrap.wavefn import (ProfileSamples, SeriesTruncation, _sum_terms,
                              contact_coefficient, contact_scattering_length,
                              norm_squared_exact, normalize, profile_quasi1d,
@@ -425,9 +424,8 @@ def test_quasi2d_radial_profile_vs_k0_sum():
 # ---------------------------------------------------------------------------
 
 def _scalar_series(route, rho, z, E, g, trunc):
-    # the series summed term by term, one scalar ln_gamma_u call per
-    # coefficient (the signed product below a = 1/2), under the same tail
-    # control as the block path
+    # the series summed term by term, one scalar gamma_u call per
+    # coefficient, under the same tail control as the block path
     eta = g.eta
     cal_e = E - ground_energy_offset(g)
     w, zz = eta * rho * rho, z * z
@@ -443,13 +441,7 @@ def _scalar_series(route, rho, z, E, g, trunc):
         osc, beta, pref = zz, 2.0 * rho, 1.0
 
     def term(m):
-        a = a_of(m)
-        if a >= 0.5:
-            coef = math.exp(ln_gamma_u(a, b, arg))
-        else:
-            lg, sign = ln_gamma(a)
-            coef = sign * math.exp(lg) * kummer_u(a, b, arg)
-        return coef * next(lag)
+        return gamma_u(a_of(m), b, arg) * next(lag)
 
     total = _sum_terms(map(term, itertools.count()), trunc, route + " series",
                        osc, beta)
@@ -550,13 +542,9 @@ def test_sum_terms_window_maxima_match_rescan():
 # ---------------------------------------------------------------------------
 
 # The single-mode term is the oracles' signed mp.gamma(a) * mp.hyperu(a, b, w)
-# with a < 0 at these energies, so Gamma(a) U(a, b, w) is negative here;
-# ln_gamma_u (a > 0, unsigned) cannot build it.  Keys carry the oracle's own
-# number strings ('z=1.0', 'rho=3.0').
-
-def _signed_gamma_u(a, b, w):
-    lg, sign = ln_gamma(a)
-    return sign * math.exp(lg) * kummer_u(a, b, w)
+# with a < 0 at these energies, so Gamma(a) U(a, b, w) is negative here; it
+# comes from gamma_u, the kernel the series' own m = 0 term uses.  Keys carry
+# the oracle's own number strings ('z=1.0', 'rho=3.0').
 
 
 def test_excited_mode_dominance_eta100(energies):
@@ -570,14 +558,14 @@ def test_excited_mode_dominance_eta100(energies):
         z = float(zs)
         full = psi_series_radial(0.0, z, e_exc, G100, trunc)
         t00 = (100.0 * math.exp(-z * z / 2.0) * pref
-               * _signed_gamma_u(-cal_e / 2.0, 0.5, z * z))
+               * gamma_u(-cal_e / 2.0, 0.5, z * z))
         live = abs(t00 / full - 1.0)
         frozen = fval(ORA2, "exc100_m0_vs_full(z=%s)" % zs)
         _close(live, frozen, 1e-6)
     # z = 2: the m > 0 remainder is below double precision entirely
     full = psi_series_radial(0.0, 2.0, e_exc, G100, trunc)
     t00 = (100.0 * math.exp(-2.0) * pref
-           * _signed_gamma_u(-cal_e / 2.0, 0.5, 4.0))
+           * gamma_u(-cal_e / 2.0, 0.5, 4.0))
     assert abs(t00 / full - 1.0) < 5e-15
 
 
@@ -594,7 +582,7 @@ def test_excited_mode_dominance_eta001(energies):
         _close(full, fval(ORA3, "full(rho=%s)" % rs), 1e-9)
         w = 0.01 * rho * rho
         t00 = (math.exp(-w / 2.0) * pref
-               * _signed_gamma_u(-cal_e / 0.02, 1.0, w))
+               * gamma_u(-cal_e / 0.02, 1.0, w))
         live = abs(t00 / full - 1.0)
         frozen = fval(ORA3, "ratio_err(rho=%s)" % rs)
         _close(live, frozen, 1e-6)
