@@ -5,8 +5,7 @@ Energies are in units of the axial quantum, lengths in axial oscillator
 units, for the relative motion after exact center-of-mass separation.
 """
 
-from .numerics import (NumericsError, QuadratureError, QuadratureSpec,
-                       RootBracket, SeriesError)
+from .numerics import NumericsError, QuadratureError, RootBracket, SeriesError
 from .solver import (EnergyLevel, InteractionModel, NoBoundState,
                      TrapGeometry, a1d_effective, a2d_effective,
                      bound_state_exact, bound_state_quasi1d,
@@ -27,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnergyLevel", "InteractionModel", "NoBoundState", "NumericsError",
-    "PoleGrid", "ProfileSamples", "QuadratureError", "QuadratureSpec",
-    "RootBracket", "SeriesError", "SeriesTruncation", "SpectralArgument",
+    "PoleGrid", "ProfileSamples", "QuadratureError", "RootBracket",
+    "SeriesError", "SeriesTruncation", "SpectralArgument",
     "SpectralValue", "TrapGeometry", "a1d_effective", "a2d_effective",
     "bound_state_exact", "bound_state_quasi1d", "bound_state_quasi2d",
     "contact_coefficient", "contact_scattering_length", "eigenenergies",

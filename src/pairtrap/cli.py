@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from scipy.special import exp1
 
-from .numerics import NumericsError, QuadratureSpec
+from .numerics import NumericsError
 from .solver import (InteractionModel, NoBoundState, TrapGeometry,
                      _default_window, bound_state_exact, eigenenergies,
                      solve_self_consistent)
@@ -525,11 +525,19 @@ def _check_battery(fast):
                 for lv, want in zip(levels, (0.5, 2.5, 4.5, 6.5, 8.5)))
     add("unitarity spherical ladder", worst, 1e-8)
 
+    # at eta = 1, Psi(r) = e^(-r^2/2) Gamma(x) U(x, 3/2, r^2)/(2 pi^{3/2})
+    # with x = (3/2 - E)/2
+    e_sph = bound_state_exact(InteractionModel.fixed(1.0), g1).E
+    x = 0.5 * (1.5 - e_sph)
+    worst = 0.0
+    for rho, z in ((0.3, 0.0), (0.0, 0.5), (0.6, 0.8), (1.2, 1.6)):
+        rr = rho * rho + z * z
+        want = math.exp(-0.5 * rr) * gamma_u(x, 1.5, rr) / (2.0 * SQRT_PI ** 3)
+        worst = max(worst, abs(psi_integral(rho, z, e_sph, g1) / want - 1.0))
+    add("psi node table vs sphere Gamma U", worst, 1e-12)
+
     e_bound = bound_state_exact(InteractionModel.fixed(1.0), g2).E
     ref = psi_integral(0.5, 0.5, e_bound, g2)
-    add("psi node table vs quadpack",
-        abs(psi_integral(0.5, 0.5, e_bound, g2, QuadratureSpec()) / ref - 1.0),
-        1e-10)
     if not fast:
         tr = SeriesTruncation(max_terms=20000, tail_tol=1e-12)
         rad = psi_series_radial(0.5, 0.5, e_bound, g2, tr)

@@ -1,12 +1,11 @@
 """Generic numerical infrastructure.
 
-Two quadratures on (0, inf): a fixed exp-sinh node table that integrates a
-numpy-vectorized integrand in one pass (the default route of the package's
-proper-time integrals), and adaptive quadpack with an integrable endpoint
-singularity (the reference route, taken when a QuadratureSpec is given).
-Also bracketed root-finding, and the error types of the series the
-wavefunction module sums.  All routines are pure functions of their inputs
-and keep no mutable state, so they are safe to call concurrently.
+One quadrature on (0, inf), a fixed exp-sinh node table that integrates a
+numpy-vectorized integrand in one pass (every proper-time integral of the
+package runs on it), bracketed root-finding, and the error types of the
+series the wavefunction module sums.  All routines are pure functions of
+their inputs and keep no mutable state, so they are safe to call
+concurrently.
 """
 
 import math
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.integrate import quad
 
 
 class NumericsError(Exception):
@@ -46,28 +44,6 @@ class SeriesError(NumericsError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and interval split for integrate_semi_infinite_with_error.
-
-    split_point separates the singular-head treatment on (0, split_point)
-    from the plain semi-infinite tail.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    split_point: float = 1.0
-    max_refinements: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol == 0:
-            raise ValueError("need abs_tol + rel_tol > 0")
-        if not (self.split_point > 0 and math.isfinite(self.split_point)):
-            raise ValueError("split_point must be finite and positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
-
-
-@dataclass(frozen=True)
 class RootBracket:
     """An interval with a guaranteed sign change of the target function."""
 
@@ -87,10 +63,15 @@ class RootBracket:
             raise ValueError("bracket endpoints must have opposite signs")
 
 
-def _tolerance_exceeded(value, est, spec):
-    # the acceptance test both quadratures apply: est over 10x the requested
-    # tolerance and over 1e-9 relative; elementwise on arrays
-    return ((est > 10.0 * (spec.abs_tol + spec.rel_tol * abs(value)))
+# integrate()'s requested tolerance
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+
+
+def _tolerance_exceeded(value, est):
+    # integrate()'s acceptance test: est over 10x the requested tolerance
+    # and over 1e-9 relative; elementwise on arrays
+    return ((est > 10.0 * (ABS_TOL + REL_TOL * abs(value)))
             & (est > 1e-9 * abs(value)))
 
 
@@ -111,7 +92,6 @@ _ES_T_ODD, _ES_W_ODD = NODE_TABLE[1::2], _ES_W[1::2]
 # rounding floor of the estimate, relative to sum |w f|: a few ulps per
 # integrand value plus log2(545) for the pairwise sum
 _ES_ROUNDING = 16.0 * 2.0 ** -52
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 def integrate(f_vec, scale):
@@ -126,12 +106,12 @@ def integrate(f_vec, scale):
 
     The rule of step 1/32 in u runs first, and its estimate is its change
     against the nested rule of every second node.  Where that fails the
-    tolerance of QuadratureSpec() (for any row), the odd nodes of step 1/64
-    are added and the estimate is taken against the step-1/32 value; a
-    rounding floor is added either way.  Returns (value, est).  Raises
-    QuadratureError, carrying value and est, where the finer rule fails the
-    tolerance too.  Reductions are elementwise products and .sum, never a
-    BLAS product, so a value does not depend on the BLAS build.
+    tolerance ABS_TOL + REL_TOL |value| (for any row), the odd nodes of
+    step 1/64 are added and the estimate is taken against the step-1/32
+    value; a rounding floor is added either way.  Returns (value, est).
+    Raises QuadratureError, carrying value and est, where the finer rule
+    fails the tolerance too.  Reductions are elementwise products and .sum,
+    never a BLAS product, so a value does not depend on the BLAS build.
     """
     scale = np.asarray(scale, dtype=float)
     col = scale[..., None]
@@ -141,48 +121,17 @@ def integrate(f_vec, scale):
     coarse = scale * (_ES_W_QUARTER * f[..., ::2]).sum(axis=-1)
     size = abs(terms).sum(axis=-1)
     est = abs(value - coarse) + _ES_ROUNDING * scale * size
-    if np.any(_tolerance_exceeded(value, est, _DEFAULT_SPEC)):
+    if np.any(_tolerance_exceeded(value, est)):
         terms = _ES_W_ODD * f_vec(col * _ES_T_ODD)
         fine = 0.5 * value + scale * terms.sum(axis=-1)
         size = 0.5 * size + abs(terms).sum(axis=-1)
         value, est = fine, abs(fine - value) + _ES_ROUNDING * scale * size
-        if np.any(_tolerance_exceeded(value, est, _DEFAULT_SPEC)):
+        if np.any(_tolerance_exceeded(value, est)):
             raise QuadratureError(
                 "exp-sinh error estimate %.3e exceeds tolerance"
                 % np.max(est), value, est)
     if value.ndim == 0:
         return float(value), float(est)
-    return value, est
-
-
-def integrate_semi_infinite_with_error(f, spec=QuadratureSpec()):
-    """Integrate f over (0, inf); return (value, error_estimate).
-
-    Tolerates an endpoint blow-up up to t^(-1/2): the head (0, split_point)
-    is computed after the substitution t = u**2, which turns a t^(-1/2)
-    divergence into a bounded integrand; the tail is handled by adaptive
-    quadrature on the semi-infinite interval.  Raises QuadratureError
-    (carrying the achieved estimate) if the combined error estimate exceeds
-    the requested tolerances.
-    """
-    s = spec.split_point
-
-    def head(u):
-        return 2.0 * u * f(u * u)
-
-    head_val, head_err = quad(
-        head, 0.0, math.sqrt(s),
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_refinements,
-    )
-    tail_val, tail_err = quad(
-        f, s, math.inf,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_refinements,
-    )
-    value = head_val + tail_val
-    est = head_err + tail_err
-    if _tolerance_exceeded(value, est, spec):
-        raise QuadratureError(
-            "quadrature error estimate %.3e exceeds tolerance" % est, value, est)
     return value, est
 
 

@@ -9,10 +9,10 @@ and continued analytically elsewhere.  Eigenenergies solve
 -sqrt(2 pi)/a = F(x, eta) with x = -(E - E0)/2, E0 = 1/2 + eta.
 
 Routes: the defining integral, the gamma-ladder recurrence that continues it
-to x < 0, closed forms for integer eta (cigar; f_eval takes it only up to
-CIGAR_MAX_ETA, where it is cheaper) and integer 1/eta (pancake), and the
-quasi-1D / quasi-2D asymptotes for extreme anisotropy, whose quasi-2D
-function Phi is one proper-time integral on the same node table as F.
+to x < 0, closed forms for integer eta (cigar; a cross-check, since the
+recurrence is cheaper) and integer 1/eta (pancake), and the quasi-1D /
+quasi-2D asymptotes for extreme anisotropy, whose quasi-2D function Phi is
+one proper-time integral on the same node table as F.
 
 F has simple poles at x = -(j + k eta), j,k >= 0, and is strictly
 decreasing between consecutive poles.  The recurrence F(x) = eta sqrt(pi)
@@ -35,8 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma
 
-from .numerics import (NODE_TABLE, NumericsError, integrate,
-                       integrate_semi_infinite_with_error)
+from .numerics import NODE_TABLE, NumericsError, integrate
 from .specfun import (
     POLE_TOL,
     PoleSignal,
@@ -47,9 +46,6 @@ from .specfun import (
 )
 
 CLOSED_FORM_TOL = 1e-12
-# f_eval takes the recurrence for integer eta above this: the cigar form's
-# eta - 1 continued fractions cost more than the recurrence from eta = 4 on.
-CIGAR_MAX_ETA = 3
 POLE_MERGE = 1e-12  # poles closer than this are one pole of pole_grid
 # integrand rows f_integral keeps, one per (eta, scale); 4.4 kB each
 ROW_CACHE_SIZE = 64
@@ -162,50 +158,33 @@ def _integrand_rows(eta, k):
     return row[::2], row[1::2]
 
 
-def f_integral(arg, spec=None):
+def f_integral(arg):
     """F by the defining integral; requires x > 0 (energy below E0).
 
     With F written as t^(-3/2) expm1(L(t)) under the integral,
-    L = -x t - log(q(t))/2 - log(q(eta t)), q(s) = (1 - e^(-s))/s, the
-    default route takes the x-only part t^(-3/2) (e^(-x t) - 1) out
-    exactly, as -2 sqrt(pi x), and integrates the rest,
+    L = -x t - log(q(t))/2 - log(q(eta t)), q(s) = (1 - e^(-s))/s, this
+    takes the x-only part t^(-3/2) (e^(-x t) - 1) out exactly, as
+    -2 sqrt(pi x), and integrates the rest,
     e^(-x t) t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))), which is
     positive and decays like e^(-x t), on the numerics exp-sinh node table;
     log q comes from its series at small argument.  The table runs at the
     power of two 2^k nearest 1/x, so the factor after e^(-x t) depends on
     (eta, k) only: it comes from a memo of ROW_CACHE_SIZE rows, and a call
-    costs one exp(-x t) times a row.  An explicit QuadratureSpec selects
-    the quadpack reference route on the unsplit integrand instead.
+    costs one exp(-x t) times a row.
     """
     x, eta = arg.x, arg.eta
     if not x > 0:
         raise ValueError("f_integral needs x > 0; use f_eval for x <= 0")
-    if spec is None:
-        k = -round(math.log2(x))
-        even, odd = _integrand_rows(eta, k)
+    k = -round(math.log2(x))
+    even, odd = _integrand_rows(eta, k)
 
-        def rest(t):
-            # integrate() asks for the even nodes, then maybe the odd ones
-            return np.exp(-x * t) * (even if t.size == even.size else odd)
+    def rest(t):
+        # integrate() asks for the even nodes, then maybe the odd ones
+        return np.exp(-x * t) * (even if t.size == even.size else odd)
 
-        value, est = integrate(rest, math.ldexp(1.0, k))
-        head = 2.0 * math.sqrt(math.pi * x)
-        return SpectralValue(value - head, "integral",
-                             est + 2.0 ** -52 * head)
-
-    def lnq(s):
-        if s < 1e-300:
-            return 0.0
-        if s > 40.0:
-            return -math.log(s)
-        return math.log(-math.expm1(-s) / s)
-
-    def integrand(t):
-        ln_rest = -x * t - 0.5 * lnq(t) - lnq(eta * t)
-        return t ** -1.5 * math.expm1(ln_rest)
-
-    value, est = integrate_semi_infinite_with_error(integrand, spec)
-    return SpectralValue(value, "integral", est)
+    value, est = integrate(rest, math.ldexp(1.0, k))
+    head = 2.0 * math.sqrt(math.pi * x)
+    return SpectralValue(value - head, "integral", est + 2.0 ** -52 * head)
 
 
 def _spherical(x):
@@ -277,12 +256,11 @@ def f_pancake(x, n):
     return SpectralValue(value, "pancake", 1e-14 * (1.0 + abs(value)))
 
 
-def f_recurrence_extend(arg, spec=None):
+def f_recurrence_extend(arg):
     """Continue F to arbitrary x by F(x) = eta sqrt(pi) G(x) + F(x + eta).
 
     G(x) = Gamma(x)/Gamma(x+1/2).  m is minimal with x + m eta >= max(eta,1)/2
-    so the terminal integral stays well-conditioned; spec goes to its
-    f_integral (None: the node table).
+    so the terminal integral stays well-conditioned.
     """
     x, eta = arg.x, arg.eta
     target = 0.5 * max(eta, 1.0)
@@ -295,7 +273,7 @@ def f_recurrence_extend(arg, spec=None):
         term = eta * SQRT_PI * _gamma_ladder_term(xi)
         ladder += term
         ladder_abs += abs(term)
-    terminal = f_integral(SpectralArgument(x + m * eta, eta), spec)
+    terminal = f_integral(SpectralArgument(x + m * eta, eta))
     value = ladder + terminal.value
     est = terminal.est_error + 1e-15 * ladder_abs
     return SpectralValue(value, "recurrence" if m > 0 else "integral", est)
@@ -304,19 +282,16 @@ def f_recurrence_extend(arg, spec=None):
 def f_eval(arg):
     """Evaluate F(x, eta) by the cheapest accurate route.
 
-    eta = 1 and integer eta <= CIGAR_MAX_ETA (within 1e-12) use the cigar
-    closed form, integer 1/eta the pancake form, anything else the
-    recurrence-extended integral.  Every route's gamma ladder passes through
-    each pole x = -(j + k eta) (as Gamma(-j) at step k), so an input within
-    POLE_TOL of a pole raises PoleSignal there, carrying the pole's x.
+    Integer 1/eta (within 1e-12) uses the pancake closed form, which at
+    eta = 1 is the spherical one; anything else, integer eta >= 2 included,
+    the recurrence-extended integral.  Both routes' gamma ladders pass
+    through each pole x = -(j + k eta) (as Gamma(-j) at step k), so an
+    input within POLE_TOL of a pole raises PoleSignal there, carrying the
+    pole's x.
     """
-    x, eta = arg.x, arg.eta
-    n_cigar = round(eta)
-    if 1 <= n_cigar <= CIGAR_MAX_ETA and abs(eta - n_cigar) < CLOSED_FORM_TOL:
-        return f_cigar(x, n_cigar)
-    n_pan = round(1.0 / eta)
-    if n_pan >= 1 and abs(1.0 / eta - n_pan) < CLOSED_FORM_TOL:
-        return f_pancake(x, n_pan)
+    n_pan = round(1.0 / arg.eta)
+    if n_pan >= 1 and abs(1.0 / arg.eta - n_pan) < CLOSED_FORM_TOL:
+        return f_pancake(arg.x, n_pan)
     return f_recurrence_extend(arg)
 
 

@@ -9,9 +9,9 @@ sums and the series coefficients Gamma(a) U(a, b, w) (one specfun.gamma_u
 call per block of terms, signed, the first terms above E0 included) all run
 on the numerics exp-sinh node table; the series themselves are summed term
 by term under a shared tail control.  Grid normalization with analytic
-treatment of the integrable 1/r^2 density and the small-r contact
-extrapolation complete the module.  All lengths are in axial oscillator
-units; energies include the 3/2-equivalent zero point through E0.
+treatment of the integrable 1/r^2 density and the contact slope in closed
+form complete the module.  All lengths are in axial oscillator units;
+energies include the 3/2-equivalent zero point through E0.
 """
 
 import itertools
@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    NumericsError,
-    SeriesError,
-    integrate,
-    integrate_semi_infinite_with_error,
-)
+from .numerics import NumericsError, SeriesError, integrate
 from .solver import ground_energy_offset
 from .specfun import (
     PoleSignal,
@@ -80,17 +75,6 @@ class SeriesTruncation:
             raise ValueError("tail_tol must be positive")
 
 
-def _ln_sinh(s):
-    # s + log(1 - e^{-2s}) - log 2, exact at both ends of the range
-    return s + math.log(-math.expm1(-2.0 * s)) - LN2
-
-
-def _coth(s):
-    if s > 350.0:
-        return 1.0
-    return 1.0 + 2.0 / math.expm1(2.0 * s)
-
-
 def _check_integral_domain(rhos, zs, E, g):
     # the integral route's domain, for every point of the grid rhos x zs
     if any(rho < 0 for rho in rhos):
@@ -128,30 +112,17 @@ def _psi_integral_row(rhos, z, E, g):
     return (eta / TWO_PI ** 1.5) * value
 
 
-def psi_integral(rho, z, E, g, spec=None):
+def psi_integral(rho, z, E, g):
     """Proper-time integral for Psi at energies below E0.
 
     The integrand decays like exp(t (E - E0)) at large t, so the energy must
     sit strictly below E0; the r != 0 Gaussian suppression exp(-r^2/(2t))
-    tames the t^{-3/2} short-time divergence.  The default route is the
-    numerics exp-sinh node table with scale sqrt(r^2/(E0 - E)), the same
-    kernel sample_grid runs row by row; an explicit QuadratureSpec selects
-    the quadpack reference route.
+    tames the t^{-3/2} short-time divergence.  It runs on the numerics
+    exp-sinh node table with scale sqrt(r^2/(E0 - E)), the same kernel
+    sample_grid runs row by row.
     """
     _check_integral_domain((rho,), (z,), E, g)
-    if spec is None:
-        return float(_psi_integral_row(np.array([float(rho)]), z, E, g)[0])
-    eta = g.eta
-    half_z2 = 0.5 * z * z
-    half_w = 0.5 * eta * rho * rho
-
-    def f(t):
-        ex = (t * E - half_z2 * _coth(t) - half_w * _coth(eta * t)
-              - 0.5 * _ln_sinh(t) - _ln_sinh(eta * t))
-        return math.exp(ex) if ex > -745.0 else 0.0
-
-    value, _ = integrate_semi_infinite_with_error(f, spec)
-    return eta * value / TWO_PI ** 1.5
+    return float(_psi_integral_row(np.array([float(rho)]), z, E, g)[0])
 
 
 # Largest coefficient block: the kernel holds a few (block, 273) arrays, so
@@ -609,30 +580,24 @@ def normalize(samples, g):
 
 
 def contact_coefficient(E, g):
-    """Richardson limit of d/dr (r Psi) at the origin, along the z axis.
+    """Contact slope s = lim d/dr (r Psi) at the origin, for E < E0.
 
-    The boundary condition ties the returned slope s to the scattering
-    length through s = -1/(sqrt 2 pi a); evaluation uses the integral route
-    and therefore requires E < E0.
+    Near the origin Psi = 1/(2 pi r) + s + O(r) in every direction, and the
+    proper-time integral gives the constant in closed form:
+    s = F(x, eta)/(2 pi^{3/2}) at x = (E0 - E)/2.  At an eigenenergy the
+    eigencondition -sqrt(2 pi)/a = F turns this into the boundary condition
+    s = -1/(sqrt 2 pi a).
     """
     e0 = ground_energy_offset(g)
     if not E < e0:
-        raise ValueError("contact extrapolation needs E < E0 (integral route)")
-    inv_2pi = 1.0 / TWO_PI
-    slopes = []
-    for h in (0.2, 0.1, 0.05, 0.025):
-        slopes.append((h * psi_integral(0.0, h, E, g) - inv_2pi) / h)
-    r1 = [2.0 * slopes[i + 1] - slopes[i] for i in range(3)]
-    r2 = [(4.0 * r1[i + 1] - r1[i]) / 3.0 for i in range(2)]
-    scatter = abs(r2[1] - r2[0])
-    if scatter > max(2e-5, 1e-3 * abs(r2[1])):
-        raise NumericsError("contact extrapolation not settled: successive "
-                            "estimates %.6g and %.6g" % (r2[0], r2[1]))
-    return r2[1]
+        raise ValueError("contact coefficient needs E < E0 = %g" % e0)
+    return _PREF * f_eval(SpectralArgument(0.5 * (e0 - E), g.eta)).value
 
 
 def contact_scattering_length(E, g):
-    """Scattering length recovered from the contact slope, a = -1/(sqrt2 pi s)."""
+    """Scattering length whose eigenstate sits at E < E0, from the contact
+    slope: a = -1/(sqrt 2 pi s) with s = F(x, eta)/(2 pi^{3/2}), that is
+    a = -sqrt(2 pi)/F(x, eta); infinite where s = 0 (unitarity)."""
     s = contact_coefficient(E, g)
     if s == 0.0:
         return math.inf

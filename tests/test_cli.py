@@ -1,6 +1,9 @@
 """Command-line front end driven in-process: exit codes and NA cells."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +97,48 @@ def test_spectrum_csv_same_across_worker_counts(tmp_path):
         out[threads] = path.read_bytes()
     assert out["1"] == out["2"]
     assert out["1"].count(b"\n") == 5 and b"NA" not in out["1"]
+
+
+def test_bound_writes_one_row(tmp_path):
+    path = tmp_path / "bound.csv"
+    assert _run(["bound", "--eta", "2.37", "--a", "0.5",
+                 "--out", str(path)]) == 0
+    header, row = path.read_text().splitlines()
+    assert header == "inv_a,E"
+    inv_a, e = (float(c) for c in row.split(","))
+    assert inv_a == 2.0
+    want = bound_state_exact(InteractionModel.fixed(0.5), TrapGeometry(2.37))
+    assert math.isclose(e, want.E, rel_tol=1e-11)
+
+
+def test_fig2_writes_one_csv_per_axis(tmp_path):
+    assert _run(["fig2", "--eta", "100", "--out",
+                 str(tmp_path / "x.csv")]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["x_axial.csv", "x_radial.csv"]
+    for axis, rows in (("axial", 25), ("radial", 20)):
+        text = (tmp_path / ("x_%s.csv" % axis)).read_text()
+        header, *lines = text.splitlines()
+        assert header == "coordinate,psi_exact,psi_asymptotic"
+        assert len(lines) == rows
+        assert not any("NA" in line for line in lines)
+
+
+def test_check_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_check_battery",
+                        lambda fast: [("always fails", 1.0, 0.5, False)])
+    assert _run(["check", "--fast"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "1 checks" in out and "FAILURES" in out
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the package integrates on its own node table; scipy.integrate would
+    # only add import time
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, pairtrap.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

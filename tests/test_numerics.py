@@ -5,46 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pairtrap.numerics import (NumericsError, QuadratureError, QuadratureSpec,
-                               RootBracket, bracket_from_signs,
-                               find_root_bracketed, integrate,
-                               integrate_semi_infinite_with_error)
-
-
-def test_quadrature_smooth_exponential():
-    value, est = integrate_semi_infinite_with_error(lambda t: math.exp(-t))
-    assert abs(value - 1.0) < 1e-12
-    assert est < 1e-8
-    assert abs(value - 1.0) <= 10.0 * max(est, 1e-16)
-
-
-def test_quadrature_integrable_endpoint_singularity():
-    # t^(-1/2) e^(-t) integrates to sqrt(pi); the head substitution must
-    # absorb the inverse-sqrt blowup at t = 0
-    value, _ = integrate_semi_infinite_with_error(
-        lambda t: math.exp(-t) / math.sqrt(t))
-    assert abs(value - math.sqrt(math.pi)) < 1e-10
-
-
-def test_quadrature_gaussian_tail():
-    value, _ = integrate_semi_infinite_with_error(
-        lambda t: t * math.exp(-t * t))
-    assert abs(value - 0.5) < 1e-12
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(split_point=0.0)
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:The integral is probably divergent")
-def test_quadrature_reports_failure():
-    # oscillatory non-decaying integrand cannot satisfy the tolerance
-    with pytest.raises((QuadratureError, NumericsError)):
-        integrate_semi_infinite_with_error(math.cos)
+from pairtrap.numerics import (NumericsError, QuadratureError, RootBracket,
+                               bracket_from_signs, find_root_bracketed,
+                               integrate)
 
 
 def test_exp_sinh_smooth_and_singular():

@@ -18,14 +18,15 @@ from conftest import args_of, fval, oracle_lines, oracle_values
 import numpy as np
 
 from pairtrap import spectral
-from pairtrap.numerics import QuadratureSpec, integrate
+from pairtrap.numerics import integrate
 from pairtrap.specfun import PoleSignal, gamma_ratio
-from pairtrap.spectral import (CIGAR_MAX_ETA, SpectralArgument, f_cigar,
-                               f_eval, f_integral, f_pancake, f_quasi1d,
-                               f_quasi2d, f_recurrence_extend, phi, pole_grid)
+from pairtrap.spectral import (SpectralArgument, f_cigar, f_eval,
+                               f_integral, f_pancake, f_quasi1d, f_quasi2d,
+                               f_recurrence_extend, phi, pole_grid)
 
 ORA1 = oracle_values("spectral_oracle.out")
 ORA2 = oracle_values("spectral_oracle2.out")
+NODES = oracle_values("node_table_oracle.out")
 PHI = oracle_values("phi_check.out")
 
 
@@ -101,11 +102,11 @@ _CIGAR_XS = (0.3, 1.7, 5.0) + tuple(-j - f for j in range(6)
 
 @pytest.mark.parametrize("eta", list(range(2, 13)) + [100])
 def test_cigar_closed_form_matches_f_eval(eta):
-    # f_eval takes the node-table recurrence above CIGAR_MAX_ETA; the closed
-    # form must agree with that route at every integer eta.  At eta = 100
-    # the closed form's gamma ratios at x + 100 carry ~ulp(lgamma) ~ 6e-14
-    # relative error each, and it is up to 1.3e-12 off over these intervals
-    # (the recurrence is the one within 1e-14 of 40-digit mpmath there).
+    # f_eval takes the node-table recurrence at every integer eta >= 2; the
+    # closed form must agree with that route.  At eta = 100 the closed
+    # form's gamma ratios at x + 100 carry ~ulp(lgamma) ~ 6e-14 relative
+    # error each, and it is up to 1.3e-12 off over these intervals (the
+    # recurrence is the one within 1e-14 of 40-digit mpmath there).
     tol = 1e-13 if eta <= 12 else 2e-12
     for x in _CIGAR_XS:
         want = f_recurrence_extend(SpectralArgument(x, float(eta))).value
@@ -179,23 +180,20 @@ def test_recurrence_extension_matches_direct():
 
 
 # ---------------------------------------------------------------------------
-# node table against the quadpack reference route
+# node table against frozen 30-digit integrals
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("eta", (0.003, 0.26, 2.37, 3.9, 300.0))
 def test_node_table_matches_quadpack_sweep(eta):
-    # f_integral's node table at x itself, against the quadpack route of an
-    # explicit spec; quadpack flags its own estimate at x <= 1e-6, so it is
-    # reached through the recurrence, whose terminal point max(eta, 1)/2 is
-    # swept too.  The quadpack estimate does not bound quadpack's own error
-    # (off by up to 8x near 1e-13), so est_error is checked on the exact
-    # recurrence identity instead, with its gamma ratio from mpmath
-    # (gamma_ratio loses 1e-11 relative at x = 1e4).
-    spec = QuadratureSpec()
+    # f_integral's node table over twelve decades of x, the recurrence's
+    # terminal point max(eta, 1)/2 included, against the defining integral
+    # in mpmath (node_table_oracle.out).  est_error is checked on the exact
+    # recurrence identity, with its gamma ratio from mpmath (gamma_ratio
+    # loses 1e-11 relative at x = 1e4).
     for x in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5 * max(eta, 1.0), 1.0, 7.3,
               100.0, 1e4, 1e6):
         got = f_integral(SpectralArgument(x, eta))
-        ref = f_recurrence_extend(SpectralArgument(x, eta), spec).value
+        ref = fval(NODES, "F(x=%r,eta=%r)" % (x, eta))
         assert abs(got.value - ref) <= 1e-12 * (1.0 + abs(ref)), \
             "x=%g: got %.17g ref %.17g" % (x, got.value, ref)
         up = f_integral(SpectralArgument(x + eta, eta))
@@ -439,7 +437,7 @@ def test_spectral_argument_validation():
 def test_route_reporting():
     general = ("integral", "recurrence")
     assert f_eval(SpectralArgument(0.7, 1.0)).route == "spherical"
-    assert f_eval(SpectralArgument(0.7, 2.0)).route == "cigar"
+    assert f_eval(SpectralArgument(0.7, 2.0)).route == "recurrence"
     assert f_eval(SpectralArgument(0.7, 0.25)).route == "pancake"
     assert f_eval(SpectralArgument(0.7, 1.618)).route in general
     for eta in (4.0, 10.0, 100.0):
@@ -450,8 +448,7 @@ def test_route_reporting():
 
 
 # every closed-form switch f_eval keeps: (eta, pole spacing along x)
-_SWITCHES = ([(float(n), 1.0) for n in range(1, CIGAR_MAX_ETA + 1)]
-             + [(1.0 / n, 1.0 / n) for n in (2, 4, 10)])
+_SWITCHES = [(1.0, 1.0)] + [(1.0 / n, 1.0 / n) for n in (2, 4, 10)]
 
 
 @given(switch=st.sampled_from(_SWITCHES), interval=st.integers(-1, 5),
@@ -463,7 +460,7 @@ def test_f_continuous_across_closed_form_switch(switch, interval, frac):
     eta, spacing = switch
     x = -(interval + frac) * spacing
     closed = f_eval(SpectralArgument(x, eta))
-    assert closed.route in ("spherical", "cigar", "pancake")
+    assert closed.route in ("spherical", "pancake")
     sides = [f_eval(SpectralArgument(x, eta * (1.0 + d)))
              for d in (-1e-11, 1e-11)]
     assert all(v.route in ("integral", "recurrence") for v in sides)
@@ -471,7 +468,13 @@ def test_f_continuous_across_closed_form_switch(switch, interval, frac):
     assert abs(closed.value - mid) <= 1e-13 * (1.0 + abs(closed.value))
 
 
-def test_integral_spec_override():
-    loose = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
-    v = f_integral(SpectralArgument(0.7, 2.0), spec=loose)
-    _close(v.value, fval(ORA1, "F(0.7,2)"), 1e-6)
+@given(n=st.sampled_from((2, 3)), interval=st.integers(-1, 5),
+       frac=st.floats(0.05, 0.95))
+def test_cigar_matches_recurrence_at_small_integer_eta(n, interval, frac):
+    # f_eval takes the recurrence at integer eta = 2, 3, where it once took
+    # the cigar form; the two agree over the same pole intervals
+    x = -(interval + frac)
+    rec = f_eval(SpectralArgument(x, float(n)))
+    assert rec.route == "recurrence"
+    closed = f_cigar(x, n).value
+    assert abs(closed - rec.value) <= 1e-13 * (1.0 + abs(closed))

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import k0
 
 from conftest import fval, oracle_values
-from pairtrap.numerics import NumericsError, QuadratureSpec, SeriesError
+from pairtrap.numerics import NumericsError, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies,
                              ground_energy_offset)
@@ -29,6 +29,7 @@ from pairtrap.wavefn import (ProfileSamples, SeriesTruncation, _sum_terms,
 ORA1 = oracle_values("wavefn_oracle.out")
 ORA2 = oracle_values("wavefn_oracle2.out")
 ORA3 = oracle_values("wavefn_oracle3.out")
+NODES = oracle_values("node_table_oracle.out")
 
 G1 = TrapGeometry(1.0)
 G2 = TrapGeometry(2.0)
@@ -104,21 +105,22 @@ def test_integral_even_in_z(energies):
 
 @pytest.mark.parametrize("eta", (0.01, 0.5, 2.0, 100.0))
 def test_node_table_matches_quadpack_grids(eta):
-    # the node-table rows of sample_grid against point-by-point quadpack
-    # (an explicit spec) on graded grids in the trap's own lengths, with
-    # points at rho = 1e-3 and z = 1e-3 and an on-axis column, for a
-    # unitarity and a weakly bound state
+    # the node-table rows of sample_grid against the proper-time integral in
+    # mpmath (node_table_oracle.out) on graded grids in the trap's own
+    # lengths, with points at rho = 1e-3 and z = 1e-3 and an on-axis column,
+    # for a unitarity and a weakly bound state; the oracle keeps the
+    # energies it was computed at
     g = TrapGeometry(eta)
     grade = (1e-3, 0.03, 0.1, 0.25, 0.5, 1.0, 1.7, 2.6)
     rhos = [u / math.sqrt(eta) for u in grade]
     zs = (0.0,) + grade
-    spec = QuadratureSpec()
     for inv_a in (0.0, -1.0):
-        e = bound_state_exact(InteractionModel.from_inverse_a(inv_a), g).E
+        e = fval(NODES, "E(eta=%r,inv_a=%r)" % (eta, inv_a))
         samples = sample_grid(rhos, zs, e, g)
         got = dict(zip(samples.coordinates, samples.values))
         got.update(((0.0, z), psi_integral(0.0, z, e, g)) for z in zs[1:])
-        want = {p: psi_integral(*p, e, g, spec=spec) for p in got}
+        want = {p: fval(NODES, "psi(eta=%r,inv_a=%r,rho=%r,z=%r)"
+                        % ((eta, inv_a) + p)) for p in got}
         peak = max(abs(v) for v in want.values())
         for p, w in want.items():
             if abs(w) >= 1e-3 * peak:
@@ -191,18 +193,27 @@ def test_contact_richardson_limits(energies):
         assert abs(limit - 1.0) < 1e-4
 
 
-def test_contact_slope_recovers_a(energies):
-    s_c = contact_coefficient(energies["C"], G1)
-    _close(s_c, fval(ORA2, "slope_C"), 1e-9)
-    a_c = contact_scattering_length(energies["C"], G1)
-    _close(a_c, fval(ORA2, "recovered_a_C"), 1e-9)
-    assert abs(a_c - 1.0) < 1e-4
+def _richardson_slope(E, g):
+    # d/dr (r Psi) at the origin along z, by two Richardson steps over
+    # h = 0.2 ... 0.025: the procedure the slope_* and recovered_a_* rows
+    # of wavefn_oracle2.out were generated with
+    slopes = [(h * psi_integral(0.0, h, E, g) - 1.0 / (2.0 * math.pi)) / h
+              for h in (0.2, 0.1, 0.05, 0.025)]
+    r1 = [2.0 * slopes[i + 1] - slopes[i] for i in range(3)]
+    return (4.0 * r1[2] - r1[1]) / 3.0
 
-    s_d = contact_coefficient(energies["D"], G2)
-    _close(s_d, fval(ORA2, "slope_D"), 1e-9)
-    a_d = contact_scattering_length(energies["D"], G2)
-    _close(a_d, fval(ORA2, "recovered_a_D"), 1e-9)
-    assert abs(a_d / -2.0 - 1.0) < 1e-4
+
+def test_contact_slope_recovers_a(energies):
+    # the closed-form slope F(x)/(2 pi^{3/2}) meets the boundary condition
+    # -1/(sqrt 2 pi a) exactly; the Richardson fit meets its own frozen rows
+    for key, g, a in (("C", G1, 1.0), ("D", G2, -2.0)):
+        _close(contact_coefficient(energies[key], g),
+               fval(ORA2, "slope_%s_target" % key), 1e-12)
+        _close(contact_scattering_length(energies[key], g), a, 1e-12)
+        s = _richardson_slope(energies[key], g)
+        _close(s, fval(ORA2, "slope_%s" % key), 1e-9)
+        _close(-1.0 / (math.sqrt(2.0) * math.pi * s),
+               fval(ORA2, "recovered_a_%s" % key), 1e-9)
 
 
 def test_contact_requires_bound_energy(energies):
@@ -665,10 +676,3 @@ def test_series_truncation_validation():
         SeriesTruncation(max_terms=0)
     with pytest.raises(ValueError):
         SeriesTruncation(tail_tol=0.0)
-
-
-def test_quadrature_spec_passthrough(energies):
-    loose = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6)
-    got = psi_integral(0.5, 0.5, energies["A"], G2, spec=loose)
-    _close(got, fval(ORA1, "psiA(0.5,0.5)"), 1e-5)
-
