@@ -95,9 +95,7 @@ class CsvTable:
 
     def to_text(self):
         def cell(v):
-            if v is None:
-                return "NA"
-            if not math.isfinite(v):
+            if v is None or not math.isfinite(v):
                 return "NA"
             return "%.12g" % v
 
@@ -250,16 +248,13 @@ def parse(argv=None):
             if current is None or current is False:
                 setattr(ns, key, val)
 
-    def grid(prefix, default=None):
-        lo = getattr(ns, prefix + "_min", None)
-        hi = getattr(ns, prefix + "_max", None)
-        steps = getattr(ns, prefix + "_steps", None)
-        if lo is None and hi is None and steps is None:
-            return default
-        base = default or _FIG1_GRID
-        return (lo if lo is not None else base[0],
-                hi if hi is not None else base[1],
-                steps if steps is not None else base[2])
+    def grid(prefix, default):
+        # None when no part is given; a missing part comes from default
+        given = [getattr(ns, prefix + end, None)
+                 for end in ("_min", "_max", "_steps")]
+        if given == [None, None, None]:
+            return None
+        return tuple(d if v is None else v for v, d in zip(given, default))
 
     window = None
     if getattr(ns, "window_min", None) is not None or getattr(
@@ -272,31 +267,28 @@ def parse(argv=None):
               out=ns.out, threads=ns.threads)
     if ns.command in ("spectrum", "bound"):
         kw["a"] = ns.a
-        kw["inv_a_grid"] = grid("inv_a")
-    if ns.command == "spectrum":
-        kw["resonance"] = ns.resonance
+        kw["inv_a_grid"] = grid("inv_a", _FIG1_GRID)
+    if ns.command in ("spectrum", "fig1"):
         if ns.levels is not None:
             kw["levels"] = ns.levels
         kw["window"] = window
+    if ns.command == "spectrum":
+        kw["resonance"] = ns.resonance
         if ns.resonance is not None and (ns.a is not None
                                          or kw["inv_a_grid"] is not None):
             parser.error("--resonance excludes --a and the 1/a grid")
-        if ns.a is not None and kw["inv_a_grid"] is not None:
-            parser.error("give either --a or the 1/a grid, not both")
         if ns.resonance is None and ns.a is None and kw["inv_a_grid"] is None:
             kw["inv_a_grid"] = _FIG1_GRID
-    if ns.command == "bound":
-        if ns.a is not None and kw["inv_a_grid"] is not None:
-            parser.error("give either --a or the 1/a grid, not both")
+    if kw.get("a") is not None and kw.get("inv_a_grid") is not None:
+        parser.error("give either --a or the 1/a grid, not both")
     if ns.command == "wavefunction":
         kw["a"] = ns.a
         kw["axis"] = ns.axis or "axial"
         kw["energy"] = ns.energy
-        kw["coord_grid"] = grid("grid")
+        # a missing eta gets RunConfig's error, not this default's
+        kw["coord_grid"] = grid("grid", _wavefn_grid(kw["axis"],
+                                                     ns.eta or 1.0))
     if ns.command == "fig1":
-        if ns.levels is not None:
-            kw["levels"] = ns.levels
-        kw["window"] = window
         kw["inv_a_grid"] = _FIG1_GRID
     if ns.command == "check":
         kw["fast"] = ns.fast
@@ -328,9 +320,7 @@ def _bound_cell(task):
         lv = bound_state_exact(InteractionModel.from_inverse_a(inv_a),
                                TrapGeometry(eta))
         return lv.E, None
-    except NoBoundState as exc:
-        return None, str(exc)
-    except (NumericsError, PoleSignal, ValueError) as exc:
+    except (NoBoundState, NumericsError, PoleSignal, ValueError) as exc:
         return None, str(exc)
 
 
@@ -433,22 +423,18 @@ def _wavefn_table(eta, energy, axis, grid, threads):
                     tuple(rows))
 
 
+def _wavefn_grid(axis, eta):
+    # the wavefunction command's default coordinate grid, from the origin
+    return (0.0, 3.0 if axis == "axial" else 3.0 / math.sqrt(max(1.0, eta)),
+            61)
+
+
 def run_wavefunction(cfg):
     """Profile along one axis: coordinate, psi_exact, psi_asymptotic."""
     g = TrapGeometry(cfg.eta)
     energy = _ground_energy(cfg, g)
-    if cfg.coord_grid is not None:
-        grid = _linspace(*cfg.coord_grid)
-    elif cfg.axis == "axial":
-        grid = _linspace(0.0, 3.0, 61)
-    else:
-        grid = _linspace(0.0, 3.0 / math.sqrt(max(1.0, cfg.eta)), 61)
+    grid = _linspace(*(cfg.coord_grid or _wavefn_grid(cfg.axis, cfg.eta)))
     return _wavefn_table(cfg.eta, energy, cfg.axis, grid, cfg.threads)
-
-
-def run_fig1(cfg):
-    """Spectrum sweep over the documented default grid (1/a in [-4, 4])."""
-    return run_spectrum(cfg)
 
 
 # plotted ranges of the unitarity profile figure, per regime

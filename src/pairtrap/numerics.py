@@ -2,17 +2,17 @@
 
 One quadrature on (0, inf), a fixed exp-sinh node table that integrates a
 numpy-vectorized integrand in one pass (every proper-time integral of the
-package runs on it), bracketed root-finding, and the error types of the
-series the wavefunction module sums.  All routines are pure functions of
-their inputs and keep no mutable state, so they are safe to call
-concurrently.
+package runs on it), one bracketed root finder that takes the steps of
+scipy's brentq in plain Python (every level of the package is one of its
+roots), and the error types of the series the wavefunction module sums.
+All routines are pure functions of their inputs and keep no mutable
+state, so they are safe to call concurrently.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 
 class NumericsError(Exception):
@@ -135,48 +135,62 @@ def integrate(f_vec, scale):
     return value, est
 
 
+# brentq's step cap; past it the loop bisects only, for up to 200 more steps
+_BRENT_STEPS = 100
+
+
 def find_root_bracketed(f, bracket, tol=1e-10):
-    """Find the root of f inside a sign-change bracket.
+    """Find the root of f inside a sign-change bracket, as a float.
 
-    Brent-style bisection/interpolation hybrid; iterates never leave
-    [bracket.lo, bracket.hi], so poles at or beyond the bracket edges are
-    never evaluated.  Falls back to plain bisection if the hybrid fails to
-    converge.  The bracket width at return is <= tol (usually far smaller:
-    the solver polishes to near machine precision).  End values the bracket
-    carries are reused, not recomputed.
+    Takes the steps of scipy's brentq one for one (Brent 1973: secant,
+    inverse quadratic or bisection steps, none shorter than delta) at xtol
+    = min(tol, 1e-15 + 1e-12 (|lo| + |hi|)) and rtol = 4 eps, then
+    bisection steps only after _BRENT_STEPS.  An end is evaluated only when
+    the bracket carries no value for it; an end whose value is 0 is
+    returned.  Ends of one sign, or a NaN value of f, raise ValueError.
     """
-    lo, hi = bracket.lo, bracket.hi
-    if bracket.f_lo is not None and bracket.f_hi is not None:
-        f = _with_known_ends(f, lo, bracket.f_lo, hi, bracket.f_hi)
-    xtol = min(tol, 1e-15 + 1e-12 * (abs(lo) + abs(hi)))
-    try:
-        return optimize.brentq(f, lo, hi, xtol=xtol, rtol=4.0 * 2.0 ** -52)
-    except RuntimeError:
-        pass
-    # Bisection fallback: robust whenever the sign change is genuine.
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid in (lo, hi):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def value(x, known=None):
+        fx = float(f(x) if known is None else known)
+        if math.isnan(fx):
+            raise ValueError("f(%r) is NaN; no root can be found" % x)
+        return fx
 
-
-def _with_known_ends(f, lo, f_lo, hi, f_hi):
-    def g(x):
-        if x == lo:
-            return f_lo
-        if x == hi:
-            return f_hi
-        return f(x)
-    return g
+    xpre, xcur = float(bracket.lo), float(bracket.hi)
+    fpre, fcur = value(xpre, bracket.f_lo), value(xcur, bracket.f_hi)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    xtol = min(tol, 1e-15 + 1e-12 * (abs(xpre) + abs(xcur)))
+    for step in range(_BRENT_STEPS + 200):
+        # keep the root between xcur and xblk, the smaller |f| at xcur
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4.0 * 2.0 ** -52 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if step < _BRENT_STEPS and abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    return xcur
 
 
 def bracket_from_signs(f, lo, hi, f_lo=None, f_hi=None):

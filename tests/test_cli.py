@@ -131,14 +131,64 @@ def test_check_failure_exits_3(monkeypatch, capsys):
     assert "FAIL" in out and "1 checks" in out and "FAILURES" in out
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the package integrates on its own node table; scipy.integrate would
-    # only add import time
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    # the modules a fresh interpreter holds after `import pairtrap.cli`
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, pairtrap.cli; print('scipy.integrate' in sys.modules)"
+    probe = "import sys, pairtrap.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return set(out.split())
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize",
+                                    "scipy.linalg"])
+def test_cli_import_leaves_out(cli_import_modules, module):
+    # the package integrates on its own node table and finds roots with its
+    # own Brent loop; these modules would only add import time
+    assert "scipy.special" in cli_import_modules
+    assert module not in cli_import_modules
+
+
+def test_wavefunction_without_a_level_exits_2(capsys):
+    assert _run(["wavefunction", "--eta", "2", "--a", "0"]) == 2
+    assert "a = 0 has no level below E0" in capsys.readouterr().err
+
+
+def test_wavefunction_partial_grid_fills_from_own_default(tmp_path):
+    # a grid flag given alone keeps the command's default for the rest:
+    # 0 to 3/sqrt(eta) on the radial axis, 0 to 3 on the axial one, 61 points
+    cfg = cli.parse(["wavefunction", "--eta", "2", "--grid-max", "1.5"])
+    assert cfg.coord_grid == (0.0, 1.5, 61)
+    path = tmp_path / "wf.csv"
+    assert _run(["wavefunction", "--eta", "2", "--axis", "radial",
+                 "--grid-steps", "5", "--out", str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+    assert header == "coordinate,psi_exact,psi_asymptotic"
+    coords = [float(row.split(",")[0]) for row in rows]
+    assert coords == pytest.approx(
+        [i * 3.0 / math.sqrt(2.0) / 4 for i in range(5)], rel=1e-11)
+    # rho = 0 is the contact singularity; every other point has values
+    assert rows[0].endswith("NA,NA")
+    assert not any("NA" in row for row in rows[1:])
+
+
+def test_config_file_fills_absent_flags_and_flags_override(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# spectrum settings\neta = 1\na = 2\nlevels = 2\n")
+    assert _run(["spectrum", "--config", str(cfg), "--a", "0.5"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "inv_a,E_1,E_2"     # levels from the file
+    assert float(row.split(",")[0]) == 2.0  # --a over the file's a
+    assert "NA" not in row
+
+
+def test_config_unknown_key_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eta = 1\n\nbogus = 3\n")
+    assert _run(["spectrum", "--config", str(cfg), "--a", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and "bogus" in err

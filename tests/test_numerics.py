@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq  # the reference; pairtrap leaves it out
+from scipy.special import digamma
 
+from pairtrap import numerics, solver
 from pairtrap.numerics import (NumericsError, QuadratureError, RootBracket,
                                bracket_from_signs, find_root_bracketed,
                                integrate)
+from pairtrap.solver import (InteractionModel, TrapGeometry,
+                             bound_state_exact, eigenenergies)
 
 
 def test_exp_sinh_smooth_and_singular():
@@ -30,6 +35,26 @@ def test_exp_sinh_reports_failure():
     assert err.value.est_error > 1e-9 * abs(err.value.value)
 
 
+def _brentq_reference(f, br, tol=1e-10):
+    # scipy's brentq at find_root_bracketed's xtol and rtol, fed the end
+    # values the bracket carries
+    def g(x):
+        if x == br.lo and br.f_lo is not None:
+            return br.f_lo
+        if x == br.hi and br.f_hi is not None:
+            return br.f_hi
+        return f(x)
+    xtol = min(tol, 1e-15 + 1e-12 * (abs(br.lo) + abs(br.hi)))
+    return brentq(g, br.lo, br.hi, xtol=xtol, rtol=4.0 * 2.0 ** -52)
+
+
+def _same_as_brentq(f, br, tol=1e-10):
+    root = find_root_bracketed(f, br, tol)
+    assert type(root) is float
+    assert repr(root) == repr(_brentq_reference(f, br, tol))
+    return root
+
+
 def test_root_reuses_bracket_end_values():
     # the ends bracket_from_signs evaluated are not evaluated again, and
     # the root is bit-identical to the one from a bracket without values
@@ -48,18 +73,26 @@ def test_root_reuses_bracket_end_values():
     br = bracket_from_signs(f, 1.0, 2.0, f_hi=math.cos(2.0))
     assert calls == [1.0]
     assert br == RootBracket(1.0, 2.0, 1, -1)
+    # with one end value known only the other end is evaluated
+    calls.clear()
+    assert find_root_bracketed(
+        f, RootBracket(1.0, 2.0, 1, -1, f_hi=math.cos(2.0))) == root
+    assert calls[0] == 1.0 and 2.0 not in calls
 
 
 def test_root_bracketed_cosine():
     br = bracket_from_signs(math.cos, 1.0, 2.0)
-    root = find_root_bracketed(math.cos, br)
+    root = _same_as_brentq(math.cos, br)
     assert abs(root - math.pi / 2.0) < 1e-12
+    _same_as_brentq(math.cos, RootBracket(1.0, 2.0, 1, -1))
 
 
 def test_root_bracketed_polynomial():
     br = bracket_from_signs(lambda x: x * x - 2.0, 0.0, 2.0)
-    root = find_root_bracketed(lambda x: x * x - 2.0, br)
+    root = _same_as_brentq(lambda x: x * x - 2.0, br)
     assert abs(root - math.sqrt(2.0)) < 1e-12
+    _same_as_brentq(lambda x: x * x - 2.0, RootBracket(0.0, 2.0, -1, 1),
+                    tol=1e-13)
 
 
 def test_bracket_requires_sign_change():
@@ -78,3 +111,76 @@ def test_bracket_from_signs_fields():
     br = bracket_from_signs(lambda x: x - 0.25, 0.0, 1.0)
     assert br.lo <= 0.25 <= br.hi
     assert br.f_lo_sign == -1 and br.f_hi_sign == 1
+
+
+def test_root_of_digamma_is_a_float():
+    # digamma returns numpy floats; the root is a float all the same
+    for lo, hi in ((1.0, 2.0), (-0.9, -0.1)):
+        _same_as_brentq(digamma, bracket_from_signs(digamma, lo, hi))
+
+
+@pytest.mark.parametrize("eta, inv_a", [(2.37, -2.5), (0.37, -2.5)])
+def test_root_steps_match_brentq_on_eigencondition(monkeypatch, eta, inv_a):
+    # every root of a level search, pole-cleared targets with residue end
+    # values included, against brentq on the same target and bracket
+    calls = []
+
+    def recording(f, br, tol):
+        calls.append((f, br, tol))
+        return find_root_bracketed(f, br, tol)
+
+    monkeypatch.setattr(solver, "find_root_bracketed", recording)
+    model, g = InteractionModel.from_inverse_a(inv_a), TrapGeometry(eta)
+    eigenenergies(model, g, max_levels=6)
+    bound_state_exact(model, g)
+    assert len(calls) >= 7
+    assert any(f.__name__ == "<lambda>" for f, _, _ in calls)  # cleared
+    for f, br, tol in calls:
+        _same_as_brentq(f, br, tol)
+
+
+def test_root_end_value_zero_is_returned():
+    assert _same_as_brentq(lambda x: x - 1.0, RootBracket(1.0, 2.0, -1, 1)) \
+        == 1.0
+    assert _same_as_brentq(lambda x: x - 2.0, RootBracket(1.0, 2.0, -1, 1)) \
+        == 2.0
+
+
+def test_root_of_step_function_bisects():
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 1.0 / 3.0 else 1.0
+
+    br = RootBracket(0.0, 1.0, -1, 1)
+    root = find_root_bracketed(step, br)
+    assert abs(root - 1.0 / 3.0) <= 1e-10
+    assert len(calls) <= 300
+    assert repr(root) == repr(_brentq_reference(step, br))
+
+
+def test_root_bisects_only_past_the_brent_step_cap(monkeypatch):
+    # with no Brent steps allowed the loop still converges, by bisection
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    monkeypatch.setattr(numerics, "_BRENT_STEPS", 0)
+    root = find_root_bracketed(f, RootBracket(1.0, 2.0, 1, -1), tol=1e-10)
+    assert abs(root - math.pi / 2.0) <= 1e-10
+    assert 30 < len(calls) <= 300
+
+
+def test_root_rejects_same_signs_and_nan():
+    with pytest.raises(ValueError):
+        find_root_bracketed(lambda x: x * x + 1.0,
+                            RootBracket(0.0, 1.0, -1, 1))
+    with pytest.raises(ValueError):
+        find_root_bracketed(lambda x: x - 0.25 if x < 0.5 else math.nan,
+                            RootBracket(0.0, 1.0, -1, 1))
+    with pytest.raises(ValueError):  # NaN at the first step, x = 0.5
+        find_root_bracketed(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+                            RootBracket(0.0, 1.0, -1, 1))
