@@ -14,8 +14,8 @@ from .solver import (EnergyLevel, InteractionModel, NoBoundState,
                      solve_self_consistent, spectrum_1d_reference,
                      spectrum_2d_reference)
 from .spectral import (PoleGrid, SpectralArgument, SpectralValue, f_cigar,
-                       f_eval, f_integral, f_pancake, f_quasi1d, f_quasi2d,
-                       f_recurrence_extend, phi, pole_grid)
+                       f_eval, f_eval_many, f_integral, f_pancake, f_quasi1d,
+                       f_quasi2d, f_recurrence_extend, phi, pole_grid)
 from .wavefn import (ProfileSamples, SeriesTruncation, contact_coefficient,
                      contact_scattering_length, norm_squared_exact,
                      normalize, profile_quasi1d, profile_quasi2d, psi,
@@ -31,7 +31,8 @@ __all__ = [
     "SpectralValue", "TrapGeometry", "a1d_effective", "a2d_effective",
     "bound_state_exact", "bound_state_quasi1d", "bound_state_quasi2d",
     "contact_coefficient", "contact_scattering_length", "eigenenergies",
-    "f_cigar", "f_eval", "f_integral", "f_pancake", "f_quasi1d", "f_quasi2d",
+    "f_cigar", "f_eval", "f_eval_many", "f_integral", "f_pancake",
+    "f_quasi1d", "f_quasi2d",
     "f_recurrence_extend", "ground_energy_offset", "norm_squared_exact",
     "normalize", "phi", "pole_grid", "profile_quasi1d", "profile_quasi2d",
     "psi", "psi_integral", "psi_series_axial", "psi_series_radial",

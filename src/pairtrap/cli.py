@@ -424,9 +424,11 @@ def _wavefn_table(eta, energy, axis, grid, threads):
 
 
 def _wavefn_grid(axis, eta):
-    # the wavefunction command's default coordinate grid, from the origin
-    return (0.0, 3.0 if axis == "axial" else 3.0 / math.sqrt(max(1.0, eta)),
-            61)
+    # the wavefunction command's default coordinate grid: steps of 1/60 of
+    # the plotted range, from one step off the origin, where Psi has its
+    # contact singularity, to the end of the range
+    hi = 3.0 if axis == "axial" else 3.0 / math.sqrt(max(1.0, eta))
+    return (hi / 60, hi, 60)
 
 
 def run_wavefunction(cfg):

@@ -2,11 +2,15 @@
 
 One quadrature on (0, inf), a fixed exp-sinh node table that integrates a
 numpy-vectorized integrand in one pass (every proper-time integral of the
-package runs on it), one bracketed root finder that takes the steps of
-scipy's brentq in plain Python (every level of the package is one of its
-roots), and the error types of the series the wavefunction module sums.
-All routines are pure functions of their inputs and keep no mutable
-state, so they are safe to call concurrently.
+package runs on it; an array of scales integrates a batch of integrands,
+each row on its own coarse or fine rule), one bracketed root engine (every
+level of the package is one of its roots) and the error types of the
+series the wavefunction module sums.  The engine runs scipy's brentq steps
+in plain Python as one state machine per root, so find_roots_bracketed
+drives n roots in lockstep with one batched target call per step, and
+find_root_bracketed is its n = 1 case.  All routines are pure functions of
+their inputs and keep no mutable state, so they are safe to call
+concurrently.
 """
 
 import math
@@ -71,8 +75,8 @@ REL_TOL = 1e-10
 def _tolerance_exceeded(value, est):
     # integrate()'s acceptance test: est over 10x the requested tolerance
     # and over 1e-9 relative; elementwise on arrays
-    return ((est > 10.0 * (ABS_TOL + REL_TOL * abs(value)))
-            & (est > 1e-9 * abs(value)))
+    size = abs(value)
+    return est > np.maximum(10.0 * (ABS_TOL + REL_TOL * size), 1e-9 * size)
 
 
 # Exp-sinh (double-exponential) rule on (0, inf): the trapezoid rule in u
@@ -105,13 +109,16 @@ def integrate(f_vec, scale):
     and est are arrays of shape (n,).
 
     The rule of step 1/32 in u runs first, and its estimate is its change
-    against the nested rule of every second node.  Where that fails the
-    tolerance ABS_TOL + REL_TOL |value| (for any row), the odd nodes of
-    step 1/64 are added and the estimate is taken against the step-1/32
-    value; a rounding floor is added either way.  Returns (value, est).
-    Raises QuadratureError, carrying value and est, where the finer rule
-    fails the tolerance too.  Reductions are elementwise products and .sum,
-    never a BLAS product, so a value does not depend on the BLAS build.
+    against the nested rule of every second node.  Where any row fails the
+    tolerance ABS_TOL + REL_TOL |value|, the odd nodes of step 1/64 are
+    added for every row, and each failing row takes the step-1/64 value
+    with its change against the step-1/32 one as estimate; the rows that
+    passed keep their step-1/32 values, so a row's result does not depend
+    on the other rows of its batch.  A rounding floor is added either way.
+    Returns (value, est).  Raises QuadratureError, carrying value and est,
+    where a row fails the tolerance on the finer rule too.  Reductions are
+    elementwise products and .sum along the last axis, never a BLAS
+    product, so a value does not depend on the BLAS build.
     """
     scale = np.asarray(scale, dtype=float)
     col = scale[..., None]
@@ -121,12 +128,15 @@ def integrate(f_vec, scale):
     coarse = scale * (_ES_W_QUARTER * f[..., ::2]).sum(axis=-1)
     size = abs(terms).sum(axis=-1)
     est = abs(value - coarse) + _ES_ROUNDING * scale * size
-    if np.any(_tolerance_exceeded(value, est)):
+    bad = _tolerance_exceeded(value, est)
+    if np.count_nonzero(bad):
         terms = _ES_W_ODD * f_vec(col * _ES_T_ODD)
         fine = 0.5 * value + scale * terms.sum(axis=-1)
         size = 0.5 * size + abs(terms).sum(axis=-1)
-        value, est = fine, abs(fine - value) + _ES_ROUNDING * scale * size
-        if np.any(_tolerance_exceeded(value, est)):
+        fine_est = abs(fine - value) + _ES_ROUNDING * scale * size
+        value = np.where(bad, fine, value)
+        est = np.where(bad, fine_est, est)
+        if np.count_nonzero(_tolerance_exceeded(value, est)):
             raise QuadratureError(
                 "exp-sinh error estimate %.3e exceeds tolerance"
                 % np.max(est), value, est)
@@ -139,24 +149,20 @@ def integrate(f_vec, scale):
 _BRENT_STEPS = 100
 
 
-def find_root_bracketed(f, bracket, tol=1e-10):
-    """Find the root of f inside a sign-change bracket, as a float.
+def _nan(x):
+    return ValueError("f(%r) is NaN; no root can be found" % x)
 
-    Takes the steps of scipy's brentq one for one (Brent 1973: secant,
-    inverse quadratic or bisection steps, none shorter than delta) at xtol
-    = min(tol, 1e-15 + 1e-12 (|lo| + |hi|)) and rtol = 4 eps, then
-    bisection steps only after _BRENT_STEPS.  An end is evaluated only when
-    the bracket carries no value for it; an end whose value is 0 is
-    returned.  Ends of one sign, or a NaN value of f, raise ValueError.
-    """
-    def value(x, known=None):
-        fx = float(f(x) if known is None else known)
-        if math.isnan(fx):
-            raise ValueError("f(%r) is NaN; no root can be found" % x)
-        return fx
 
+def _brent(bracket, tol):
+    # one root's Brent iteration as a generator: it yields each x it needs
+    # f at, is sent f(x), and returns the root
     xpre, xcur = float(bracket.lo), float(bracket.hi)
-    fpre, fcur = value(xpre, bracket.f_lo), value(xcur, bracket.f_hi)
+    fpre = float((yield xpre) if bracket.f_lo is None else bracket.f_lo)
+    if fpre != fpre:
+        raise _nan(xpre)
+    fcur = float((yield xcur) if bracket.f_hi is None else bracket.f_hi)
+    if fcur != fcur:
+        raise _nan(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -189,8 +195,54 @@ def find_root_bracketed(f, bracket, tol=1e-10):
         spre, scur = (scur, stry) if short else (sbis, sbis)
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = float((yield xcur))
+        if fcur != fcur:
+            raise _nan(xcur)
     return xcur
+
+
+def find_roots_bracketed(f_many, brackets, tol=1e-10):
+    """Find the root inside each of n sign-change brackets, as floats.
+
+    Each root takes the steps of scipy's brentq one for one (Brent 1973:
+    secant, inverse quadratic or bisection steps, none shorter than delta)
+    at xtol = min(tol, 1e-15 + 1e-12 (|lo| + |hi|)) and rtol = 4 eps, then
+    bisection steps only after _BRENT_STEPS; its arithmetic is scalar, so
+    a root does not depend on the others.  The roots run in lockstep:
+    every round makes one call f_many(xs, which) over the roots still
+    running, where xs[k] is the point root which[k] (an index into
+    brackets) needs next, and f_many returns the values there, in order.
+    An end is evaluated only when its bracket carries no value for it; an
+    end whose value is 0 is returned.  Ends of one sign, or a NaN value,
+    raise ValueError.  A bracket given as None has no root: its entry in
+    the returned list is None.
+    """
+    sends = [None if br is None else _brent(br, tol).send
+             for br in brackets]
+    roots = [None] * len(sends)
+    # each round sends every running root its value (None starts it) and
+    # collects the next points; a root that returns leaves the round
+    which = [i for i, send in enumerate(sends) if send is not None]
+    values = [None] * len(which)
+    while True:
+        running, xs = [], []
+        for i, fx in zip(which, values):
+            try:
+                xs.append(sends[i](fx))
+                running.append(i)
+            except StopIteration as stop:
+                roots[i] = stop.value
+        if not running:
+            return roots
+        which = running
+        values = f_many(xs, which)
+
+
+def find_root_bracketed(f, bracket, tol=1e-10):
+    """Find the root of f inside a sign-change bracket, as a float: the
+    n = 1 case of find_roots_bracketed, with f called on one x."""
+    return find_roots_bracketed(lambda xs, which: [f(xs[0])], [bracket],
+                                tol)[0]
 
 
 def bracket_from_signs(f, lo, hi, f_lo=None, f_hi=None):

@@ -25,6 +25,15 @@ Where the root comes out within a few tolerances of such an end, the limit
 may have the wrong sign (the root lies between the pole and the end): the
 search then runs again on the plain target with both ends evaluated, so
 the level set is the one the plain search gives.
+
+The intervals are solved in chunks, in lockstep: the walk hands out as
+many intervals as levels are still missing (each holds at most one, so a
+chunk never reaches past the last level asked for), their searches run
+side by side in numerics.find_roots_bracketed, and every Brent step of the
+chunk is one spectral.f_eval_many call over the roots still running; the
+end values the chunk needs are one such call, and the retries next to
+residue ends a second lockstep solve.  Each root is the one a search of
+its interval alone would give, bit for bit.
 """
 
 import math
@@ -40,6 +49,7 @@ from .numerics import (
     RootBracket,
     bracket_from_signs,
     find_root_bracketed,
+    find_roots_bracketed,
 )
 from .specfun import POLE_TOL, PoleSignal, gamma_ratio, hurwitz_zeta_half
 from .spectral import (
@@ -47,6 +57,7 @@ from .spectral import (
     QUASI2D_MAX_ETA,
     SpectralArgument,
     f_eval,
+    f_eval_many,
     phi,
     pole_grid,
 )
@@ -224,44 +235,62 @@ def _branch_index(poles, x):
 
 
 def _ordered_roots(cuts, lo, hi, solve, clearance=EDGE_CLEARANCE,
-                   residues=None):
+                   residues=None, want=None):
     """Yield the roots between consecutive cuts, in ascending E.
 
     cuts run in ascending E, in the coordinate solve works in (x falls as
     E rises, so cuts in x descend).  Each interval is kept `clearance` off
-    its cuts and clipped to [lo, hi]; solve(a, b, pole_a, pole_b) returns
-    or yields the interval's roots in ascending E.  residues maps a cut
-    that is a pole of the target to its residue there; pole_a is
-    (cut, residue) when a is that pole's clearance point, else None, and
-    likewise pole_b.  The walk is lazy, so a caller that stops after n
-    roots solves only the intervals that hold them.
+    its cuts and clipped to [lo, hi] as a segment (a, b, pole_a, pole_b);
+    residues maps a cut that is a pole of the target to its residue there,
+    and pole_a is (cut, residue) when a is that pole's clearance point,
+    else None, and likewise pole_b.  solve(segments) returns or yields the
+    roots of a list of segments in ascending E.  With want, the number of
+    roots the caller takes at most, each segment must hold at most one
+    root: solve then gets as many segments at a time as roots are still
+    missing, so the walk never solves a segment past the last root taken.
+    Without want, it gets one segment at a time.
     """
     residues = residues or {}
-    for c1, c2 in zip(cuts, cuts[1:]):
-        c_lo, c_hi = min(c1, c2), max(c1, c2)
-        a = max(c_lo + clearance, lo)
-        b = min(c_hi - clearance, hi)
-        if a < b:
-            pole_a = (c_lo, residues[c_lo]) if (
-                c_lo in residues and a == c_lo + clearance) else None
-            pole_b = (c_hi, residues[c_hi]) if (
-                c_hi in residues and b == c_hi - clearance) else None
-            yield from solve(a, b, pole_a, pole_b)
+
+    def segments():
+        for c1, c2 in zip(cuts, cuts[1:]):
+            c_lo, c_hi = min(c1, c2), max(c1, c2)
+            a = max(c_lo + clearance, lo)
+            b = min(c_hi - clearance, hi)
+            if a < b:
+                pole_a = (c_lo, residues[c_lo]) if (
+                    c_lo in residues and a == c_lo + clearance) else None
+                pole_b = (c_hi, residues[c_hi]) if (
+                    c_hi in residues and b == c_hi - clearance) else None
+                yield (a, b, pole_a, pole_b)
+
+    walk = segments()
+    found = 0
+    while True:
+        chunk = list(islice(walk, 1 if want is None
+                            else max(1, want - found)))
+        if not chunk:
+            return
+        for root in solve(chunk):
+            found += 1
+            yield root
 
 
-def _pole_cleared(target, pole_a, pole_b):
-    # target times a weight that is positive between the poles and
-    # vanishes linearly at them, scaled so that the product tends to the
-    # residue at pole_a and to minus the residue at pole_b
+def _pole_weight(pole_a, pole_b):
+    # a weight that is positive between the poles and vanishes linearly at
+    # them, scaled so that the target times it tends to the residue at
+    # pole_a and to minus the residue at pole_b; None without poles
+    if pole_a is None and pole_b is None:
+        return None
     if pole_b is None:
         (p1, _) = pole_a
-        return lambda y: target(y) * (y - p1)
+        return lambda y: y - p1
     if pole_a is None:
         (p2, _) = pole_b
-        return lambda y: target(y) * (p2 - y)
+        return lambda y: p2 - y
     (p1, _), (p2, _) = pole_a, pole_b
     width = p2 - p1
-    return lambda y: target(y) * ((y - p1) * (p2 - y) / width)
+    return lambda y: (y - p1) * (p2 - y) / width
 
 
 def _near_pole_end(root, br, pole_a, pole_b):
@@ -272,27 +301,79 @@ def _near_pole_end(root, br, pole_a, pole_b):
             or (pole_b is not None and br.hi - root <= slack))
 
 
-def _root_in_segment(target, lo, hi, pole_a=None, pole_b=None):
-    # the root of a target monotone on [lo, hi], as a list of 0 or 1
-    # (root, bracket) pairs; an end next to a pole (pole_a, pole_b as
-    # _ordered_roots passes them) takes the residue limit of the
-    # pole-cleared target as its value
-    if pole_a is not None or pole_b is not None:
-        cleared = _pole_cleared(target, pole_a, pole_b)
-        try:
-            br = bracket_from_signs(cleared, lo, hi,
-                                    pole_a and pole_a[1],
-                                    pole_b and -pole_b[1])
-        except (NumericsError, PoleSignal):
-            return []
-        root = find_root_bracketed(cleared, br, tol=ROOT_TOL)
-        if not _near_pole_end(root, br, pole_a, pole_b):
-            return [(root, br)]
+def _values(f_many, xs, which):
+    # f_many at xs in one call; where that raises a pole or numerics
+    # error, one x at a time, with None for each x that raises
     try:
-        br = bracket_from_signs(target, lo, hi)
+        return f_many(xs, which)
     except (NumericsError, PoleSignal):
-        return []
-    return [(find_root_bracketed(target, br, tol=ROOT_TOL), br)]
+        out = []
+        for x, i in zip(xs, which):
+            try:
+                out.append(f_many([x], [i])[0])
+            except (NumericsError, PoleSignal):
+                out.append(None)
+        return out
+
+
+def _brackets(f_many, segments, ends):
+    # the sign-change bracket of f_many on each segment, or None where an
+    # end cannot be evaluated or shows no sign change; ends holds each
+    # segment's (f(a), f(b)), None where unknown, and the unknown ones are
+    # evaluated in one f_many call
+    xs, which = [], []
+    for i, ((a, b, _, _), known) in enumerate(zip(segments, ends)):
+        for x, fx in zip((a, b), known):
+            if fx is None:
+                xs.append(x)
+                which.append(i)
+    values = iter(_values(f_many, xs, which) if xs else ())
+    out = []
+    for (a, b, _, _), (f_a, f_b) in zip(segments, ends):
+        f_a = next(values) if f_a is None else f_a
+        f_b = next(values) if f_b is None else f_b
+        try:
+            # both end values known: bracket_from_signs evaluates nothing
+            out.append(None if f_a is None or f_b is None
+                       else bracket_from_signs(None, a, b, f_a, f_b))
+        except NumericsError:
+            out.append(None)
+    return out
+
+
+def _roots_in_segments(target, segments):
+    # the roots of a target monotone on each segment, at most one each, as
+    # (root, bracket) pairs in segment order; target maps a list of points
+    # to the list of its values there.  A segment end next to a pole
+    # (pole_a, pole_b as _ordered_roots passes them) takes the residue
+    # limit of the pole-cleared target as its value; where the root comes
+    # out next to such an end, the plain target is solved again.
+    weights = [_pole_weight(pa, pb) for _, _, pa, pb in segments]
+
+    def cleared(xs, which):
+        values = target(xs)
+        for k, i in enumerate(which):
+            if weights[i] is not None:
+                values[k] *= weights[i](xs[k])
+        return values
+
+    def plain(xs, which):
+        return target(xs)
+
+    brs = _brackets(cleared, segments,
+                    [(pa and pa[1], pb and -pb[1])
+                     for _, _, pa, pb in segments])
+    roots = find_roots_bracketed(cleared, brs, tol=ROOT_TOL)
+    again = [i for i, (root, (_, _, pa, pb)) in enumerate(zip(roots, segments))
+             if weights[i] is not None and root is not None
+             and _near_pole_end(root, brs[i], pa, pb)]
+    if again:
+        plain_brs = _brackets(plain, [segments[i] for i in again],
+                              [(None, None)] * len(again))
+        plain_roots = find_roots_bracketed(plain, plain_brs, tol=ROOT_TOL)
+        for i, root, br in zip(again, plain_roots, plain_brs):
+            roots[i], brs[i] = root, br
+    return [(root, br) for root, br in zip(roots, brs) if root is not None]
 
 
 def eigenenergies(model, g, window=None, max_levels=20):
@@ -325,13 +406,14 @@ def eigenenergies(model, g, window=None, max_levels=20):
 
     inv_a = model.inv_a
 
-    def target(x):
-        return f_eval(SpectralArgument(x, g.eta)).value + SQRT_2PI * inv_a
+    def target(xs):
+        return [f.value + SQRT_2PI * inv_a for f in f_eval_many(xs, g.eta)]
 
     # the bound branch x in (0, x_hi] first: F falls from +inf there
     roots = _ordered_roots([math.inf] + poles, x_lo, x_hi,
-                           partial(_root_in_segment, target),
-                           residues=dict(zip(poles, residues)))
+                           partial(_roots_in_segments, target),
+                           residues=dict(zip(poles, residues)),
+                           want=max_levels)
     levels = (EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
                           branch_index=_branch_index(poles, x))
               for x, br in roots if e_lo <= e0 - 2.0 * x <= e_hi)
@@ -390,8 +472,8 @@ def spectrum_1d_reference(a1d, g, window):
         raise ValueError("a1d must be nonzero")
     rhs = math.sqrt(2.0) * a1d
 
-    def target(y):
-        return gamma_ratio(y, y + 0.5) - rhs
+    def target(ys):
+        return [gamma_ratio(y, y + 0.5) - rhs for y in ys]
 
     y_lo = (e0 - e_hi) / 2.0
     y_hi = (e0 - e_lo) / 2.0
@@ -399,7 +481,9 @@ def spectrum_1d_reference(a1d, g, window):
     cuts = [math.inf, 0.0]
     while cuts[-1] > y_lo:
         cuts.append(cuts[-1] - 0.5)
-    roots = _ordered_roots(cuts, y_lo, y_hi, partial(_root_in_segment, target))
+    roots = _ordered_roots(cuts, y_lo, y_hi,
+                           partial(_roots_in_segments, target),
+                           want=len(cuts))
     return [e for e in (e0 - 2.0 * y for y, _ in roots) if e_lo <= e <= e_hi]
 
 
@@ -416,8 +500,8 @@ def spectrum_2d_reference(a2d, g, window):
     e0 = ground_energy_offset(g)
     c = math.log(2.0 * a2d * a2d * g.eta)
 
-    def target(q):
-        return digamma(q) + c
+    def target(qs):
+        return [digamma(q) + c for q in qs]
 
     q_lo = (e0 - e_hi) / (2.0 * g.eta)
     q_hi = (e0 - e_lo) / (2.0 * g.eta)
@@ -425,7 +509,9 @@ def spectrum_2d_reference(a2d, g, window):
     cuts = [math.inf, 0.0]
     while cuts[-1] > q_lo:
         cuts.append(cuts[-1] - 1.0)
-    roots = _ordered_roots(cuts, q_lo, q_hi, partial(_root_in_segment, target))
+    roots = _ordered_roots(cuts, q_lo, q_hi,
+                           partial(_roots_in_segments, target),
+                           want=len(cuts))
     return [e for e in (e0 - 2.0 * g.eta * q for q, _ in roots)
             if e_lo <= e <= e_hi]
 
@@ -448,12 +534,13 @@ def bound_state_exact(model, g):
 
     # on x times the target, whose limit at the pole x = 0 is eta; the
     # plain target again when the root comes out next to that end
+    def cleared(x):
+        return target(x) * x
+
     hi = max(1.0, 0.75 * inv_a * inv_a)
-    pole = (0.0, g.eta)
-    cleared = _pole_cleared(target, pole, None)
     br = _bracket_by_doubling(cleared, EDGE_CLEARANCE, hi, 1e7, f_lo=g.eta)
     x = find_root_bracketed(cleared, br, tol=ROOT_TOL)
-    if _near_pole_end(x, br, pole, None):
+    if _near_pole_end(x, br, (0.0, g.eta), None):
         br = _bracket_by_doubling(target, EDGE_CLEARANCE, hi, 1e7)
         x = find_root_bracketed(target, br, tol=ROOT_TOL)
     return EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
@@ -563,10 +650,10 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
         window = (min(lo, e0 - 70.0), hi)
     e_lo, e_hi = window
 
-    def target(e):
-        x = (e0 - e) / 2.0
-        return (f_eval(SpectralArgument(x, g.eta)).value
-                + SQRT_2PI * model.inv_a_eff(e))
+    def target(es):
+        fs = f_eval_many([(e0 - e) / 2.0 for e in es], g.eta)
+        return [f.value + SQRT_2PI * model.inv_a_eff(e)
+                for f, e in zip(fs, es)]
 
     # cuts in E: F poles, a_eff zeros and the window ends (intervals
     # outside the window are clipped away).  An F pole that is also a
@@ -576,10 +663,14 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
     pole_res = {e0 - 2.0 * p: -2.0 * r for p, r in zip(poles, residues)
                 if e0 - 2.0 * p not in plain}
     cuts = sorted(set(pole_res) | plain)
-    monotone = isinstance(model, Resonance) and model.det >= 0.0
-    solve = partial(_root_in_segment if monotone else _scan_roots, target)
-    roots = _ordered_roots(cuts, e_lo, e_hi, solve, 2.0 * EDGE_CLEARANCE,
-                           pole_res)
+    if isinstance(model, Resonance) and model.det >= 0.0:
+        roots = _ordered_roots(cuts, e_lo, e_hi,
+                               partial(_roots_in_segments, target),
+                               2.0 * EDGE_CLEARANCE, pole_res, want=max_levels)
+    else:
+        roots = _ordered_roots(cuts, e_lo, e_hi,
+                               lambda chunk: _scan_roots(target, *chunk[0]),
+                               2.0 * EDGE_CLEARANCE, pole_res)
     levels = (EnergyLevel(E=e, x=(e0 - e) / 2.0, bracket=br,
                           branch_index=_branch_index(poles, (e0 - e) / 2.0))
               for e, br in roots)
@@ -588,7 +679,8 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
 
 def _scan_roots(target, lo, hi, pole_a=None, pole_b=None):
     # every root on [lo, hi], once a grid twice as fine finds as many; the
-    # scan evaluates its ends, so the poles are not used
+    # scan evaluates its ends, so the poles are not used.  Each grid is one
+    # target call; the roots are solved one at a time, as they are taken.
     for n in (SCAN_POINTS, 8 * SCAN_POINTS):
         brackets = _scan_sign_changes(target, lo, hi, n)
         if len(brackets) == len(_scan_sign_changes(target, lo, hi, 2 * n + 1)):
@@ -597,17 +689,14 @@ def _scan_roots(target, lo, hi, pole_a=None, pole_b=None):
         raise NumericsError("unresolved oscillation of the self-consistent "
                             "condition on [%g, %g]" % (lo, hi))
     for br in brackets:
-        yield find_root_bracketed(target, br, tol=ROOT_TOL), br
+        yield find_root_bracketed(lambda e: target([e])[0], br,
+                                  tol=ROOT_TOL), br
 
 
 def _scan_sign_changes(target, lo, hi, n):
-    out = []
     step = (hi - lo) / n
-    prev_t, prev_v = lo, target(lo)
-    for i in range(1, n + 1):
-        t = lo + i * step
-        v = target(t)
-        if prev_v != 0.0 and v != 0.0 and (v > 0.0) != (prev_v > 0.0):
-            out.append(bracket_from_signs(target, prev_t, t, prev_v, v))
-        prev_t, prev_v = t, v
-    return out
+    ts = [lo] + [lo + i * step for i in range(1, n + 1)]
+    vs = target(ts)
+    return [bracket_from_signs(None, t0, t1, v0, v1)
+            for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])
+            if v0 != 0.0 and v1 != 0.0 and (v1 > 0.0) != (v0 > 0.0)]

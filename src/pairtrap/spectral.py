@@ -25,15 +25,26 @@ end values of its pole-cleared root searches.
 The integral route keeps a bounded memo of the x-independent factor of its
 integrand on the node table at the power-of-two scales, keyed on
 (eta, scale): one F call then costs an exp(-x t) times a cached row.
+
+f_eval_many evaluates F at many x of one eta in one kernel call per route:
+the pancake and recurrence routes take their gamma ladders for every
+(element, step) in one scipy poch call, summed per element in step order,
+and the recurrence's terminal integrals are one node-table pass over the
+stacked memo rows.  f_eval, f_recurrence_extend, f_pancake and f_integral
+are the same kernels at one x, and every element of a batch is bit for
+bit its scalar value, so the cost of F is flat in eta (a ladder of
+thousands of steps is one poch call) and the solver can evaluate all its
+level searches in one call per Brent step.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, poch
 
 from .numerics import NODE_TABLE, NumericsError, integrate
 from .specfun import (
@@ -47,7 +58,8 @@ from .specfun import (
 
 CLOSED_FORM_TOL = 1e-12
 POLE_MERGE = 1e-12  # poles closer than this are one pole of pole_grid
-# integrand rows f_integral keeps, one per (eta, scale); 4.4 kB each
+# integrand rows f_integral keeps per (eta, scale): even and odd nodes
+# apart, 2.2 kB each
 ROW_CACHE_SIZE = 64
 # anisotropies the quasi-1D and quasi-2D asymptotes accept
 QUASI1D_MIN_ETA = 10.0
@@ -147,15 +159,69 @@ def _excess_log(t, eta):
     return out
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _integrand_rows(eta, k):
-    # t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))) on the node table at
-    # scale 2^k, as (even nodes, odd nodes); scaling by 2^k is exact, so
-    # these are the nodes integrate() hands f_integral, bit for bit
-    t = math.ldexp(1.0, k) * NODE_TABLE
+def _integrand_row(eta, k, nodes):
+    # t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))) at t = 2^k nodes; the
+    # scaling by 2^k is exact, so these are the nodes integrate() hands
+    # f_integral at scale 2^k, bit for bit, and each value depends on its
+    # own node only
+    t = math.ldexp(1.0, k) * nodes
     row = np.expm1(_excess_log(t, eta)) / (t * np.sqrt(t))
     row.flags.writeable = False
-    return row[::2], row[1::2]
+    return row
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _integrand_rows(eta, k):
+    # the row at the even nodes of the table, which every F call takes
+    return _integrand_row(eta, k, NODE_TABLE[::2])
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _integrand_odd_rows(eta, k):
+    # the row at the odd nodes, which only integrate()'s fine pass takes
+    return _integrand_row(eta, k, NODE_TABLE[1::2])
+
+
+def _column(values):
+    # a batch as numpy broadcasts it against a node or step axis: one value
+    # as itself, so a batch of one stays on numpy's scalar paths, several
+    # as a column (rows stacked for a batch of memo rows)
+    if len(values) == 1:
+        return values[0]
+    values = np.array(values)
+    return values if values.ndim > 1 else values[:, None]
+
+
+def _integral_many(xs, eta):
+    # F by the defining integral at every x > 0 of the list xs, as lists of
+    # values and estimates: one integrate call over the per-element scales
+    # 2^k, on the memo rows of the elements stacked
+    ks, rows, negs, scales = [], [], [], []
+    for x in xs:
+        k = -round(math.log2(x))
+        ks.append(k)
+        rows.append(_integrand_rows(eta, k))
+        negs.append(-x)
+        scales.append(math.ldexp(1.0, k))
+    even, neg_x = _column(rows), _column(negs)
+
+    def rest(t):
+        # integrate() asks for the even nodes, then maybe the odd ones
+        if t.shape[-1] == even.shape[-1]:
+            return np.exp(neg_x * t) * even
+        return np.exp(neg_x * t) * _column(
+            [_integrand_odd_rows(eta, k) for k in ks])
+
+    value, est = integrate(rest, scales if len(scales) > 1 else scales[0])
+    if len(xs) == 1:
+        value, est = [value], [est]
+    else:
+        value, est = value.tolist(), est.tolist()
+    out = []
+    for x, v, e in zip(xs, value, est):
+        head = 2.0 * math.sqrt(math.pi * x)
+        out.append((v - head, e + 2.0 ** -52 * head))
+    return out
 
 
 def f_integral(arg):
@@ -170,30 +236,49 @@ def f_integral(arg):
     log q comes from its series at small argument.  The table runs at the
     power of two 2^k nearest 1/x, so the factor after e^(-x t) depends on
     (eta, k) only: it comes from a memo of ROW_CACHE_SIZE rows, and a call
-    costs one exp(-x t) times a row.
+    costs one exp(-x t) times a row.  A batch of x (f_eval_many) is one
+    integrate call with the rows stacked.
     """
     x, eta = arg.x, arg.eta
     if not x > 0:
         raise ValueError("f_integral needs x > 0; use f_eval for x <= 0")
-    k = -round(math.log2(x))
-    even, odd = _integrand_rows(eta, k)
-
-    def rest(t):
-        # integrate() asks for the even nodes, then maybe the odd ones
-        return np.exp(-x * t) * (even if t.size == even.size else odd)
-
-    value, est = integrate(rest, math.ldexp(1.0, k))
-    head = 2.0 * math.sqrt(math.pi * x)
-    return SpectralValue(value - head, "integral", est + 2.0 ** -52 * head)
+    ((value, est),) = _integral_many([x], eta)
+    return SpectralValue(value, "integral", est)
 
 
-def _spherical(x):
-    # F(x, 1) = -2 sqrt(pi) Gamma(x)/Gamma(x - 1/2), analytic in x except
-    # for the Gamma(x) poles (denominator poles are zeros of the ratio).
-    _check_ladder_pole(x, x)
-    ratio = gamma_ratio(x, x - 0.5)
-    value = -2.0 * SQRT_PI * ratio
-    return SpectralValue(value, "spherical", 1e-14 * (1.0 + abs(value)))
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _ladder_offsets(count, step):
+    # the shifts of a gamma ladder: m step for m < count, or m/count when
+    # step is None (the pancake sum's), in the scalar ladders' arithmetic
+    m = np.arange(count)
+    offsets = m / count if step is None else m * step
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _ladder_rising(xs, offsets, shift):
+    # the rising factorials poch(a, (a + shift) - a) = Gamma(a + shift) /
+    # Gamma(a) at a = x + offset for every x of xs and offset, in one poch
+    # call, as one list per x; at a denominator pole of Gamma(a)/Gamma(a +
+    # shift) it is inf.  An a within POLE_TOL of a Gamma pole raises
+    # PoleSignal at the pole's x, x - (a - round(a)): the first such a in
+    # row order, as the scalar ladders met it.  Within d of the pole -j,
+    # |rising| <= 2 sqrt(pi (j + 1)) d for shift = +-1/2, so the poles are
+    # looked for only in a batch with a rising factorial that small.
+    a = _column(xs) + offsets
+    rows = poch(a, (a + shift) - a).tolist()
+    if a.ndim == 1:
+        rows = [rows]
+    if min(xs) < 0.5 and min(map(abs, chain.from_iterable(rows))) < (
+            4.0 * POLE_TOL * math.sqrt(1.5 - min(xs))):
+        a = a.reshape(len(xs), -1)
+        hits = np.argwhere((abs(a - np.rint(a)) < POLE_TOL) & (a < 0.5))
+        if len(hits):
+            e, i = hits[0]
+            arg = float(a[e, i])
+            raise PoleSignal("F pole: gamma ladder argument %.17g" % arg,
+                             xs[e] - (arg - round(arg)))
+    return rows
 
 
 def f_cigar(x, n):
@@ -208,7 +293,7 @@ def f_cigar(x, n):
     if n < 1:
         raise ValueError("cigar closed form needs a positive integer eta")
     if n == 1:
-        return _spherical(x)
+        return f_pancake(x, 1)
 
     ladder = 0.0
     ladder_err = 0.0
@@ -236,24 +321,59 @@ def f_cigar(x, n):
     return SpectralValue(value, "cigar", est)
 
 
+def _pancake_many(xs, n):
+    # the eta = 1/n closed form at every x of xs: one ladder row each,
+    # summed in m order
+    out = []
+    for row in _ladder_rising(xs, _ladder_offsets(n, None), -0.5):
+        total = 0.0
+        for rising in row:
+            total += 1.0 / rising
+        value = -(2.0 * SQRT_PI / n) * total
+        out.append(SpectralValue(value, "spherical" if n == 1 else "pancake",
+                                 1e-14 * (1.0 + abs(value))))
+    return out
+
+
 def f_pancake(x, n):
     """Closed form for eta = 1/n (pancake-shaped trap).
 
     -(2 sqrt(pi)/n) sum_{m=0}^{n-1} Gamma(x + m/n)/Gamma(x - 1/2 + m/n);
-    the gamma ratios continue it to x < 0 directly.
+    the gamma ratios continue it to x < 0 directly.  At n = 1 it is the
+    spherical form -2 sqrt(pi) Gamma(x)/Gamma(x - 1/2), route "spherical".
     """
     n = int(n)
     if n < 1:
         raise ValueError("pancake closed form needs a positive integer 1/eta")
-    if n == 1:
-        return _spherical(x)
-    total = 0.0
-    for m in range(n):
-        arg = x + m / n
-        _check_ladder_pole(arg, x)
-        total += gamma_ratio(arg, arg - 0.5)
-    value = -(2.0 * SQRT_PI / n) * total
-    return SpectralValue(value, "pancake", 1e-14 * (1.0 + abs(value)))
+    return _pancake_many([x], n)[0]
+
+
+def _recurrence_many(xs, eta):
+    # the recurrence-extended integral at every x of xs: the ladders in one
+    # block of m_max columns (a row past its own m is left unused), summed
+    # in step order, then the terminal integrals in one batch
+    target = 0.5 * max(eta, 1.0)
+    ms, tops = [], []
+    for x in xs:
+        m = max(0, math.ceil((target - x) / eta))
+        ms.append(m)
+        tops.append(x + m * eta)
+    m_max = max(ms)
+    rows = (_ladder_rising(xs, _ladder_offsets(m_max, eta), 0.5) if m_max
+            else [[]] * len(xs))
+    terminals = _integral_many(tops, eta)
+    coef = eta * SQRT_PI
+    out = []
+    for row, m, (value, est) in zip(rows, ms, terminals):
+        ladder = ladder_abs = 0.0
+        for rising in row[:m]:
+            term = coef * (1.0 / rising)
+            ladder += term
+            ladder_abs += abs(term)
+        out.append(SpectralValue(ladder + value,
+                                 "recurrence" if m > 0 else "integral",
+                                 est + 1e-15 * ladder_abs))
+    return out
 
 
 def f_recurrence_extend(arg):
@@ -262,21 +382,34 @@ def f_recurrence_extend(arg):
     G(x) = Gamma(x)/Gamma(x+1/2).  m is minimal with x + m eta >= max(eta,1)/2
     so the terminal integral stays well-conditioned.
     """
-    x, eta = arg.x, arg.eta
-    target = 0.5 * max(eta, 1.0)
-    m = max(0, math.ceil((target - x) / eta))
-    ladder = 0.0
-    ladder_abs = 0.0
-    for i in range(m):
-        xi = x + i * eta
-        _check_ladder_pole(xi, x)
-        term = eta * SQRT_PI * _gamma_ladder_term(xi)
-        ladder += term
-        ladder_abs += abs(term)
-    terminal = f_integral(SpectralArgument(x + m * eta, eta))
-    value = ladder + terminal.value
-    est = terminal.est_error + 1e-15 * ladder_abs
-    return SpectralValue(value, "recurrence" if m > 0 else "integral", est)
+    return _recurrence_many([arg.x], arg.eta)[0]
+
+
+def _f_many(xs, eta):
+    # f_eval's route for eta, on a nonempty list of finite floats
+    n_pan = round(1.0 / eta)
+    if n_pan >= 1 and abs(1.0 / eta - n_pan) < CLOSED_FORM_TOL:
+        return _pancake_many(xs, n_pan)
+    return _recurrence_many(xs, eta)
+
+
+def f_eval_many(xs, eta):
+    """F(x, eta) at every x of the sequence xs, as a list of SpectralValue.
+
+    The batch takes f_eval's route (by eta, so one route for all) and one
+    kernel call for all elements: one poch call over every (element,
+    ladder step) argument and one integrate call over the terminal
+    integrals.  Each element's value, route and est are the scalar
+    f_eval's bit for bit, whatever else is in the batch.  An element within
+    POLE_TOL of a pole raises PoleSignal carrying that pole's x (the first
+    such element's); a non-finite x or eta <= 0 raises ValueError.
+    """
+    xs = list(map(float, xs))
+    if not eta > 0:
+        raise ValueError("eta must be > 0")
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("x must be finite")
+    return _f_many(xs, eta) if xs else []
 
 
 def f_eval(arg):
@@ -287,12 +420,9 @@ def f_eval(arg):
     the recurrence-extended integral.  Both routes' gamma ladders pass
     through each pole x = -(j + k eta) (as Gamma(-j) at step k), so an
     input within POLE_TOL of a pole raises PoleSignal there, carrying the
-    pole's x.
+    pole's x.  This is f_eval_many at one x.
     """
-    n_pan = round(1.0 / arg.eta)
-    if n_pan >= 1 and abs(1.0 / arg.eta - n_pan) < CLOSED_FORM_TOL:
-        return f_pancake(arg.x, n_pan)
-    return f_recurrence_extend(arg)
+    return _f_many([arg.x], arg.eta)[0]
 
 
 def f_quasi1d(arg, bound_state=False):

@@ -160,20 +160,37 @@ def test_wavefunction_without_a_level_exits_2(capsys):
 
 def test_wavefunction_partial_grid_fills_from_own_default(tmp_path):
     # a grid flag given alone keeps the command's default for the rest:
-    # 0 to 3/sqrt(eta) on the radial axis, 0 to 3 on the axial one, 61 points
+    # from one step of 1/60 of the range off the origin to 3/sqrt(eta) on
+    # the radial axis or 3 on the axial one, 60 points
     cfg = cli.parse(["wavefunction", "--eta", "2", "--grid-max", "1.5"])
-    assert cfg.coord_grid == (0.0, 1.5, 61)
+    assert cfg.coord_grid == (0.05, 1.5, 60)
     path = tmp_path / "wf.csv"
     assert _run(["wavefunction", "--eta", "2", "--axis", "radial",
                  "--grid-steps", "5", "--out", str(path)]) == 0
     header, *rows = path.read_text().splitlines()
     assert header == "coordinate,psi_exact,psi_asymptotic"
+    hi = 3.0 / math.sqrt(2.0)
     coords = [float(row.split(",")[0]) for row in rows]
     assert coords == pytest.approx(
-        [i * 3.0 / math.sqrt(2.0) / 4 for i in range(5)], rel=1e-11)
-    # rho = 0 is the contact singularity; every other point has values
-    assert rows[0].endswith("NA,NA")
-    assert not any("NA" in row for row in rows[1:])
+        [hi / 60 + i * (hi - hi / 60) / 4 for i in range(5)], rel=1e-11)
+    assert not any("NA" in row for row in rows)
+
+
+def test_wavefunction_default_grid_has_no_na_row(tmp_path, capsys):
+    # the default grid keeps off the contact singularity at the origin, so
+    # no row is NA and nothing is warned; its spacing is 1/60 of the range
+    path = tmp_path / "wf.csv"
+    assert _run(["wavefunction", "--eta", "2", "--axis", "radial",
+                 "--out", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines() == ["pairtrap: wrote %s"
+                                                    % path]
+    rows = path.read_text().splitlines()[1:]
+    coords = [float(row.split(",")[0]) for row in rows]
+    hi = 3.0 / math.sqrt(2.0)
+    assert len(rows) == 60 and coords[-1] == pytest.approx(hi, rel=1e-12)
+    assert coords[0] == pytest.approx(coords[1] - coords[0], rel=1e-9)
+    assert coords[1] - coords[0] == pytest.approx(hi / 60, rel=1e-9)
+    assert not any("NA" in row for row in rows)
 
 
 def test_config_file_fills_absent_flags_and_flags_override(tmp_path, capsys):

@@ -10,9 +10,10 @@ from scipy.special import digamma
 from pairtrap import numerics, solver
 from pairtrap.numerics import (NumericsError, QuadratureError, RootBracket,
                                bracket_from_signs, find_root_bracketed,
-                               integrate)
+                               find_roots_bracketed, integrate)
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies)
+from pairtrap.spectral import pole_grid
 
 
 def test_exp_sinh_smooth_and_singular():
@@ -33,6 +34,29 @@ def test_exp_sinh_reports_failure():
     with pytest.raises(QuadratureError) as err:
         integrate(lambda t: 1.0 / (1.0 + t), 1.0)
     assert err.value.est_error > 1e-9 * abs(err.value.value)
+
+
+def test_exp_sinh_fine_pass_is_chosen_per_row(monkeypatch):
+    # a Gaussian bump at t = 5 needs the step-1/64 rule; in a batch with it
+    # the rows that pass on step 1/32 keep that value and estimate: every
+    # row equals its own scalar call bit for bit
+    rows = [(lambda t: np.exp(-(t - 5.0) ** 2), 5.0),
+            (lambda t: np.exp(-t) / np.sqrt(t), 1.0),
+            (lambda t: np.exp(-t / 3.0), 3.0)]
+    alone = [integrate(f, c) for f, c in rows]
+    verdicts = []
+    exceeded = numerics._tolerance_exceeded
+
+    def spy(value, est):
+        verdicts.append(np.atleast_1d(exceeded(value, est)).tolist())
+        return exceeded(value, est)
+
+    monkeypatch.setattr(numerics, "_tolerance_exceeded", spy)
+    value, est = integrate(
+        lambda t: np.array([f(t[i]) for i, (f, _) in enumerate(rows)]),
+        np.array([c for _, c in rows]))
+    assert verdicts == [[True, False, False], [False, False, False]]
+    assert [(float(v), float(e)) for v, e in zip(value, est)] == alone
 
 
 def _brentq_reference(f, br, tol=1e-10):
@@ -121,22 +145,70 @@ def test_root_of_digamma_is_a_float():
 
 @pytest.mark.parametrize("eta, inv_a", [(2.37, -2.5), (0.37, -2.5)])
 def test_root_steps_match_brentq_on_eigencondition(monkeypatch, eta, inv_a):
-    # every root of a level search, pole-cleared targets with residue end
-    # values included, against brentq on the same target and bracket
+    # every bracket the lockstep engine solves in a level search, pole-
+    # cleared targets with residue end values included, against brentq on
+    # the same target (that bracket's view of the batched one) and bracket
     calls = []
 
-    def recording(f, br, tol):
-        calls.append((f, br, tol))
+    def recording(f_many, brackets, tol):
+        calls.extend((f_many, i, br, tol) for i, br in enumerate(brackets))
+        return find_roots_bracketed(f_many, brackets, tol)
+
+    def recording_one(f, br, tol):
+        calls.append((lambda xs, which: [f(xs[0])], 0, br, tol))
         return find_root_bracketed(f, br, tol)
 
-    monkeypatch.setattr(solver, "find_root_bracketed", recording)
+    monkeypatch.setattr(solver, "find_roots_bracketed", recording)
+    monkeypatch.setattr(solver, "find_root_bracketed", recording_one)
     model, g = InteractionModel.from_inverse_a(inv_a), TrapGeometry(eta)
     eigenenergies(model, g, max_levels=6)
     bound_state_exact(model, g)
     assert len(calls) >= 7
-    assert any(f.__name__ == "<lambda>" for f, _, _ in calls)  # cleared
-    for f, br, tol in calls:
-        _same_as_brentq(f, br, tol)
+    # cleared: an end value is one of F's residues (or minus one), a limit
+    # the engine was handed instead of an evaluation
+    residues = set(pole_grid(eta, -20.0).residues)
+    assert any(br.f_lo in residues or -br.f_hi in residues
+               for _, _, br, _ in calls)
+    for f_many, i, br, tol in calls:
+        _same_as_brentq(lambda x: f_many([x], [i])[0], br, tol)
+
+
+def test_lockstep_roots_match_separate_runs():
+    # n roots in lockstep equal n separate find_root_bracketed runs bit for
+    # bit; each round is one f_many call over the roots still running, so
+    # there are as many calls as the longest single run takes
+    targets = [math.cos, lambda x: x * x - 2.0, digamma,
+               lambda x: -1.0 if x < 1.0 / 3.0 else 1.0,
+               lambda x: x - 1.0, lambda x: math.exp(x) - 5.0]
+    brackets = [RootBracket(1.0, 2.0, 1, -1),
+                bracket_from_signs(targets[1], 0.0, 2.0),
+                bracket_from_signs(digamma, -0.9, -0.1),
+                RootBracket(0.0, 1.0, -1, 1),
+                RootBracket(1.0, 2.0, -1, 1),
+                RootBracket(0.0, 3.0, -1, 1, f_hi=math.exp(3.0) - 5.0)]
+    separate, counts = [], []
+    for f, br in zip(targets, brackets):
+        calls = []
+        separate.append(find_root_bracketed(
+            lambda x, f=f: calls.append(x) or f(x), br, tol=1e-12))
+        counts.append(len(calls))
+    rounds = []
+
+    def f_many(xs, which):
+        rounds.append(list(which))
+        return [targets[i](x) for x, i in zip(xs, which)]
+
+    together = find_roots_bracketed(f_many, brackets, tol=1e-12)
+    assert [repr(r) for r in together] == [repr(r) for r in separate]
+    assert all(type(r) is float for r in together)
+    assert len(rounds) == max(counts)
+    assert sum(map(len, rounds)) == sum(counts)
+    assert find_roots_bracketed(f_many, [], tol=1e-12) == []
+    # a None bracket has no root and takes no evaluation
+    rounds.clear()
+    assert find_roots_bracketed(f_many, [None, brackets[1], None],
+                                tol=1e-12) == [None, separate[1], None]
+    assert all(which == [1] for which in rounds)
 
 
 def test_root_end_value_zero_is_returned():

@@ -433,6 +433,25 @@ def test_negative_det_resonance_keeps_two_roots_per_interval():
     assert [lv.branch_index for lv in levels] == [0, 0, 1, 2, 3]
 
 
+def _count_f_values(monkeypatch):
+    # the sizes of the solver's f_eval_many batches, and the F values it
+    # takes one at a time (as batches of one)
+    batches = []
+    many, one = solver.f_eval_many, solver.f_eval
+
+    def counted_many(xs, eta):
+        batches.append(len(xs))
+        return many(xs, eta)
+
+    def counted_one(arg):
+        batches.append(1)
+        return one(arg)
+
+    monkeypatch.setattr(solver, "f_eval_many", counted_many)
+    monkeypatch.setattr(solver, "f_eval", counted_one)
+    return batches
+
+
 def test_certified_resonance_f_call_budget(monkeypatch):
     # one bracketed root search per interval: at most 15 F calls per level
     # on models from the benchmark's ranges (the sign scan spends ~160)
@@ -444,19 +463,12 @@ def test_certified_resonance_f_call_budget(monkeypatch):
         model = InteractionModel.from_resonance(a_bg, gamma, e_res)
         assert model.det > 0.0
         cases.append((model, g, solver._default_window(g, 2, (-2.0, 2.0))))
-    calls = []
-    f_eval_orig = solver.f_eval
-
-    def counted(arg):
-        calls.append(arg)
-        return f_eval_orig(arg)
-
-    monkeypatch.setattr(solver, "f_eval", counted)
+    batches = _count_f_values(monkeypatch)
     n_levels = sum(len(solve_self_consistent(model, g, window=window,
                                              max_levels=2))
                    for model, g, window in cases)
     assert n_levels == 8
-    assert len(calls) <= 15 * n_levels
+    assert 0 < sum(batches) <= 15 * n_levels
 
 
 def test_energy_level_is_frozen_record():
@@ -475,8 +487,8 @@ def _plain_search(monkeypatch):
     walk = solver._ordered_roots
 
     def without_residues(cuts, lo, hi, solve, clearance=solver.EDGE_CLEARANCE,
-                         residues=None):
-        return walk(cuts, lo, hi, solve, clearance)
+                         residues=None, **kw):
+        return walk(cuts, lo, hi, solve, clearance, **kw)
 
     monkeypatch.setattr(solver, "_ordered_roots", without_residues)
     monkeypatch.setattr(solver, "_near_pole_end", lambda *args: True)
@@ -546,23 +558,19 @@ def test_pole_cleared_search_keeps_the_plain_level_set(monkeypatch):
 
 
 def test_fig1_f_call_budget(monkeypatch):
-    # Work-count guard: the pole-cleared searches take at most 7.5 F calls
-    # per level on fig1 cells (the plain bracketed search took about 11.5)
+    # Work-count guard: the pole-cleared searches take at most 7.5 F values
+    # per level on fig1 cells (the plain bracketed search took about 11.5),
+    # and the lockstep solve at most 12 batched F calls per cell (one per
+    # F value, about 44, before it)
     cells = []
     for eta in (0.37, 2.37, 10.0):
         g = TrapGeometry(eta)
         window = solver._default_window(g, 6, (-4.0, 4.0))
         cells += [(InteractionModel.from_inverse_a(v), g, window)
                   for v in (-4.0, -1.0, 0.0, 1.0, 4.0)]
-    calls = []
-    f_eval_orig = solver.f_eval
-
-    def counted(arg):
-        calls.append(arg)
-        return f_eval_orig(arg)
-
-    monkeypatch.setattr(solver, "f_eval", counted)
+    batches = _count_f_values(monkeypatch)
     n_levels = sum(len(eigenenergies(model, g, window=window, max_levels=6))
                    for model, g, window in cells)
     assert n_levels == 6 * len(cells)
-    assert len(calls) <= 7.5 * n_levels
+    assert 0 < sum(batches) <= 7.5 * n_levels
+    assert len(batches) <= 12 * len(cells)

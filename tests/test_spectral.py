@@ -21,8 +21,8 @@ from pairtrap import spectral
 from pairtrap.numerics import integrate
 from pairtrap.specfun import PoleSignal, gamma_ratio
 from pairtrap.spectral import (SpectralArgument, f_cigar, f_eval,
-                               f_integral, f_pancake, f_quasi1d, f_quasi2d,
-                               f_recurrence_extend, phi, pole_grid)
+                               f_eval_many, f_integral, f_pancake, f_quasi1d,
+                               f_quasi2d, f_recurrence_extend, phi, pole_grid)
 
 ORA1 = oracle_values("spectral_oracle.out")
 ORA2 = oracle_values("spectral_oracle2.out")
@@ -425,6 +425,74 @@ def test_f_eval_pole_check_covers_every_pole(eta):
             assert abs(err.value.location - p) <= 1e-12, (x, p)
         for x in (p - 2e-9, p + 2e-9):
             assert math.isfinite(f_eval(SpectralArgument(x, eta)).value)
+
+
+_MANY_ETAS = [0.003, 0.0101, 1.0 / 7.0, 0.37, 1.0, 2.0, 2.37, 3.0, 300.0]
+
+
+def _mixed_batch(eta):
+    # x on both sides of 0: the bound side out to the plain-integral route,
+    # the middle of the first pole intervals, and 2e-9 off a pole (outside
+    # POLE_TOL, where the gamma ladder is largest)
+    poles = pole_grid(eta, -(2.0 + min(eta, 3.0))).poles[:8]
+    xs = [0.7, 3.3, 2.0 * eta + 40.0, 1e-3]
+    xs += [0.5 * (p + q) for p, q in zip(poles, poles[1:])]
+    xs += [poles[1] + 2e-9, poles[-1] - 2e-9]
+    return xs
+
+
+@pytest.mark.parametrize("eta", _MANY_ETAS)
+def test_f_eval_many_matches_scalar_bit_for_bit(eta):
+    # value, route and est of every element equal the scalar f_eval's, in
+    # any batch: whole, reversed, and in pairs
+    xs = _mixed_batch(eta)
+    want = [repr(f_eval(SpectralArgument(x, eta))) for x in xs]
+    assert [repr(v) for v in f_eval_many(xs, eta)] == want
+    assert [repr(v) for v in f_eval_many(xs[::-1], eta)] == want[::-1]
+    for i in range(0, len(xs) - 1, 2):
+        assert [repr(v) for v in f_eval_many(xs[i:i + 2], eta)] \
+            == want[i:i + 2]
+    assert f_eval_many([], eta) == []
+
+
+def test_f_eval_many_covers_every_route():
+    routes = {v.route for eta in _MANY_ETAS
+              for v in f_eval_many(_mixed_batch(eta), eta)}
+    assert routes == {"spherical", "pancake", "integral", "recurrence"}
+
+
+@pytest.mark.parametrize("eta", _MANY_ETAS)
+def test_f_eval_many_raises_at_the_first_pole_element(eta):
+    # an element within POLE_TOL of a pole raises PoleSignal with the
+    # location the scalar call reports; with two, the first element's
+    poles = pole_grid(eta, -(1.05 + eta)).poles
+    inside = [poles[1] + 5e-10, poles[-1] - 5e-10]
+    for x in inside:
+        with pytest.raises(PoleSignal) as err:
+            f_eval(SpectralArgument(x, eta))
+        scalar = err.value.location
+        with pytest.raises(PoleSignal) as err:
+            f_eval_many([0.7, -0.5 * poles[1], x, inside[0]], eta)
+        assert err.value.location == scalar
+    with pytest.raises(ValueError):
+        f_eval_many([0.7, math.nan], eta)
+
+
+def test_f_eval_cost_is_one_poch_call_at_small_eta(monkeypatch):
+    # O(1) kernel calls as eta -> 0: at eta = 0.003, x = -3.3001 the ladder
+    # has 1,267 steps (it took 1,267 gamma_ratio calls), all in one poch
+    # call, and a batch takes one poch and one integrate call in all
+    calls = []
+    for name in ("poch", "integrate"):
+        orig = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *args, _n=name, _f=orig:
+                            calls.append(_n) or _f(*args))
+    value = f_eval(SpectralArgument(-3.3001, 0.003)).value
+    assert calls == ["poch", "integrate"]
+    assert math.isfinite(value)
+    calls.clear()
+    f_eval_many([-3.3001, -1.2345, 0.7], 0.003)
+    assert calls == ["poch", "integrate"]
 
 
 def test_spectral_argument_validation():

@@ -19,7 +19,9 @@ from pairtrap.numerics import NumericsError, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies,
                              ground_energy_offset)
+from pairtrap import wavefn
 from pairtrap.specfun import PoleSignal, gamma_u, laguerre_iter
+from pairtrap.spectral import SpectralArgument, f_eval
 from pairtrap.wavefn import (ProfileSamples, SeriesTruncation, _sum_terms,
                              contact_coefficient, contact_scattering_length,
                              norm_squared_exact, normalize, profile_quasi1d,
@@ -239,6 +241,27 @@ def test_norm_squared_exact_frozen(energies):
            fval(ORA2, "norm2_A"), 1e-9)
     _close(norm_squared_exact(energies["D"], G2),
            fval(ORA2, "norm2_D"), 1e-9)
+
+
+@pytest.mark.parametrize("eta, inv_a", [(1.0, 0.3), (2.0, -1.0),
+                                        (0.37, 0.5), (30.0, 0.0)])
+def test_norm_squared_exact_takes_its_stencil_in_one_batch(monkeypatch, eta,
+                                                           inv_a):
+    # the four stencil values come from one f_eval_many call and equal
+    # four scalar f_eval calls bit for bit
+    g = TrapGeometry(eta)
+    e = bound_state_exact(InteractionModel.from_inverse_a(inv_a), g).E
+    x = 0.5 * (ground_energy_offset(g) - e)
+    h = 1e-4 * max(1.0, abs(x))
+    v = [f_eval(SpectralArgument(x + k * h, eta)).value for k in (-2, -1, 1, 2)]
+    n2 = -((v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)) \
+        / (4.0 * math.pi ** 1.5)
+    sizes = []
+    many = wavefn.f_eval_many
+    monkeypatch.setattr(wavefn, "f_eval_many",
+                        lambda xs, eta: sizes.append(len(xs)) or many(xs, eta))
+    assert repr(norm_squared_exact(e, g)) == repr(n2)
+    assert sizes == [4]
 
 
 def _gaussian_samples(h=0.02):
