@@ -80,7 +80,7 @@ class SpectralArgument:
             raise ValueError("x must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralValue:
     """F value with the route that produced it and an error estimate."""
 

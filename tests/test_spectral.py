@@ -377,6 +377,7 @@ def test_integrand_row_memo(eta):
         x = float(x)
         arg = SpectralArgument(x, eta)
         spectral._integrand_rows.cache_clear()
+        spectral._integrand_odd_rows.cache_clear()
         cold = f_integral(arg)
         warm = f_integral(arg)
         assert (cold.value, cold.est_error) == (warm.value, warm.est_error)
