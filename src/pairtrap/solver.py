@@ -38,11 +38,11 @@ its interval alone would give, bit for bit.
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
-
-from scipy.special import digamma
+from operator import neg
 
 from .numerics import (
     NumericsError,
@@ -51,7 +51,8 @@ from .numerics import (
     find_root_bracketed,
     find_roots_bracketed,
 )
-from .specfun import POLE_TOL, PoleSignal, gamma_ratio, hurwitz_zeta_half
+from .specfun import (POLE_TOL, PoleSignal, digamma, gamma_ratio,
+                      hurwitz_zeta_half)
 from .spectral import (
     QUASI1D_MIN_ETA,
     QUASI2D_MAX_ETA,
@@ -66,6 +67,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 EDGE_CLEARANCE = 3e-9  # keep brackets clear of the 1e-9 pole guard
 ROOT_TOL = 1e-12  # bracket width of the level roots
 SCAN_POINTS = 48  # sign-scan grid of the self-consistent solve's fallback
+# (eta, window floor) pole grids _pole_xs keeps; at eta = 1e-4 one holds
+# 80,001 poles
+POLE_CACHE_SIZE = 16
 
 
 class NoBoundState(Exception):
@@ -220,18 +224,21 @@ def _default_window(g, levels, inv_values):
     return (lo, hi)
 
 
+@lru_cache(maxsize=POLE_CACHE_SIZE)
 def _pole_xs(eta, x_lo):
     # F poles (in x, descending) down to below x_lo, so the lowest interval
-    # is bounded, and F's residues there; the pole at 0 is always kept as
-    # the bound branch's floor
+    # is bounded, and F's residues there, as tuples; the pole at 0 is always
+    # kept as the bound branch's floor.  A sweep asks for one (eta, window)
+    # cell after cell, so the grid is built once for all of them.
     if x_lo >= 0:
-        return [0.0], [eta]
+        return (0.0,), (eta,)
     grid = pole_grid(eta, x_lo - 2.0 * eta - 2.0)
-    return list(grid.poles), list(grid.residues)
+    return grid.poles, grid.residues
 
 
 def _branch_index(poles, x):
-    return sum(1 for p in poles if p >= x - POLE_TOL)
+    # the number of poles (descending) at or above x - POLE_TOL
+    return bisect_right(poles, POLE_TOL - x, key=neg)
 
 
 def _ordered_roots(cuts, lo, hi, solve, clearance=EDGE_CLEARANCE,
@@ -410,7 +417,7 @@ def eigenenergies(model, g, window=None, max_levels=20):
         return [f.value + SQRT_2PI * inv_a for f in f_eval_many(xs, g.eta)]
 
     # the bound branch x in (0, x_hi] first: F falls from +inf there
-    roots = _ordered_roots([math.inf] + poles, x_lo, x_hi,
+    roots = _ordered_roots([math.inf, *poles], x_lo, x_hi,
                            partial(_roots_in_segments, target),
                            residues=dict(zip(poles, residues)),
                            want=max_levels)

@@ -28,32 +28,36 @@ integrand on the node table at the power-of-two scales, keyed on
 
 f_eval_many evaluates F at many x of one eta in one kernel call per route:
 the pancake and recurrence routes take their gamma ladders for every
-(element, step) in one scipy poch call, summed per element in step order,
-and the recurrence's terminal integrals are one node-table pass over the
+(element, step) in one specfun.rising_half call, summed per element in
+step order with the kernel's rounding bound carried into est_error, and
+the recurrence's terminal integrals are one node-table pass over the
 stacked memo rows.  f_eval, f_recurrence_extend, f_pancake and f_integral
 are the same kernels at one x, and every element of a batch is bit for
-bit its scalar value, so the cost of F is flat in eta (a ladder of
-thousands of steps is one poch call) and the solver can evaluate all its
-level searches in one call per Brent step.
+bit its scalar value, so the number of kernel calls is flat in eta (a
+ladder of thousands of steps is one rising_half call, which works element
+by element) and the solver can evaluate all its level searches in one
+call per Brent step.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import repeat
+from operator import truediv
 
 import numpy as np
-from scipy.special import digamma, poch
 
 from .numerics import NODE_TABLE, NumericsError, integrate
 from .specfun import (
     POLE_TOL,
     PoleSignal,
     SQRT_PI,
+    digamma,
     gamma_ratio,
     hurwitz_zeta_half,
     hyp2f1_one,
+    rising_half,
 )
 
 CLOSED_FORM_TOL = 1e-12
@@ -80,7 +84,7 @@ class SpectralArgument:
             raise ValueError("x must be finite")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SpectralValue:
     """F value with the route that produced it and an error estimate."""
 
@@ -88,9 +92,20 @@ class SpectralValue:
     route: str
     est_error: float
 
-    def __post_init__(self):
-        if not self.est_error >= 0:
+    def __init__(self, value, route, est_error):
+        # through the slot descriptors: the generated frozen __init__ goes
+        # through object.__setattr__, half as slow again, and every x of
+        # every F batch builds one
+        if not est_error >= 0:
             raise ValueError("est_error must be >= 0")
+        _SET_VALUE(self, value)
+        _SET_ROUTE(self, route)
+        _SET_EST(self, est_error)
+
+
+_SET_VALUE, _SET_ROUTE, _SET_EST = (
+    SpectralValue.__dict__[name].__set__
+    for name in ("value", "route", "est_error"))
 
 
 @dataclass(frozen=True)
@@ -109,10 +124,10 @@ def _gamma_ladder_term(arg):
 
 
 def _ratio_rounding(arg):
-    # relative rounding bound of gamma_ratio(arg, arg +- 1/2): below
-    # |arg| = 1e4 poch exponentiates a difference of two log-gammas, each
-    # good to an ulp or two of lgamma(arg)
-    return 2.0 ** -51 * (4.0 + abs(math.lgamma(arg)))
+    # relative rounding bound of gamma_ratio(arg, arg +- 1/2): the bound
+    # rising_half states for arg, the same for both shifts (a division by
+    # arg - 1/2 more is within it)
+    return rising_half([arg], 0.5)[1][0]
 
 
 def _check_ladder_pole(arg, x):
@@ -250,35 +265,50 @@ def f_integral(arg):
 def _ladder_offsets(count, step):
     # the shifts of a gamma ladder: m step for m < count, or m/count when
     # step is None (the pancake sum's), in the scalar ladders' arithmetic
-    m = np.arange(count)
-    offsets = m / count if step is None else m * step
-    offsets.flags.writeable = False
-    return offsets
+    return tuple(m / count if step is None else m * step
+                 for m in range(count))
 
 
-def _ladder_rising(xs, offsets, shift):
-    # the rising factorials poch(a, (a + shift) - a) = Gamma(a + shift) /
-    # Gamma(a) at a = x + offset for every x of xs and offset, in one poch
-    # call, as one list per x; at a denominator pole of Gamma(a)/Gamma(a +
-    # shift) it is inf.  An a within POLE_TOL of a Gamma pole raises
-    # PoleSignal at the pole's x, x - (a - round(a)): the first such a in
-    # row order, as the scalar ladders met it.  Within d of the pole -j,
-    # |rising| <= 2 sqrt(pi (j + 1)) d for shift = +-1/2, so the poles are
-    # looked for only in a batch with a rising factorial that small.
-    a = _column(xs) + offsets
-    rows = poch(a, (a + shift) - a).tolist()
-    if a.ndim == 1:
-        rows = [rows]
-    if min(xs) < 0.5 and min(map(abs, chain.from_iterable(rows))) < (
-            4.0 * POLE_TOL * math.sqrt(1.5 - min(xs))):
-        a = a.reshape(len(xs), -1)
-        hits = np.argwhere((abs(a - np.rint(a)) < POLE_TOL) & (a < 0.5))
-        if len(hits):
-            e, i = hits[0]
-            arg = float(a[e, i])
-            raise PoleSignal("F pole: gamma ladder argument %.17g" % arg,
-                             xs[e] - (arg - round(arg)))
-    return rows
+def _ladder_sums(xs, offsets, counts, pancake):
+    # per x of xs, over t = x + offset for its first counts[e] offsets: the
+    # sum of the ladder terms in step order, and the sum of their sizes
+    # times the largest rounding bound among them; one kernel call for all.
+    # A term is G(t) = Gamma(t)/Gamma(t + 1/2) = 1/rising_half(t) (the
+    # recurrence), or with pancake set Gamma(t)/Gamma(t - 1/2) =
+    # rising_half(t - 1/2), taken at x - 1/2 + offset with no division.  A
+    # t within POLE_TOL of a Gamma pole raises PoleSignal at the pole's x,
+    # x - (t - round(t)): the first such t in row order, as the scalar
+    # ladders met it.  Within d of the pole -j a term exceeds
+    # 1/(2 sqrt(pi (j + 1)) d), so the poles are looked for only in a batch
+    # with a row of terms that large.
+    lift = -0.5 if pancake else 0.0
+    values, bounds = rising_half(
+        [(x + lift) + o for x, m in zip(xs, counts) for o in offsets[:m]], 0.5)
+    try:
+        terms = values if pancake else list(map(truediv, repeat(1.0), values))
+    except ZeroDivisionError:  # 1/rising_half at a Gamma pole itself
+        terms = None
+    # one bound for every term, the usual case, spares a max per row
+    same = bounds and bounds.count(bounds[0]) == len(bounds)
+    sums, largest, i = [], 0.0, 0
+    for m in counts if terms is not None else ():
+        j = i + m
+        row = terms[i:j]
+        size = sum(map(abs, row))
+        bound = bounds[0] if same else max(bounds[i:j], default=0.0)
+        sums.append((sum(row), size * bound))
+        if size > largest:
+            largest = size
+        i = j
+    if terms is None or min(xs) < 0.5 and largest * (
+            4.0 * POLE_TOL * math.sqrt(1.5 - min(xs))) > 1.0:
+        for x, m in zip(xs, counts):
+            for o in offsets[:m]:
+                t = x + o
+                if t < 0.5 and abs(t - round(t)) < POLE_TOL:
+                    raise PoleSignal("F pole: gamma ladder argument %.17g"
+                                     % t, x - (t - round(t)))
+    return sums
 
 
 def f_cigar(x, n):
@@ -323,15 +353,15 @@ def f_cigar(x, n):
 
 def _pancake_many(xs, n):
     # the eta = 1/n closed form at every x of xs: one ladder row each,
-    # summed in m order
+    # summed in m order, with the kernel's rounding of every term
+    coef = 2.0 * SQRT_PI / n
+    route = "spherical" if n == 1 else "pancake"
     out = []
-    for row in _ladder_rising(xs, _ladder_offsets(n, None), -0.5):
-        total = 0.0
-        for rising in row:
-            total += 1.0 / rising
-        value = -(2.0 * SQRT_PI / n) * total
-        out.append(SpectralValue(value, "spherical" if n == 1 else "pancake",
-                                 1e-14 * (1.0 + abs(value))))
+    for total, err in _ladder_sums(xs, _ladder_offsets(n, None),
+                                   [n] * len(xs), True):
+        value = -coef * total
+        out.append(SpectralValue(value, route,
+                                 1e-14 * (1.0 + abs(value)) + coef * err))
     return out
 
 
@@ -349,30 +379,24 @@ def f_pancake(x, n):
 
 
 def _recurrence_many(xs, eta):
-    # the recurrence-extended integral at every x of xs: the ladders in one
-    # block of m_max columns (a row past its own m is left unused), summed
-    # in step order, then the terminal integrals in one batch
+    # the recurrence-extended integral at every x of xs: the m steps of
+    # each ladder in one kernel call, summed in step order with the
+    # kernel's rounding of every term, then the terminal integrals in one
+    # batch
     target = 0.5 * max(eta, 1.0)
     ms, tops = [], []
     for x in xs:
         m = max(0, math.ceil((target - x) / eta))
         ms.append(m)
         tops.append(x + m * eta)
-    m_max = max(ms)
-    rows = (_ladder_rising(xs, _ladder_offsets(m_max, eta), 0.5) if m_max
-            else [[]] * len(xs))
+    ladders = _ladder_sums(xs, _ladder_offsets(max(ms), eta), ms, False)
     terminals = _integral_many(tops, eta)
     coef = eta * SQRT_PI
     out = []
-    for row, m, (value, est) in zip(rows, ms, terminals):
-        ladder = ladder_abs = 0.0
-        for rising in row[:m]:
-            term = coef * (1.0 / rising)
-            ladder += term
-            ladder_abs += abs(term)
-        out.append(SpectralValue(ladder + value,
+    for (total, err), m, (value, est) in zip(ladders, ms, terminals):
+        out.append(SpectralValue(coef * total + value,
                                  "recurrence" if m > 0 else "integral",
-                                 est + 1e-15 * ladder_abs))
+                                 est + coef * err))
     return out
 
 
@@ -397,8 +421,8 @@ def f_eval_many(xs, eta):
     """F(x, eta) at every x of the sequence xs, as a list of SpectralValue.
 
     The batch takes f_eval's route (by eta, so one route for all) and one
-    kernel call for all elements: one poch call over every (element,
-    ladder step) argument and one integrate call over the terminal
+    kernel call for all elements: one rising_half call over every
+    (element, ladder step) argument and one integrate call over the terminal
     integrals.  Each element's value, route and est are the scalar
     f_eval's bit for bit, whatever else is in the batch.  An element within
     POLE_TOL of a pole raises PoleSignal carrying that pole's x (the first

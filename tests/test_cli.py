@@ -131,26 +131,44 @@ def test_check_failure_exits_3(monkeypatch, capsys):
     assert "FAIL" in out and "1 checks" in out and "FAILURES" in out
 
 
-@pytest.fixture(scope="module")
-def cli_import_modules():
-    # the modules a fresh interpreter holds after `import pairtrap.cli`
+def _src_env():
+    # the environment of a fresh interpreter that imports this checkout
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    # the modules a fresh interpreter holds after `import pairtrap.cli`
     probe = "import sys, pairtrap.cli; print(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
     return set(out.split())
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize",
-                                    "scipy.linalg"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.integrate",
+                                    "scipy.optimize", "scipy.linalg"])
 def test_cli_import_leaves_out(cli_import_modules, module):
-    # the package integrates on its own node table and finds roots with its
-    # own Brent loop; these modules would only add import time
-    assert "scipy.special" in cli_import_modules
-    assert module not in cli_import_modules
+    # the package integrates on its own node table, finds roots with its
+    # own Brent loop and takes its special functions from specfun; neither
+    # this module nor any submodule of it is loaded
+    assert not [m for m in cli_import_modules
+                if m == module or m.startswith(module + ".")]
+
+
+def test_check_passes_with_scipy_blocked():
+    # the whole `pairtrap check` battery runs on numpy alone: with scipy
+    # made unimportable, every row still passes
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "from pairtrap.cli import main; "
+             "sys.exit(main(['check', '--threads', '1']))")
+    run = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "all passed" in run.stdout
 
 
 def test_wavefunction_without_a_level_exits_2(capsys):

@@ -238,6 +238,24 @@ def test_eigenenergies_sorted_and_residual():
         assert abs(resid) < 1e-8
 
 
+def test_pole_grid_built_once_per_window():
+    # the cells of a sweep share (eta, window), so the pole grid is built
+    # once: a repeat call returns the same tuples, and the levels found on
+    # the kept grid are those found on a fresh one
+    g = TrapGeometry(2.37)
+    window = (-3.0, 9.0)
+    first = solver._pole_xs(2.37, -2.0)
+    assert solver._pole_xs(2.37, -2.0) is first
+    assert isinstance(first[0], tuple) and isinstance(first[1], tuple)
+    for inv_a in (-1.3, 0.0, 0.7):
+        model = InteractionModel.from_inverse_a(inv_a)
+        solver._pole_xs.cache_clear()
+        fresh = eigenenergies(model, g, window=window, max_levels=6)
+        kept = eigenenergies(model, g, window=window, max_levels=6)
+        assert solver._pole_xs.cache_info().hits >= 1
+        assert kept == fresh
+
+
 def test_no_bound_state_for_zero_a():
     with pytest.raises(NoBoundState):
         bound_state_exact(InteractionModel.fixed(0.0), TrapGeometry(1.0))

@@ -3,11 +3,13 @@
 The frozen values in tests/oracles/specfun_oracle.out were generated at
 50-digit precision; they pin the implementation bit-for-bit over time.
 The mpmath layer re-derives a sample independently at test time so a
-stale oracle cannot hide a regression.  Digamma and K0 rows are read
-against the scipy.special functions the library calls.  Kummer's U, the
-D_nu rows included (through their Kummer-U identity), is read as
-gamma_u(a, b, x) * rgamma(a), the library's signed Gamma U kernel over
-Gamma(a).
+stale oracle cannot hide a regression.  Digamma rows are read against
+specfun.digamma; K0 rows against scipy.special.k0, a test-only reference
+(the library no longer imports scipy).  Kummer's U, the D_nu rows included
+(through their Kummer-U identity), is read as gamma_u(a, b, x) * rgamma(a),
+the library's signed Gamma U kernel over Gamma(a), with scipy's rgamma.
+rising_half, the gamma kernel behind every ladder of F, is held to its own
+stated rounding bound against 40-digit mpmath.
 """
 
 import cmath
@@ -18,13 +20,13 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import digamma, k0, rgamma
+from scipy.special import k0, rgamma
 
 from conftest import args_of, fval, oracle_values
-from pairtrap.specfun import (SQRT_PI, PoleSignal, gamma_ratio, gamma_u,
-                              hurwitz_zeta_half, hyp2f1_one,
+from pairtrap.specfun import (SQRT_PI, PoleSignal, digamma, gamma_ratio,
+                              gamma_u, hurwitz_zeta_half, hyp2f1_one,
                               is_nonpositive_integer, laguerre_iter,
-                              ln_gamma_u)
+                              ln_gamma_u, rising_half)
 
 ORA = oracle_values("specfun_oracle.out")
 
@@ -127,11 +129,68 @@ def test_gamma_ratio_frozen(key):
 
 def test_gamma_ratio_large_argument_vs_mpmath():
     # the (x, x +- 1/2) pairs every caller passes; a difference of two
-    # lgamma values lost eps lgamma(x), 1.3e-11 at 1e4 and 7.3e-10 at 1e6
-    for x, bound in ((1e4, 2e-12), (1e6, 1e-15)):
+    # lgamma values lost eps lgamma(x), 1.3e-11 at 1e4 and 7.3e-10 at 1e6,
+    # and scipy's poch still 1.9e-12 at 1e4; rising_half's series keeps
+    # four ulps
+    for x, bound in ((1e4, 2e-15), (1e6, 1e-15)):
         for den in (x + 0.5, x - 0.5):
             want = mpmath.gamma(x) / mpmath.gamma(den)
             _close(gamma_ratio(x, den), float(want), bound)
+
+
+def _rising_half_args():
+    # a in [-40, 1e5]: a uniform sample below 16 and a log-uniform one above,
+    # plus points within 1e-6 (and 1e-9, 1e-12) of every integer and
+    # half-integer below 16, next to the switches at 7.5 and 16, and a few
+    # far below zero, where the gammas underflow
+    rng = random.Random(20260419)
+    args = [rng.uniform(-40.0, 16.0) for _ in range(600)]
+    args += [math.exp(rng.uniform(math.log(16.0), math.log(1e5)))
+             for _ in range(200)]
+    for k in range(-80, 33):
+        for d in (1e-6, -1e-6, 3e-7, 1e-9, -1e-12):
+            args.append(0.5 * k + d)
+    return args + [7.499999, 7.5, 15.999999, 16.0, 16.000001, 1e5,
+                   -160.3, -171.5 + 1e-6, -1234.56, -20000.25]
+
+
+@pytest.mark.parametrize("shift", [0.5, -0.5])
+def test_rising_half_within_its_bound_vs_mpmath(shift):
+    args = _rising_half_args()
+    values, bounds = rising_half(args, shift)
+    with mpmath.workdps(40):
+        for a, got, bound in zip(args, values, bounds):
+            want = mpmath.gamma(mpmath.mpf(a) + shift) / mpmath.gamma(a)
+            assert abs(got - want) <= bound * abs(want), (a, got, bound)
+            if a >= 16.0:
+                assert bound <= 2e-15
+
+
+def test_rising_half_poles_and_elementwise():
+    # Gamma(a) poles give 0, Gamma(a + shift) poles inf; each value is its
+    # scalar call's whatever else is in the list
+    assert rising_half([-3.0, -2.5, 0.0], 0.5)[0] == [0.0, math.inf, 0.0]
+    assert [abs(v) for v in rising_half([-3.0, 0.5, -1.5], -0.5)[0]] == [
+        0.0, math.inf, math.inf]
+    args = [-3.3, 0.7, 25.0, -0.5 + 1e-7]
+    for shift in (0.5, -0.5):
+        together = rising_half(args, shift)
+        alone = [rising_half([a], shift) for a in args]
+        assert together == ([v for (v,), _ in alone], [b for _, (b,) in alone])
+    with pytest.raises(ValueError):
+        rising_half([1.0], 1.5)
+
+
+def test_digamma_vs_mpmath():
+    # the recurrence, series and reflection branches, next to the poles and
+    # far below zero (the quasi-2D target's x/eta); a pole raises
+    with mpmath.workdps(30):
+        for x in (1e-9, 0.3, 9.99, 10.0, 37.5, 1e6, -1e-9, -0.5, -3.7,
+                  -1234.56, -7.0 + 1e-7):
+            _close(digamma(x), float(mpmath.digamma(x)), 4e-15)
+    for x in (0.0, -1.0, -17.0):
+        with pytest.raises(PoleSignal):
+            digamma(x)
 
 
 def test_u11_equals_exp_e1_route():

@@ -127,6 +127,18 @@ def test_cigar_error_estimate_covers_recurrence_gap():
                     <= closed.est_error + rec.est_error), x
 
 
+@pytest.mark.parametrize("x", [2500.3, 9347.64])
+def test_spherical_deep_bound_state_within_est_error(x):
+    # F(x, 1) = -2 sqrt(pi) Gamma(x)/Gamma(x - 1/2) at deep bound states
+    # (1/a ~ 70-135), where poch's log-gamma difference was 2.2e-11 off
+    # against a claimed 1e-14
+    got = f_eval(SpectralArgument(x, 1.0))
+    with mpmath.workdps(40):
+        want = (-2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(x)
+                / mpmath.gamma(mpmath.mpf(x) - 0.5))
+    assert abs(got.value - want) <= got.est_error, (got, want)
+
+
 @pytest.mark.parametrize("key", [k for k in ORA1 if k.startswith("Fpan(")])
 def test_pancake_closed_form_frozen(key):
     x, n = args_of(key)
@@ -479,21 +491,22 @@ def test_f_eval_many_raises_at_the_first_pole_element(eta):
         f_eval_many([0.7, math.nan], eta)
 
 
-def test_f_eval_cost_is_one_poch_call_at_small_eta(monkeypatch):
+def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):
     # O(1) kernel calls as eta -> 0: at eta = 0.003, x = -3.3001 the ladder
-    # has 1,267 steps (it took 1,267 gamma_ratio calls), all in one poch
-    # call, and a batch takes one poch and one integrate call in all
+    # has 1,267 steps (it took 1,267 gamma_ratio calls), all in one
+    # rising_half call, and a batch takes one rising_half and one integrate
+    # call in all
     calls = []
-    for name in ("poch", "integrate"):
+    for name in ("rising_half", "integrate"):
         orig = getattr(spectral, name)
         monkeypatch.setattr(spectral, name, lambda *args, _n=name, _f=orig:
                             calls.append(_n) or _f(*args))
     value = f_eval(SpectralArgument(-3.3001, 0.003)).value
-    assert calls == ["poch", "integrate"]
+    assert calls == ["rising_half", "integrate"]
     assert math.isfinite(value)
     calls.clear()
     f_eval_many([-3.3001, -1.2345, 0.7], 0.003)
-    assert calls == ["poch", "integrate"]
+    assert calls == ["rising_half", "integrate"]
 
 
 def test_spectral_argument_validation():
