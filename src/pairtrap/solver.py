@@ -24,7 +24,8 @@ an end next to a pole takes that limit as its value instead of an F call.
 Where the root comes out within a few tolerances of such an end, the limit
 may have the wrong sign (the root lies between the pole and the end): the
 search then runs again on the plain target with both ends evaluated, so
-the level set is the one the plain search gives.
+the level set is the one the plain search gives.  bound_state_exact runs
+the same search on the bound branch alone, its upper end found by doubling.
 
 The intervals are solved in chunks, in lockstep: the walk hands out as
 many intervals as levels are still missing (each holds at most one, so a
@@ -56,8 +57,7 @@ from .specfun import (POLE_TOL, PoleSignal, digamma, gamma_ratio,
 from .spectral import (
     QUASI1D_MIN_ETA,
     QUASI2D_MAX_ETA,
-    SpectralArgument,
-    f_eval,
+    f_eval,  # probed as solver.f_eval by perfbench; no search here calls it
     f_eval_many,
     phi,
     pole_grid,
@@ -348,13 +348,14 @@ def _brackets(f_many, segments, ends):
     return out
 
 
-def _roots_in_segments(target, segments):
+def _roots_in_segments(target, segments, ends=None):
     # the roots of a target monotone on each segment, at most one each, as
     # (root, bracket) pairs in segment order; target maps a list of points
     # to the list of its values there.  A segment end next to a pole
     # (pole_a, pole_b as _ordered_roots passes them) takes the residue
     # limit of the pole-cleared target as its value; where the root comes
-    # out next to such an end, the plain target is solved again.
+    # out next to such an end, the plain target is solved again.  ends,
+    # if given, holds each segment's known pole-cleared end values instead.
     weights = [_pole_weight(pa, pb) for _, _, pa, pb in segments]
 
     def cleared(xs, which):
@@ -367,9 +368,9 @@ def _roots_in_segments(target, segments):
     def plain(xs, which):
         return target(xs)
 
-    brs = _brackets(cleared, segments,
-                    [(pa and pa[1], pb and -pb[1])
-                     for _, _, pa, pb in segments])
+    if ends is None:
+        ends = [(pa and pa[1], pb and -pb[1]) for _, _, pa, pb in segments]
+    brs = _brackets(cleared, segments, ends)
     roots = find_roots_bracketed(cleared, brs, tol=ROOT_TOL)
     again = [i for i, (root, (_, _, pa, pb)) in enumerate(zip(roots, segments))
              if weights[i] is not None and root is not None
@@ -527,7 +528,9 @@ def bound_state_exact(model, g):
     """Lowest level below E0 from the full eigencondition (x > 0 root).
 
     The search interval grows geometrically until the condition changes
-    sign; F spans (+inf, -inf) on x > 0, so any a != 0 yields a root.
+    sign; F spans (+inf, -inf) on x > 0, so any a != 0 yields a root, found
+    by eigenenergies' pole-cleared search on that one segment (NumericsError
+    when it lies inside the edge clearance of the pole x = 0).
     """
     if not isinstance(model, FixedLength):
         raise ValueError("bound_state_exact needs a fixed model")
@@ -536,20 +539,17 @@ def bound_state_exact(model, g):
     e0 = ground_energy_offset(g)
     inv_a = model.inv_a
 
-    def target(x):
-        return f_eval(SpectralArgument(x, g.eta)).value + SQRT_2PI * inv_a
+    def target(xs):
+        return [f.value + SQRT_2PI * inv_a for f in f_eval_many(xs, g.eta)]
 
-    # on x times the target, whose limit at the pole x = 0 is eta; the
-    # plain target again when the root comes out next to that end
-    def cleared(x):
-        return target(x) * x
-
-    hi = max(1.0, 0.75 * inv_a * inv_a)
-    br = _bracket_by_doubling(cleared, EDGE_CLEARANCE, hi, 1e7, f_lo=g.eta)
-    x = find_root_bracketed(cleared, br, tol=ROOT_TOL)
-    if _near_pole_end(x, br, (0.0, g.eta), None):
-        br = _bracket_by_doubling(target, EDGE_CLEARANCE, hi, 1e7)
-        x = find_root_bracketed(target, br, tol=ROOT_TOL)
+    # the bracket grows on x times the target, which tends to eta at x = 0
+    br = _bracket_by_doubling(lambda x: target([x])[0] * x, EDGE_CLEARANCE,
+                              max(1.0, 0.75 * inv_a * inv_a), 1e7, f_lo=g.eta)
+    found = _roots_in_segments(target, [(br.lo, br.hi, (0.0, g.eta), None)],
+                               ends=[(br.f_lo, br.f_hi)])
+    if not found:
+        raise NumericsError("no sign change on [%g, %g]" % (br.lo, br.hi))
+    ((x, br),) = found
     return EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
                        branch_index=0)
 

@@ -26,11 +26,12 @@ The integral route keeps a bounded memo of the x-independent factor of its
 integrand on the node table at the power-of-two scales, keyed on
 (eta, scale): one F call then costs an exp(-x t) times a cached row.
 
-f_eval_many evaluates F at many x of one eta in one kernel call per route:
-the pancake and recurrence routes take their gamma ladders for every
-(element, step) in one specfun.rising_half call, summed per element in
-step order with the kernel's rounding bound carried into est_error, and
-the recurrence's terminal integrals are one node-table pass over the
+Every gamma ladder of F (recurrence, pancake, cigar lift, quasi-1D term)
+is one _ladder_sums call: one specfun.rising_half call for every
+(element, step), summed per element in step order with the kernel's
+rounding bound carried into est_error, and PoleSignal at a ladder pole.
+f_eval_many evaluates F at many x of one eta in one kernel call per route,
+the recurrence's terminal integrals in one node-table pass over the
 stacked memo rows.  f_eval, f_recurrence_extend, f_pancake and f_integral
 are the same kernels at one x, and every element of a batch is bit for
 bit its scalar value, so the number of kernel calls is flat in eta (a
@@ -54,9 +55,9 @@ from .specfun import (
     PoleSignal,
     SQRT_PI,
     digamma,
-    gamma_ratio,
     hurwitz_zeta_half,
     hyp2f1_one,
+    is_nonpositive_integer,
     rising_half,
 )
 
@@ -116,26 +117,6 @@ class PoleGrid:
 
     poles: tuple
     residues: tuple
-
-
-def _gamma_ladder_term(arg):
-    # Gamma(arg)/Gamma(arg + 1/2), with denominator poles collapsing to 0.
-    return gamma_ratio(arg, arg + 0.5)
-
-
-def _ratio_rounding(arg):
-    # relative rounding bound of gamma_ratio(arg, arg +- 1/2): the bound
-    # rising_half states for arg, the same for both shifts (a division by
-    # arg - 1/2 more is within it)
-    return rising_half([arg], 0.5)[1][0]
-
-
-def _check_ladder_pole(arg, x):
-    # Gamma(arg) pole <=> F pole contribution; reject within POLE_TOL.  arg
-    # is x plus a ladder shift, so the pole sits at x - (arg - round(arg)).
-    if arg < 0.5 and abs(arg - round(arg)) < POLE_TOL and round(arg) <= 0:
-        raise PoleSignal("F pole: gamma ladder argument %.17g" % arg,
-                         x - (arg - round(arg)))
 
 
 # log q(s), q(s) = (1 - e^(-s))/s, is -s/2 - sum_n c_n s^2n with
@@ -264,7 +245,7 @@ def f_integral(arg):
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _ladder_offsets(count, step):
     # the shifts of a gamma ladder: m step for m < count, or m/count when
-    # step is None (the pancake sum's), in the scalar ladders' arithmetic
+    # step is None (the pancake sum's)
     return tuple(m / count if step is None else m * step
                  for m in range(count))
 
@@ -273,12 +254,11 @@ def _ladder_sums(xs, offsets, counts, pancake):
     # per x of xs, over t = x + offset for its first counts[e] offsets: the
     # sum of the ladder terms in step order, and the sum of their sizes
     # times the largest rounding bound among them; one kernel call for all.
-    # A term is G(t) = Gamma(t)/Gamma(t + 1/2) = 1/rising_half(t) (the
-    # recurrence), or with pancake set Gamma(t)/Gamma(t - 1/2) =
-    # rising_half(t - 1/2), taken at x - 1/2 + offset with no division.  A
-    # t within POLE_TOL of a Gamma pole raises PoleSignal at the pole's x,
-    # x - (t - round(t)): the first such t in row order, as the scalar
-    # ladders met it.  Within d of the pole -j a term exceeds
+    # A term is G(t) = Gamma(t)/Gamma(t + 1/2) = 1/rising_half(t), or with
+    # pancake set Gamma(t)/Gamma(t - 1/2) = rising_half(t - 1/2), taken at
+    # x - 1/2 + offset with no division.  A t within POLE_TOL of a Gamma
+    # pole raises PoleSignal at the pole's x, x - (t - round(t)): the first
+    # such t in row order.  Within d of the pole -j a term exceeds
     # 1/(2 sqrt(pi (j + 1)) d), so the poles are looked for only in a batch
     # with a row of terms that large.
     lift = -0.5 if pancake else 0.0
@@ -316,8 +296,9 @@ def f_cigar(x, n):
 
     sqrt(pi) Gamma(x)/Gamma(x+1/2) sum_{m=1}^{n-1} 2F1(1,x;x+1/2;e^(i 2 pi m/n))
       - 2 sqrt(pi) Gamma(x)/Gamma(x-1/2)
-    continued to x <= 1/4 by lifting x with the eta-step recurrence first
-    (the continued fraction behind 2F1 needs x away from the small poles).
+    continued to x <= 1/4 by lifting x past 1/4 with the eta-step
+    recurrence first, one gamma-ladder row (the continued fraction behind
+    2F1 needs x away from the small poles).
     """
     n = int(n)
     if n < 1:
@@ -325,15 +306,11 @@ def f_cigar(x, n):
     if n == 1:
         return f_pancake(x, 1)
 
-    ladder = 0.0
-    ladder_err = 0.0
-    x_work = x
-    while x_work <= 0.25:
-        _check_ladder_pole(x_work, x)
-        term = n * SQRT_PI * _gamma_ladder_term(x_work)
-        ladder += term
-        ladder_err += abs(term) * _ratio_rounding(x_work)
-        x_work += n
+    steps = max(0, math.floor((0.25 - x) / n) + 1)
+    ((total, ladder_err),) = _ladder_sums([x], _ladder_offsets(steps, n),
+                                          [steps], False)
+    ladder = n * SQRT_PI * total
+    x_work = x + steps * n
 
     hyp_sum = 0.0 + 0.0j
     for m in range(1, n):
@@ -342,12 +319,14 @@ def f_cigar(x, n):
     if not abs(hyp_sum.imag) < 1e-10:
         raise NumericsError("cigar hypergeometric sum is not real: imaginary "
                             "part %.3e" % hyp_sum.imag)
-    front = SQRT_PI * _gamma_ladder_term(x_work)
-    sph = 2.0 * SQRT_PI * gamma_ratio(x_work, x_work - 0.5)
+    # Gamma(x)/Gamma(x + 1/2) = 1/r, Gamma(x)/Gamma(x - 1/2) = (x - 1/2)/r
+    (r,), (bound,) = rising_half([x_work], 0.5)
+    front = SQRT_PI / r
+    sph = 2.0 * (x_work - 0.5) * front
     value = ladder + front * hyp_sum.real - sph
     scale = abs(ladder) + abs(front) * (abs(hyp_sum.real) + n) + abs(sph)
-    est = (1e-14 * scale + ladder_err
-           + (abs(front * hyp_sum.real) + abs(sph)) * _ratio_rounding(x_work))
+    est = (1e-14 * scale + n * SQRT_PI * ladder_err
+           + (abs(front * hyp_sum.real) + abs(sph)) * bound)
     return SpectralValue(value, "cigar", est)
 
 
@@ -467,10 +446,9 @@ def f_quasi1d(arg, bound_state=False):
             raise ValueError("bound-state variant needs x > 0")
         value = math.sqrt(math.pi * eta) * hurwitz_zeta_half(x / eta)
     else:
-        _check_ladder_pole(x, x)
+        ((ladder, _),) = _ladder_sums([x], (0.0,), [1], False)
         value = math.sqrt(math.pi * eta) * (
-            hurwitz_zeta_half(1.0 + x / eta)
-            + math.sqrt(eta) * _gamma_ladder_term(x))
+            hurwitz_zeta_half(1.0 + x / eta) + math.sqrt(eta) * ladder)
     return SpectralValue(value, "quasi1d", abs(value) / eta)
 
 
@@ -479,7 +457,8 @@ def f_quasi2d(arg, bound_state=False):
 
     -Phi(x) - log(eta) - digamma(x/eta); with bound_state=True the
     digamma is replaced by its large-argument logarithm, giving
-    -Phi(x) - log(x).  Valid for x > -1.
+    -Phi(x) - log(x).  Valid for x > -1; raises PoleSignal within POLE_TOL
+    of a digamma pole x/eta = -k, located at x = -k eta.
     """
     x, eta = arg.x, arg.eta
     if eta > QUASI2D_MAX_ETA:
@@ -493,8 +472,9 @@ def f_quasi2d(arg, bound_state=False):
         value = -phi(x) - math.log(x)
     else:
         q = x / eta
-        if q <= 0 and abs(q - round(q)) < POLE_TOL:
-            raise PoleSignal("digamma pole at x/eta = %.17g" % q, x)
+        if is_nonpositive_integer(q):
+            raise PoleSignal("digamma pole at x/eta = %.17g" % q,
+                             round(q) * eta)
         value = -phi(x) - math.log(eta) - digamma(q)
     return SpectralValue(value, "quasi2d", abs(value) * eta)
 

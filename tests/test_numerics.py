@@ -154,12 +154,7 @@ def test_root_steps_match_brentq_on_eigencondition(monkeypatch, eta, inv_a):
         calls.extend((f_many, i, br, tol) for i, br in enumerate(brackets))
         return find_roots_bracketed(f_many, brackets, tol)
 
-    def recording_one(f, br, tol):
-        calls.append((lambda xs, which: [f(xs[0])], 0, br, tol))
-        return find_root_bracketed(f, br, tol)
-
     monkeypatch.setattr(solver, "find_roots_bracketed", recording)
-    monkeypatch.setattr(solver, "find_root_bracketed", recording_one)
     model, g = InteractionModel.from_inverse_a(inv_a), TrapGeometry(eta)
     eigenenergies(model, g, max_levels=6)
     bound_state_exact(model, g)

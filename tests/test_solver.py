@@ -5,6 +5,8 @@ import re
 from functools import partial
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import fval, oracle_lines, oracle_values
 from pairtrap import solver
@@ -16,7 +18,7 @@ from pairtrap.solver import (EnergyLevel, InteractionModel, NoBoundState,
                              solve_self_consistent, spectrum_1d_reference,
                              spectrum_2d_reference)
 from pairtrap.specfun import PoleSignal
-from pairtrap.spectral import SpectralArgument, f_eval
+from pairtrap.spectral import SpectralArgument, f_eval, pole_grid
 
 ORA = oracle_values("solver_oracle.out")
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -267,6 +269,37 @@ def test_bound_state_requires_fixed_model():
         bound_state_exact(m, TrapGeometry(1.0))
 
 
+def test_bound_state_inside_the_edge_clearance_raises():
+    # at 1/a = -1e9 the root sits at x ~ 1e-9, inside the clearance kept
+    # off the pole x = 0: the pole-cleared search finds it next to that
+    # end, the plain target shows no sign change, and that is the error
+    with pytest.raises(solver.NumericsError,
+                       match=r"^no sign change on \[3e-09, 7\.5e\+17\]$"):
+        bound_state_exact(InteractionModel.from_inverse_a(-1e9),
+                          TrapGeometry(2.37))
+
+
+@given(st.floats(0.2, 5.0), st.floats(-4.0, 4.0))
+def test_default_window_levels_interlace_with_the_poles(eta, inv_a):
+    # the walk's levels take consecutive branches from the bound one up,
+    # each strictly between the poles of its interval, and its branch-0
+    # level is bound_state_exact's.  Near-degenerate poles (O3's open
+    # case, where a root may hide inside the edge clearance) are left out.
+    g, model = TrapGeometry(eta), InteractionModel.from_inverse_a(inv_a)
+    e_lo, e_hi = solver._default_window(g, 20, (inv_a,))
+    e0 = ground_energy_offset(g)
+    poles = pole_grid(eta, (e0 - e_hi) / 2.0 - 2.0 * eta - 2.0).poles
+    assume(all(p - q >= 1e-6 for p, q in zip(poles, poles[1:])
+               if q >= (e0 - e_hi) / 2.0 - eta - 1.0))
+    levels = eigenenergies(model, g)
+    assert [lv.branch_index for lv in levels] == list(range(len(levels)))
+    for lv in levels:
+        b = lv.branch_index
+        assert poles[b] < lv.x
+        assert b == 0 or lv.x < poles[b - 1]
+    assert abs(bound_state_exact(model, g).E - levels[0].E) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # reference ladders and the energy-dependent model
 # ---------------------------------------------------------------------------
@@ -452,21 +485,16 @@ def test_negative_det_resonance_keeps_two_roots_per_interval():
 
 
 def _count_f_values(monkeypatch):
-    # the sizes of the solver's f_eval_many batches, and the F values it
-    # takes one at a time (as batches of one)
+    # the sizes of the solver's f_eval_many batches: every F value the
+    # solver takes goes through one
     batches = []
-    many, one = solver.f_eval_many, solver.f_eval
+    many = solver.f_eval_many
 
     def counted_many(xs, eta):
         batches.append(len(xs))
         return many(xs, eta)
 
-    def counted_one(arg):
-        batches.append(1)
-        return one(arg)
-
     monkeypatch.setattr(solver, "f_eval_many", counted_many)
-    monkeypatch.setattr(solver, "f_eval", counted_one)
     return batches
 
 

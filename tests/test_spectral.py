@@ -440,6 +440,53 @@ def test_f_eval_pole_check_covers_every_pole(eta):
             assert math.isfinite(f_eval(SpectralArgument(x, eta)).value)
 
 
+@pytest.mark.parametrize("route, eta", [
+    ("cigar", 2), ("cigar", 3), ("cigar", 7),
+    ("quasi1d", 10.0), ("quasi1d", 47.3)])
+def test_closed_form_ladders_raise_at_every_pole(route, eta):
+    # the cigar closed form's lift and the quasi-1D term G(x) are gamma
+    # ladders of the same kernel as f_eval's: every pole they pass, down to
+    # past the k = 2 poles of the cigar lift and to every x = -j > -eta of
+    # the quasi-1D term, raises at and 5e-10 either side of it, located
+    # within 1e-12, and 2e-9 either side of it does not
+    if route == "cigar":
+        poles = pole_grid(eta, -(2.05 + 2 * eta)).poles
+    else:
+        poles = [-float(j) for j in range(math.ceil(eta))]
+
+    def value(x):
+        if route == "cigar":
+            return f_cigar(x, eta).value
+        return f_quasi1d(SpectralArgument(x, eta)).value
+
+    for p in poles:
+        for x in (p - 5e-10, p, p + 5e-10):
+            with pytest.raises(PoleSignal) as err:
+                value(x)
+            assert abs(err.value.location - p) <= 1e-12, (x, p)
+        for x in (p - 2e-9, p + 2e-9):
+            assert math.isfinite(value(x))
+
+
+def test_quasi2d_raises_at_the_digamma_poles():
+    # x/eta within POLE_TOL of the digamma pole at 0 or -1 raises at that
+    # pole's x, on both sides of it, as f_eval does at x = 5e-12; 2e-9 off
+    # in x/eta the value is finite
+    eta = 0.01
+    for k in (0, -1):
+        for dq in (-5e-10, 0.0, 5e-10):
+            with pytest.raises(PoleSignal) as err:
+                f_quasi2d(SpectralArgument((k + dq) * eta, eta))
+            assert err.value.location == k * eta
+        for dq in (-2e-9, 2e-9):
+            value = f_quasi2d(SpectralArgument((k + dq) * eta, eta)).value
+            assert math.isfinite(value)
+    for route in (f_quasi2d, f_eval):
+        with pytest.raises(PoleSignal) as err:
+            route(SpectralArgument(5e-12, eta))
+        assert err.value.location == 0.0
+
+
 _MANY_ETAS = [0.003, 0.0101, 1.0 / 7.0, 0.37, 1.0, 2.0, 2.37, 3.0, 300.0]
 
 
