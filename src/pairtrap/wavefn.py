@@ -4,14 +4,16 @@ Psi(rho, z) carries a 1/(2 pi r) contact core at the origin and a Gaussian
 envelope at large distance.  Three exact routes are provided: a proper-time
 integral valid below the ground energy E0 = 1/2 + eta, a radial series in
 Laguerre x Kummer-U products (fast for cigars), and an axial series (fast
-for pancakes).  The integral, the asymptotic quasi-1d and quasi-2d profile
-sums and the series coefficients Gamma(a) U(a, b, w) (one specfun.gamma_u
-call per block of terms, signed, the first terms above E0 included) all run
-on the numerics exp-sinh node table; the series themselves are summed term
-by term under a shared tail control.  Grid normalization with analytic
-treatment of the integrable 1/r^2 density and the contact slope in closed
-form complete the module.  All lengths are in axial oscillator units;
-energies include the 3/2-equivalent zero point through E0.
+for pancakes), one kernel summing either along a grid line (z row or rho
+column) term by term under a shared tail control, on one sequence of
+coefficients Gamma(a) U(a, b, w) per line (one specfun.gamma_u call per
+block of terms, signed, the first terms above E0 included).  Coefficients,
+integral and the quasi-1d and quasi-2d profile sums run on the numerics
+exp-sinh node table.  Grid normalization (one trapezoid weight vector per
+axis on the (z, rho) array, the integrable 1/r^2 core density treated
+analytically) and the contact slope in closed form complete the module.
+All lengths are in axial oscillator units; energies include the
+3/2-equivalent zero point through E0.
 """
 
 import itertools
@@ -220,61 +222,49 @@ def _sum_terms(terms, trunc, label, osc_x, decay_beta):
                       total, abs(hist[-1]), trunc.max_terms)
 
 
-def _check_coefficient_poles(first, step, scale):
-    # Only the finitely many coefficients below 1/2 can sit on a Gamma pole.
-    a = first
-    while a < 0.5:
+def _series_line(route, c, others, E, g, trunc):
+    # Psi along one grid line by one series: a z row (c = z, others the
+    # rho's) for the radial series, a rho column (c = rho, others the z's)
+    # for the axial one.  Term m is Gamma(a_m) U(a_m, b, arg) L_m^(alpha)(y),
+    # the coefficient depending on c only, so the line shares one sequence
+    # of them; the envelope decays like exp(-beta sqrt(m)) and the Laguerre
+    # factor sets the oscillation.  x = (E0 - E)/2.
+    eta = g.eta
+    x = 0.5 * (ground_energy_offset(g) - E)
+    if route == "radial_series":
+        if any(rho < 0 for rho in others):
+            raise ValueError("rho must be nonnegative")
+        if c == 0.0:
+            raise ValueError("radial series is conditionally convergent at "
+                             "z = 0; use the integral or axial route")
+
+        def a_of(m):
+            return eta * m + x
+        b, arg, alpha = 0.5, c * c, 0.0
+        beta, pref = 2.0 * abs(c) * math.sqrt(eta), eta
+        ys = [eta * rho * rho for rho in others]
+    else:
+        if c <= 0:
+            raise ValueError("axial series needs rho > 0 "
+                             "(U(., 1, 0) diverges)")
+
+        def a_of(k):
+            return (k + x) / eta
+        b, arg, alpha = 1.0, eta * c * c, -0.5
+        beta, pref = 2.0 * c, 1.0
+        ys = [z * z for z in others]
+    # only the finitely many coefficients below 1/2 can sit on a Gamma pole,
+    # and gamma_u sees none past the last term summed
+    for a in itertools.takewhile(lambda a: a < 0.5,
+                                 map(a_of, itertools.count())):
         if is_nonpositive_integer(a):
-            raise PoleSignal(
-                "series coefficient Gamma(%.17g) at a pole (threshold energy)"
-                % (a * scale), a)
-        a += step
-
-
-def _radial_row(rhos, z, E, g, trunc):
-    # psi_series_radial at every rho of one z row; the coefficients depend
-    # on z only, so the row shares them
-    if any(rho < 0 for rho in rhos):
-        raise ValueError("rho must be nonnegative")
-    if z == 0.0:
-        raise ValueError("radial series is conditionally convergent at z = 0; "
-                         "use the integral or axial route")
-    eta = g.eta
-    cal_e = E - ground_energy_offset(g)
-    _check_coefficient_poles(-0.5 * cal_e, eta, 1.0)
-    zz = z * z
-    coef = _Coefficients(lambda m: eta * m - 0.5 * cal_e, 0.5, zz,
-                         trunc.max_terms)
-    out = []
-    for rho in rhos:
-        w = eta * rho * rho
-        # envelope decay exp(-2|z| sqrt(eta m)); oscillation from L_m(eta rho^2)
-        total = _sum_terms(map(operator.mul, coef, laguerre_iter(w)), trunc,
-                           "radial series", w, 2.0 * abs(z) * math.sqrt(eta))
-        out.append(eta * math.exp(-0.5 * (w + zz)) * _PREF * total)
-    return out
-
-
-def _axial_column(rho, zs, E, g, trunc):
-    # psi_series_axial at every z of one rho column; the coefficients depend
-    # on rho only, so the column shares them
-    if rho <= 0:
-        raise ValueError("axial series needs rho > 0 (U(., 1, 0) diverges)")
-    eta = g.eta
-    cal_e = E - ground_energy_offset(g)
-    _check_coefficient_poles(-0.5 * cal_e / eta, 1.0 / eta, eta)
-    w = eta * rho * rho
-    coef = _Coefficients(lambda k: (k - 0.5 * cal_e) / eta, 1.0, w,
-                         trunc.max_terms)
-    out = []
-    for z in zs:
-        zz = z * z
-        # envelope decay exp(-2 rho sqrt(k)); oscillation from L_k^(-1/2)(z^2)
-        total = _sum_terms(
-            map(operator.mul, coef, laguerre_iter(zz, alpha=-0.5)), trunc,
-            "axial series", zz, 2.0 * rho)
-        out.append(math.exp(-0.5 * (w + zz)) * _PREF * total)
-    return out
+            raise PoleSignal("series coefficient Gamma(%.17g) at a pole "
+                             "(threshold energy)" % a, a)
+    coef = _Coefficients(a_of, b, arg, trunc.max_terms)
+    return [pref * math.exp(-0.5 * (arg + y)) * _PREF
+            * _sum_terms(map(operator.mul, coef, laguerre_iter(y, alpha)),
+                         trunc, route.replace("_", " "), y, beta)
+            for y in ys]
 
 
 def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
@@ -286,7 +276,7 @@ def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
     coefficients come in blocks of 32, 64, ... from one gamma_u call
     each; the sum adds them term by term under the tail control.
     """
-    return _radial_row((rho,), z, E, g, trunc)[0]
+    return _series_line("radial_series", z, (rho,), E, g, trunc)[0]
 
 
 def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
@@ -297,7 +287,7 @@ def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
     so the rho = 0 axis is rejected for this route.  Coefficients and sum
     as for psi_series_radial.
     """
-    return _axial_column(rho, (z,), E, g, trunc)[0]
+    return _series_line("axial_series", rho, (z,), E, g, trunc)[0]
 
 
 def psi(rho, z, E, g, route=None, trunc=SeriesTruncation()):
@@ -330,9 +320,10 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     default picks the integral below E0 and the geometry-matched series
     otherwise.  The integral route evaluates one z row at a time on the
     exp-sinh node table (the kernel psi_integral uses), and rejects a grid
-    holding a point outside its domain with psi_integral's ValueError; a
-    series route sums Psi point by point, each z row (radial) or rho column
-    (axial) sharing one coefficient sequence.
+    holding a point outside its domain with psi_integral's ValueError.  A
+    series route runs the psi_series_* kernel once per z row (radial) or
+    rho column (axial), the line sharing one coefficient sequence, so each
+    sample is the point-wise value.
     """
     if route is None:
         if E < ground_energy_offset(g):
@@ -347,10 +338,11 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
         for z in zs:
             values.extend(_psi_integral_row(row, z, E, g).tolist())
     elif route == "radial_series":
-        values = [v for z in zs for v in _radial_row(rhos, z, E, g, trunc)]
+        values = [v for z in zs
+                  for v in _series_line(route, z, rhos, E, g, trunc)]
     elif route == "axial_series":
-        cols = [_axial_column(rho, zs, E, g, trunc) for rho in rhos]
-        values = [col[j] for j in range(len(zs)) for col in cols]
+        cols = [_series_line(route, rho, zs, E, g, trunc) for rho in rhos]
+        values = [v for row in zip(*cols) for v in row]
     else:
         raise ValueError("unknown route %r" % (route,))
     return ProfileSamples(coords, tuple(values), route)
@@ -433,17 +425,6 @@ def profile_quasi2d(axis, coordinate, E, g):
 # normalization and the contact core
 # ---------------------------------------------------------------------------
 
-def _trap_weights(xs):
-    n = len(xs)
-    w = [0.0] * n
-    for i in range(n):
-        if i > 0:
-            w[i] += 0.5 * (xs[i] - xs[i - 1])
-        if i < n - 1:
-            w[i] += 0.5 * (xs[i + 1] - xs[i])
-    return w
-
-
 def norm_squared_exact(E, g):
     """Squared norm of the unnormalized Psi from the spectral derivative.
 
@@ -463,120 +444,98 @@ def norm_squared_exact(E, g):
     return n2
 
 
+def _tail_rate(v_in, v_out, dx, label):
+    # mass beyond a boundary where a positive density falls from v_in to
+    # v_out over dx, continued at that exponential rate
+    if v_out <= 0.0:
+        return 0.0
+    if not v_in > v_out:
+        raise NumericsError(
+            "%s boundary of the grid is not decaying; cannot bound the "
+            "missing tail" % label)
+    return v_out / (math.log(v_in / v_out) / dx)
+
+
 def normalize(samples, g):
     """Rescale tensor-grid samples so 2 pi int rho drho dz |Psi|^2 = 1.
 
-    Trapezoid in both directions, with the [0, rho_1) strip closed by the
-    linear vanishing of rho |Psi|^2 and the leading Euler-Maclaurin boundary
-    term restoring O(h^2) accuracy of the radial rule.  When the innermost
+    The samples, in any order, are laid out on their (z, rho) array, and
+    the norm is one trapezoid weight vector per axis applied to the density
+    2 pi rho |Psi|^2.  The rho weights close the [0, rho_1) strip by the
+    linear vanishing of rho |Psi|^2, and the leading Euler-Maclaurin edge
+    term restores O(h^2) accuracy of the radial rule.  When the innermost
     samples of a z = 0 row show the flat r Psi signature of the 1/(2 pi r)
     contact core, the analytic core A exp(-r^2/2)/(2 pi r) is subtracted
     from the density (its full-space norm A^2/(2 sqrt pi) is added back),
-    leaving a remainder the trapezoid rule handles at second order.  Grids
-    with z >= 0 only are folded by parity.  The estimated missing tail
-    beyond the grid must stay under 1e-4 of the norm or the call is
-    rejected.
+    leaving a remainder the trapezoid rule handles at second order; that
+    row tends to a constant, so its strip is taken whole.  The z weights
+    fold a grid with z >= 0 only by parity.  The missing tail beyond the
+    grid, estimated on the raw density by the same weights, must stay under
+    1e-4 of the norm or the call is rejected.
     """
-    pts = {}
-    for (rho, z), v in zip(samples.coordinates, samples.values):
-        pts[(rho, z)] = v
-    rhos = sorted({c[0] for c in samples.coordinates})
-    zs = sorted({c[1] for c in samples.coordinates})
-    if len(rhos) * len(zs) != len(samples.coordinates) or len(pts) != len(
-            samples.coordinates):
+    coords = np.asarray(samples.coordinates, dtype=float).reshape(-1, 2)
+    rhos, ri = np.unique(coords[:, 0], return_inverse=True)
+    zs, zi = np.unique(coords[:, 1], return_inverse=True)
+    n = len(coords)
+    cell = zi * len(rhos) + ri
+    if len(rhos) * len(zs) != n or len(np.unique(cell)) != n:
         raise ValueError("normalize needs a full tensor grid without repeats")
     if len(rhos) < 4 or len(zs) < 4:
         raise ValueError("normalize needs at least a 4 x 4 grid")
     if not rhos[0] > 0:
         raise ValueError("normalize needs strictly positive rho columns")
-
-    half = zs[0] >= 0.0
-    wz = _trap_weights(zs)
-    if half:
-        if zs[0] > 0.0:
-            # even extension across z = 0; flat to O(z_1^2) by parity
-            wz[0] += zs[0]
-        wz = [2.0 * w for w in wz]
+    values = np.asarray(samples.values, dtype=float)
+    grid = np.empty((len(zs), len(rhos)))
+    grid[zi, ri] = values
 
     rho1 = rhos[0]
-    em_coef = rho1 * rho1 / 12.0
+    half = zs[0] >= 0.0
+    # trapezoid weights: wr closes the [0, rho_1) strip; on a half grid the
+    # first z cell extends evenly across z = 0 (flat to O(z_1^2) by parity)
+    # and every weight counts the mirror row too
+    wr = 0.5 * (np.diff(rhos, prepend=0.0) + np.diff(rhos, append=rhos[-1]))
+    wz = 0.5 * (np.diff(zs, prepend=-zs[0] if half else zs[0])
+                + np.diff(zs, append=zs[-1]))
+    if half:
+        wz *= 2.0
+    raw = TWO_PI * rhos * grid ** 2
+    edge = np.full(len(zs), rho1 / 12.0)
 
     # flat r Psi at the innermost z = 0 samples marks the contact core; the
     # two-point Richardson removes the linear slope from the amplitude
     amp = 0.0
-    singular = False
-    if 0.0 in zs and len(rhos) >= 2:
-        t1 = rho1 * pts[(rho1, 0.0)]
-        t2 = rhos[1] * pts[(rhos[1], 0.0)]
+    u = raw
+    core = np.flatnonzero(zs == 0.0)
+    if len(core):
+        t1, t2 = rhos[:2] * grid[core[0], :2]
         if t1 != 0.0 and abs(t2 / t1 - 1.0) < 0.3:
-            singular = True
             amp = TWO_PI * (2.0 * t1 - t2)
-
-    def density(rho, z):
-        u = TWO_PI * rho * pts[(rho, z)] ** 2
-        if singular:
-            rr = rho * rho + z * z
-            u -= amp * amp * math.exp(-rr) * rho / (TWO_PI * rr)
-        return u
-
-    def row_integral(z):
-        u = [density(r, z) for r in rhos]
-        if singular and z == 0.0:
+            rr = rhos * rhos + (zs * zs)[:, None]
+            u = raw - amp * amp * np.exp(-rr) * rhos / (TWO_PI * rr)
             # the subtracted density tends to a finite constant on this row
-            strip = rho1 * u[0]
-            em = 0.0
-        else:
-            strip = 0.5 * rho1 * u[0]
-            em = em_coef * u[0] / rho1
-        trap = 0.0
-        for i in range(len(rhos) - 1):
-            trap += 0.5 * (rhos[i + 1] - rhos[i]) * (u[i] + u[i + 1])
-        return strip + trap + em
+            edge[core] = 0.5 * rho1
 
-    rows = [row_integral(z) for z in zs]
-    n2 = sum(w * r for w, r in zip(wz, rows))
-    if singular:
-        n2 += amp * amp / (2.0 * math.sqrt(math.pi))
+    rows = (u * wr).sum(axis=1) + edge * u[:, 0]
+    n2 = (wz * rows).sum() + amp * amp / (2.0 * math.sqrt(math.pi))
     if not n2 > 0:
         raise NumericsError("nonpositive grid norm %.3e" % n2)
 
-    def tail_rate(v_in, v_out, dx, label):
-        if v_out <= 0.0:
-            return 0.0
-        if not v_in > v_out:
-            raise NumericsError(
-                "%s boundary of the grid is not decaying; cannot bound the "
-                "missing tail" % label)
-        return v_out / (math.log(v_in / v_out) / dx)
-
-    def raw_row(z):
-        u = [TWO_PI * r * pts[(r, z)] ** 2 for r in rhos]
-        total = 0.5 * rho1 * u[0]
-        for i in range(len(rhos) - 1):
-            total += 0.5 * (rhos[i + 1] - rhos[i]) * (u[i] + u[i + 1])
-        return total
-
     # tails are bounded on the raw density, which stays positive and decaying
-    tail = tail_rate(raw_row(zs[-2]), raw_row(zs[-1]), zs[-1] - zs[-2],
-                     "outer z")
+    raw_rows = (raw * wr).sum(axis=1)
+    tail = _tail_rate(raw_rows[-2], raw_rows[-1], zs[-1] - zs[-2], "outer z")
     if half:
         tail *= 2.0
     else:
-        tail += tail_rate(raw_row(zs[1]), raw_row(zs[0]), zs[1] - zs[0],
-                          "inner z")
-    cols_out = sum(w * TWO_PI * rhos[-1] * pts[(rhos[-1], z)] ** 2
-                   for w, z in zip(wz, zs))
-    cols_in = sum(w * TWO_PI * rhos[-2] * pts[(rhos[-2], z)] ** 2
-                  for w, z in zip(wz, zs))
-    tail += tail_rate(cols_in, cols_out, rhos[-1] - rhos[-2], "outer rho")
+        tail += _tail_rate(raw_rows[1], raw_rows[0], zs[1] - zs[0], "inner z")
+    cols_in, cols_out = (wz[:, None] * raw[:, -2:]).sum(axis=0)
+    tail += _tail_rate(cols_in, cols_out, rhos[-1] - rhos[-2], "outer rho")
     if tail > 1e-4 * n2:
         raise NumericsError(
             "estimated missing tail %.3e of the norm exceeds 1e-4 "
             "(grid too small or too coarse)" % (tail / n2))
 
     norm = math.sqrt(n2)
-    return ProfileSamples(samples.coordinates,
-                          tuple(v / norm for v in samples.values),
+    return ProfileSamples(samples.coordinates, tuple((values / norm).tolist()),
                           samples.method, normalized=True, norm_constant=norm)
 
 

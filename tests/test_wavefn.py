@@ -130,7 +130,7 @@ def test_node_table_matches_quadpack_grids(eta):
 
 
 # ---------------------------------------------------------------------------
-# series routes against the integral (full battery in test_acceptance)
+# series routes against the integral
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("rho,z", [(0.5, 0.5), (0.7, 0.4), (1.2, 1.5)])
@@ -330,6 +330,104 @@ def test_normalize_requires_full_tensor_grid():
     coords = ((0.1, 0.0), (0.2, 0.0), (0.1, 0.1))
     with pytest.raises(ValueError):
         normalize(ProfileSamples(coords, (1.0, 1.0, 1.0), "integral"), G2)
+    # a repeated coordinate leaves a cell of the 4 x 4 grid empty
+    coords = [(0.1 * (i + 1), 0.1 * j) for j in range(4) for i in range(4)]
+    coords[5] = coords[4]
+    with pytest.raises(ValueError):
+        normalize(ProfileSamples(tuple(coords), (1.0,) * 16, "integral"), G2)
+
+
+def _mirrored(samples):
+    # the even extension of a z >= 0 grid to a full grid through z = 0
+    pts = dict(zip(samples.coordinates, samples.values))
+    zs = sorted({z for _, z in samples.coordinates})
+    rhos = sorted({rho for rho, _ in samples.coordinates})
+    full = [-z for z in reversed(zs[1:])] + zs
+    coords = tuple((rho, z) for z in full for rho in rhos)
+    values = tuple(pts[(rho, abs(z))] for rho, z in coords)
+    return ProfileSamples(coords, values, samples.method)
+
+
+def test_normalize_full_grid_matches_half_grid(energies):
+    # a full z grid through 0 takes the unfolded weights and the inner z
+    # tail; on an even Psi it gives the half grid's norm
+    half = _gaussian_samples()
+    full = _mirrored(half)
+    assert min(z for _, z in full.coordinates) < -4.4
+    want = fval(ORA1, "gauss_norm2_eta2")
+    n_half = normalize(half, G2).norm_constant
+    n_full = normalize(full, G2).norm_constant
+    _close(n_full ** 2, want, 5e-7)
+    _close(n_full, n_half, 1e-14)
+    # the contact core on the z = 0 row of a full grid
+    h = 0.02
+    rhos = [h * (i + 1) for i in range(int(3.2 / h))]
+    zs = [h * j for j in range(int(4.5 / h))]
+    half = sample_grid(rhos, zs, energies["A"], G2)
+    _close(normalize(_mirrored(half), G2).norm_constant,
+           normalize(half, G2).norm_constant, 1e-14)
+
+
+def _grid_norm2_loop(samples):
+    # normalize's squared norm point by point from a coordinate dict: the
+    # reference for its weight vectors (trapezoid rows closed by the
+    # [0, rho_1) strip, Euler-Maclaurin edge term or whole strip on the
+    # contact-core row, core subtraction, parity fold)
+    pts = dict(zip(samples.coordinates, samples.values))
+    rhos = sorted({rho for rho, _ in pts})
+    zs = sorted({z for _, z in pts})
+    r1 = rhos[0]
+
+    def trap(xs, ys):
+        return sum(0.5 * (xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1])
+                   for i in range(len(xs) - 1))
+
+    amp = 0.0
+    if 0.0 in zs:
+        t1, t2 = r1 * pts[(r1, 0.0)], rhos[1] * pts[(rhos[1], 0.0)]
+        if abs(t2 / t1 - 1.0) < 0.3:
+            amp = 2.0 * math.pi * (2.0 * t1 - t2)
+    rows = []
+    for z in zs:
+        u = [2.0 * math.pi * r * pts[(r, z)] ** 2
+             - amp * amp * math.exp(-r * r - z * z) * r
+             / (2.0 * math.pi * (r * r + z * z)) for r in rhos]
+        edge = (r1 * u[0] if amp and z == 0.0
+                else (0.5 + 1.0 / 12.0) * r1 * u[0])
+        rows.append(edge + trap(rhos, u))
+    n2 = trap(zs, rows)
+    if zs[0] >= 0.0:
+        n2 = 2.0 * (n2 + zs[0] * rows[0])
+    return n2 + amp * amp / (2.0 * math.sqrt(math.pi))
+
+
+def test_normalize_matches_pointwise_loop(energies):
+    # half grids from z = 0 and from z = h/2, a full grid and a contact-core
+    # grid; the sums only run in another order, so 1e-13 is ample
+    h = 0.05
+    rhos = [h * (i + 1) for i in range(int(3.2 / h))]
+    zs = [h * (j + 0.5) for j in range(int(4.5 / h))]
+    coords = tuple((r, z) for z in zs for r in rhos)
+    mid = ProfileSamples(coords, tuple(math.exp(-(2.0 * r * r + z * z) / 2.0)
+                                       for r, z in coords), "integral")
+    core = sample_grid(rhos, [h * j for j in range(int(4.5 / h))],
+                       energies["A"], G2)
+    for samples in (_gaussian_samples(h), mid, _mirrored(core), core):
+        _close(normalize(samples, G2).norm_constant ** 2,
+               _grid_norm2_loop(samples), 1e-13)
+
+
+def test_normalize_takes_any_coordinate_order():
+    samples = _gaussian_samples(h=0.05)
+    order = np.random.default_rng(3).permutation(len(samples.values))
+    shuffled = ProfileSamples(tuple(samples.coordinates[i] for i in order),
+                              tuple(samples.values[i] for i in order),
+                              samples.method)
+    out = normalize(samples, G2)
+    got = normalize(shuffled, G2)
+    assert got.norm_constant == out.norm_constant
+    assert got.coordinates == shuffled.coordinates
+    assert got.values == tuple(out.values[i] for i in order)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +593,32 @@ def test_series_blocks_match_scalar_terms(rho, z, energies):
         _close(fn(rho, z, e, g, trunc), want, 1e-14)
 
 
-@pytest.mark.parametrize("rho, z, trunc", [
-    (6.0, 0.05, SeriesTruncation()),                # terms grow: stalls
-    (3.0, 0.1, SeriesTruncation(max_terms=100)),    # runs out of terms
+@pytest.mark.parametrize("route, rho, z, trunc, message", [
+    # terms grow: stalls
+    pytest.param("radial", 6.0, 0.05, SeriesTruncation(), None,
+                 id="6.0-0.05-trunc0"),
+    pytest.param("axial", 0.3, 6.0, SeriesTruncation(),
+                 "axial series terms are not decaying after 16 terms",
+                 id="axial-0.3-6.0-stalls"),
+    # runs out of terms
+    pytest.param("radial", 3.0, 0.1, SeriesTruncation(max_terms=100), None,
+                 id="3.0-0.1-trunc1"),
+    pytest.param("axial", 0.1, 3.0, SeriesTruncation(max_terms=100),
+                 "axial series did not converge in 100 terms",
+                 id="axial-0.1-3.0-runs-out"),
 ])
-def test_series_blocks_raise_like_scalar_terms(rho, z, trunc):
-    e = ground_energy_offset(G2) + 0.3
+def test_series_blocks_raise_like_scalar_terms(route, rho, z, trunc, message):
+    g = G2 if route == "radial" else G05
+    fn = psi_series_radial if route == "radial" else psi_series_axial
+    e = ground_energy_offset(g) + 0.3
     with pytest.raises(SeriesError) as ref:
-        _scalar_series("radial", rho, z, e, G2, trunc)
+        _scalar_series(route, rho, z, e, g, trunc)
     with pytest.raises(SeriesError) as got:
-        psi_series_radial(rho, z, e, G2, trunc)
+        fn(rho, z, e, g, trunc)
     assert str(got.value) == str(ref.value)
     assert got.value.terms_used == ref.value.terms_used
+    if message is not None:
+        assert str(got.value) == message
 
 
 def _sum_terms_rescan(terms, trunc, label, osc_x, decay_beta):
@@ -655,6 +767,16 @@ def test_series_coefficient_pole_flagged():
         psi_series_radial(0.5, 0.5, ground_energy_offset(G2), G2)
     with pytest.raises(PoleSignal):
         psi_series_axial(0.5, 0.5, ground_energy_offset(G2), G2)
+    # a_0 = -2.5 is no pole, a_1 = 0 is: eta = 2.5 at calE = 2 eta (radial,
+    # a_m = eta m - calE/2) and eta = 0.4 at calE = 2 (axial,
+    # a_k = (k - calE/2)/eta); 1e-7 higher both sums are finite
+    g25, g04 = TrapGeometry(2.5), TrapGeometry(0.4)
+    for fn, g, cal_e in ((psi_series_radial, g25, 5.0),
+                         (psi_series_axial, g04, 2.0)):
+        e = ground_energy_offset(g) + cal_e
+        with pytest.raises(PoleSignal):
+            fn(0.5, 0.5, e, g)
+        assert math.isfinite(fn(0.5, 0.5, e + 1e-7, g))
 
 
 def test_series_truncation_cap_reported(energies):
@@ -683,6 +805,47 @@ def test_sample_grid_layout(energies):
     for (rho, z), got in zip(samples.coordinates, samples.values):
         assert got == pytest.approx(psi_integral(rho, z, energies["A"], G2),
                                     rel=1e-13)
+
+
+@pytest.mark.parametrize("route", ["radial_series", "axial_series"])
+def test_sample_grid_series_routes(route, energies):
+    # every series sample is the point-wise value, z outer and rho inner,
+    # below E0 and above it, where the default is the geometry's series
+    g, fn, below = ((G2, psi_series_radial, energies["A"])
+                    if route == "radial_series"
+                    else (G05, psi_series_axial, energies["B"]))
+    trunc = SeriesTruncation(max_terms=4000, tail_tol=1e-12)
+    rhos, zs = (0.3, 0.7, 1.1), (0.2, 0.5, 0.9, 1.4)
+    coords = tuple((rho, z) for z in zs for rho in rhos)
+    for e in (below, ground_energy_offset(g) + 0.3):
+        samples = sample_grid(rhos, zs, e, g, route=route, trunc=trunc)
+        assert samples.method == route
+        assert samples.coordinates == coords
+        assert samples.values == tuple(fn(rho, z, e, g, trunc)
+                                       for rho, z in coords)
+    assert sample_grid(rhos, zs, e, g, trunc=trunc) == samples
+
+
+def test_psi_swaps_series_on_the_rejected_line(monkeypatch):
+    # above E0 psi takes the geometry's series by its module name, and the
+    # other one on the line the geometry's series rejects
+    trunc = SeriesTruncation(max_terms=4000, tail_tol=1e-12)
+    calls = []
+    for name in ("psi_series_radial", "psi_series_axial"):
+        fn = getattr(wavefn, name)
+        monkeypatch.setattr(wavefn, name,
+                            lambda *a, _n=name, _f=fn: calls.append(_n)
+                            or _f(*a))
+    for g, rho, z, name, fn in (
+            (G2, 0.5, 0.0, "psi_series_axial", psi_series_axial),
+            (G2, 0.5, 0.4, "psi_series_radial", psi_series_radial),
+            (G05, 0.0, 1.0, "psi_series_radial", psi_series_radial),
+            (G05, 0.5, 0.4, "psi_series_axial", psi_series_axial)):
+        e = ground_energy_offset(g) + 0.3
+        calls.clear()
+        got = psi(rho, z, e, g, trunc=trunc)
+        assert calls == [name]
+        assert got == fn(rho, z, e, g, trunc)
 
 
 def test_profile_samples_validation():
