@@ -91,11 +91,45 @@ NODE_TABLE = np.exp(0.5 * math.pi * np.sinh(_ES_U))
 NODE_TABLE.flags.writeable = False
 _ES_W = 0.5 * math.pi * np.cosh(_ES_U) * NODE_TABLE / 64.0
 _ES_T_EVEN, _ES_W_EVEN = NODE_TABLE[::2], 2.0 * _ES_W[::2]  # k = -320: even
-_ES_W_QUARTER = 4.0 * _ES_W[::4]
 _ES_T_ODD, _ES_W_ODD = NODE_TABLE[1::2], _ES_W[1::2]
 # rounding floor of the estimate, relative to sum |w f|: a few ulps per
 # integrand value plus log2(545) for the pairwise sum
 _ES_ROUNDING = 16.0 * 2.0 ** -52
+
+
+def _rule(scale, terms, odd_terms):
+    # the exp-sinh rule on terms, the weighted even-node values, one row of
+    # 273 per integrand, at scale (a float, or one per row), as (value,
+    # est, refined): the step-1/32 value with its change against every
+    # second node (whose weights are twice the step-1/32 ones, so the
+    # doubling is exact) as estimate, and for the rows that fail the
+    # tolerance the step-1/64 value from odd_terms(bad), their weighted
+    # odd-node values, with its change against the step-1/32 one; a
+    # rounding floor either way.  Refined is set when a fine pass ran, so
+    # _settle must judge the rows.
+    value = scale * terms.sum(axis=-1)
+    coarse = (2.0 * scale) * terms[:, ::2].sum(axis=-1)
+    size = abs(terms).sum(axis=-1)
+    est = abs(value - coarse) + _ES_ROUNDING * scale * size
+    bad = _tolerance_exceeded(value, est)
+    if not np.count_nonzero(bad):
+        return value, est, False
+    scale = np.broadcast_to(scale, bad.shape)[bad]
+    terms = odd_terms(bad)
+    fine = 0.5 * value[bad] + scale * terms.sum(axis=-1)
+    size = 0.5 * size[bad] + abs(terms).sum(axis=-1)
+    est[bad] = abs(fine - value[bad]) + _ES_ROUNDING * scale * size
+    value[bad] = fine
+    return value, est, True
+
+
+def _settle(value, est):
+    # the verdict after a fine pass: QuadratureError, carrying the value
+    # and est of every point, where any point fails on the finer rule too
+    if np.count_nonzero(_tolerance_exceeded(value, est)):
+        raise QuadratureError(
+            "exp-sinh error estimate %.3e exceeds tolerance" % np.max(est),
+            value, est)
 
 
 def integrate(f_vec, scale):
@@ -119,29 +153,77 @@ def integrate(f_vec, scale):
     where a row fails the tolerance on the finer rule too.  Reductions are
     elementwise products and .sum along the last axis, never a BLAS
     product, so a value does not depend on the BLAS build.
+    integrate_separable runs the same rule, estimate and verdict.
     """
     scale = np.asarray(scale, dtype=float)
     col = scale[..., None]
-    f = f_vec(col * _ES_T_EVEN)
-    terms = _ES_W_EVEN * f
-    value = scale * terms.sum(axis=-1)
-    coarse = scale * (_ES_W_QUARTER * f[..., ::2]).sum(axis=-1)
-    size = abs(terms).sum(axis=-1)
-    est = abs(value - coarse) + _ES_ROUNDING * scale * size
-    bad = _tolerance_exceeded(value, est)
-    if np.count_nonzero(bad):
-        terms = _ES_W_ODD * f_vec(col * _ES_T_ODD)
-        fine = 0.5 * value + scale * terms.sum(axis=-1)
-        size = 0.5 * size + abs(terms).sum(axis=-1)
-        fine_est = abs(fine - value) + _ES_ROUNDING * scale * size
-        value = np.where(bad, fine, value)
-        est = np.where(bad, fine_est, est)
-        if np.count_nonzero(_tolerance_exceeded(value, est)):
-            raise QuadratureError(
-                "exp-sinh error estimate %.3e exceeds tolerance"
-                % np.max(est), value, est)
+    terms = _ES_W_EVEN * f_vec(col * _ES_T_EVEN)
+    value, est, refined = _rule(
+        scale.reshape(-1), terms.reshape(-1, terms.shape[-1]),
+        lambda bad: (_ES_W_ODD * f_vec(col * _ES_T_ODD)).reshape(
+            len(bad), -1)[bad])
+    value, est = value.reshape(scale.shape), est.reshape(scale.shape)
+    if refined:
+        _settle(value, est)
     if value.ndim == 0:
         return float(value), float(est)
+    return value, est
+
+
+# points per block of integrate_separable: a block touches at most this
+# many rows and columns, so each of its arrays of 273 nodes per point, row
+# or column stays near 2 MB
+_BLOCK = 1024
+
+
+def integrate_separable(common, u, v, a, b, scale):
+    """Integrate common(t) u(a_i, t) v(b_j, t) over (0, inf) at every point
+    (i, j) of a tensor grid, on the exp-sinh node table.
+
+    a and b are 1-D arrays of row and column parameters, and scale an array
+    of shape (len(a), len(b)) with each point's scale as integrate takes
+    it.  common maps nodes t of shape (m,) to common(t); u and v map a
+    column of parameters and those nodes to the factors, one row per
+    parameter.  Each scale is rounded to the nearest power of two, and the
+    points of one power share its nodes: a bucket evaluates common once and
+    u and v only on the rows and columns it touches, (n_a + n_b) m values
+    in place of n_a n_b m, and forms each point's row as the elementwise
+    gather-product (u common)[i] v[j], in blocks of at most _BLOCK points.
+    Every point then takes integrate's rule: step 1/32 with its estimate,
+    the step-1/64 fine pass on the odd nodes for the points that fail the
+    tolerance only, and QuadratureError, carrying the value and est arrays
+    of the whole grid, where a point fails on the finer rule too.  A
+    point's value and est depend on its own parameters and bucket only, so
+    it is the same alone as inside any grid.  No BLAS product is taken, so
+    a value does not depend on the BLAS build.  Returns (value, est), both
+    of the shape of scale.
+    """
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
+    ks = np.rint(np.log2(scale))
+    value, est = np.empty(ks.shape), np.empty(ks.shape)
+    refined = False
+    for k in np.unique(ks).tolist():
+        c = math.ldexp(1.0, int(k))
+        ii, jj = np.nonzero(ks == k)
+        for lo in range(0, len(ii), _BLOCK):
+            i, j = ii[lo:lo + _BLOCK], jj[lo:lo + _BLOCK]
+
+            def terms(nodes, weights, i, j):
+                # u and v on the rows and columns these points touch
+                t = c * nodes
+                ri, i = np.unique(i, return_inverse=True)
+                rj, j = np.unique(j, return_inverse=True)
+                uc = u(a[ri], t) * (weights * common(t))
+                return uc[i] * v(b[rj], t)[j]
+
+            v_blk, e_blk, fine = _rule(
+                c, terms(_ES_T_EVEN, _ES_W_EVEN, i, j),
+                lambda bad: terms(_ES_T_ODD, _ES_W_ODD, i[bad], j[bad]))
+            value[i, j], est[i, j] = v_blk, e_blk
+            refined |= fine
+    if refined:
+        _settle(value, est)
     return value, est
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, SeriesError, integrate
+from .numerics import (NumericsError, SeriesError, integrate,
+                       integrate_separable)
 from .solver import ground_energy_offset
 from .specfun import (
     PoleSignal,
@@ -88,29 +89,28 @@ def _check_integral_domain(rhos, zs, E, g):
         raise ValueError("integral route needs E < E0 = %g" % e0)
 
 
-def _psi_integral_row(rhos, z, E, g):
-    # Psi at (rho, z) for every rho of a 1-D array, on the exp-sinh node
-    # table with scale sqrt(r^2/(E0 - E)) per point: the integrand climbs
-    # like exp(-r^2/(2t)) and falls like exp(-(E0 - E) t).  The exponent is
-    # t (E - E0) + 3/2 log 2 - z^2 coth(t)/2 - eta rho^2 coth(eta t)/2
-    #   - log(1 - e^(-2t))/2 - log(1 - e^(-2 eta t)),
-    # which is the log-sinh form with its linear parts collected, so no
-    # large terms cancel and nothing overflows.
+def _psi_grid(rhos, zs, E, g):
+    # Psi on the grid zs x rhos, as a (z, rho) array, by one
+    # integrate_separable call with scale sqrt(r^2/(E0 - E)) per point: the
+    # integrand climbs like exp(-r^2/(2t)) and falls like exp(-(E0 - E) t).
+    # Its exponent is t (E - E0) + 3/2 log 2 - log(1 - e^(-2t))/2
+    #   - log(1 - e^(-2 eta t)) - z^2 coth(t)/2 - eta rho^2 coth(eta t)/2,
+    # the log-sinh form with its linear parts collected, so no large terms
+    # cancel and nothing overflows; its last two terms are the z and rho
+    # factors.
     eta = g.eta
     de = E - ground_energy_offset(g)
-    half_z2 = 0.5 * z * z
-    half_w = (0.5 * eta) * (rhos * rhos)[:, None]
-    scale = np.sqrt((rhos * rhos + z * z) / -de)
+    rhos, zs = np.asarray(rhos, dtype=float), np.asarray(zs, dtype=float)
 
-    def f(t):
-        eta_t = eta * t
-        ex = (t * de + 1.5 * LN2
-              - half_z2 / np.tanh(t) - half_w / np.tanh(eta_t)
-              - 0.5 * np.log(-np.expm1(-2.0 * t))
-              - np.log(-np.expm1(-2.0 * eta_t)))
-        return np.exp(ex)
+    def common(t):
+        return np.exp(t * de + 1.5 * LN2 - 0.5 * np.log(-np.expm1(-2.0 * t))
+                      - np.log(-np.expm1(-2.0 * eta * t)))
 
-    value, _ = integrate(f, scale)
+    value, _ = integrate_separable(
+        common, lambda a, t: np.exp(-a / np.tanh(t)),
+        lambda b, t: np.exp(-b / np.tanh(eta * t)),
+        0.5 * zs * zs, (0.5 * eta) * rhos * rhos,
+        np.sqrt(((rhos * rhos) + (zs * zs)[:, None]) / -de))
     return (eta / TWO_PI ** 1.5) * value
 
 
@@ -119,12 +119,13 @@ def psi_integral(rho, z, E, g):
 
     The integrand decays like exp(t (E - E0)) at large t, so the energy must
     sit strictly below E0; the r != 0 Gaussian suppression exp(-r^2/(2t))
-    tames the t^{-3/2} short-time divergence.  It runs on the numerics
-    exp-sinh node table with scale sqrt(r^2/(E0 - E)), the same kernel
-    sample_grid runs row by row.
+    tames the t^{-3/2} short-time divergence.  It is the 1 x 1 case of
+    sample_grid's one grid kernel, numerics.integrate_separable at the power
+    of two nearest sqrt(r^2/(E0 - E)), so a grid sample equals this value
+    at its point.
     """
     _check_integral_domain((rho,), (z,), E, g)
-    return float(_psi_integral_row(np.array([float(rho)]), z, E, g)[0])
+    return float(_psi_grid((rho,), (z,), E, g)[0, 0])
 
 
 # Largest coefficient block: the kernel holds a few (block, 273) arrays, so
@@ -333,10 +334,7 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     coords = tuple((rho, z) for z in zs for rho in rhos)
     if route == "integral":
         _check_integral_domain(rhos, zs, E, g)
-        row = np.array(rhos, dtype=float)
-        values = []
-        for z in zs:
-            values.extend(_psi_integral_row(row, z, E, g).tolist())
+        values = _psi_grid(rhos, zs, E, g).ravel().tolist()
     elif route == "radial_series":
         values = [v for z in zs
                   for v in _series_line(route, z, rhos, E, g, trunc)]

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from pairtrap import cli
-from pairtrap.solver import InteractionModel, TrapGeometry, bound_state_exact
+from pairtrap.solver import (InteractionModel, TrapGeometry, _default_window,
+                             bound_state_exact, eigenenergies)
 
 
 def _run(argv):
@@ -71,6 +72,25 @@ def test_spectrum_sweep_default_window(capsys):
             InteractionModel.from_inverse_a(float(cells[0])),
             TrapGeometry(2.37))
         assert abs(float(cells[1]) - bound.E) < 1e-10
+
+
+def test_fig1_rows_equal_per_cell_solves(capsys):
+    # fig1's 161-cell sweep prints, per 1/a, the levels a per-cell
+    # eigenenergies solve finds in the sweep's one default window; a sweep
+    # solver must keep this
+    assert _run(["fig1", "--eta", "2.37", "--levels", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "inv_a,E_1,E_2,E_3"
+    assert len(rows) == 161
+    g = TrapGeometry(2.37)
+    inv_grid = [-4.0 + 8.0 * i / 160 for i in range(161)]
+    window = _default_window(g, 3, inv_grid)
+    for row, inv_a in zip(rows, inv_grid):
+        assert "NA" not in row.split(",")
+        levels = eigenenergies(InteractionModel.from_inverse_a(inv_a), g,
+                               window=window, max_levels=3)
+        assert row == ",".join("%.12g" % v
+                               for v in [inv_a] + [lv.E for lv in levels])
 
 
 def test_spectrum_resonance_default_window(capsys):

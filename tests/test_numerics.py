@@ -10,7 +10,8 @@ from scipy.special import digamma
 from pairtrap import numerics, solver
 from pairtrap.numerics import (NumericsError, QuadratureError, RootBracket,
                                bracket_from_signs, find_root_bracketed,
-                               find_roots_bracketed, integrate)
+                               find_roots_bracketed, integrate,
+                               integrate_separable)
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies)
 from pairtrap.spectral import pole_grid
@@ -57,6 +58,96 @@ def test_exp_sinh_fine_pass_is_chosen_per_row(monkeypatch):
         np.array([c for _, c in rows]))
     assert verdicts == [[True, False, False], [False, False, False]]
     assert [(float(v), float(e)) for v, e in zip(value, est)] == alone
+
+
+def _closed_form_grid():
+    # t^(-1/2) e^(-a t - (b_i + c_j)/t) over (0, inf) is
+    # sqrt(pi/a) e^(-2 sqrt(a (b_i + c_j))); the peak sits near
+    # t = sqrt((b + c)/a), which spans 2^-13 to 2^3
+    a = 1.5
+    b = np.array([0.0, 1e-8, 1e-5, 3e-3, 0.1, 2.0, 30.0])
+    c = np.array([2e-8, 1e-6, 1e-4, 0.02, 0.7, 9.0])
+    bc = b[:, None] + c
+    scale = np.sqrt(bc / a)
+    want = math.sqrt(math.pi / a) * np.exp(-2.0 * np.sqrt(a * bc))
+    return (lambda t: np.exp(-a * t) / np.sqrt(t),
+            lambda p, t: np.exp(-p / t), b, c, scale, want)
+
+
+def test_separable_rule_matches_closed_form():
+    common, factor, b, c, scale, want = _closed_form_grid()
+    value, est = integrate_separable(common, factor, factor, b, c, scale)
+    assert value.shape == est.shape == (len(b), len(c))
+    assert len(np.unique(np.rint(np.log2(scale)))) >= 6
+    assert np.all(abs(value / want - 1.0) <= 1e-13)
+    assert np.all(abs(value - want) <= est)
+    assert np.all(est < numerics.REL_TOL * want)
+
+
+def test_separable_point_alone_equals_point_in_grid():
+    # a point's value and estimate depend on its own row, column and
+    # bucket: a 1 x 1 call gives them bit for bit
+    common, factor, b, c, scale, _ = _closed_form_grid()
+    value, est = integrate_separable(common, factor, factor, b, c, scale)
+    for i, j in np.ndindex(value.shape):
+        alone = integrate_separable(common, factor, factor, b[i:i + 1],
+                                    c[j:j + 1], scale[i:i + 1, j:j + 1])
+        assert (alone[0][0, 0], alone[1][0, 0]) == (value[i, j], est[i, j])
+
+
+def test_separable_fine_pass_only_for_failing_points(monkeypatch):
+    # Gaussian bumps e^(-(p + q)(t - 5)^2) at scale 4: width above ~1 needs
+    # the step-1/64 rule, narrower passes on step 1/32.  In one bucket, the
+    # odd nodes are formed for the failing points only, and every point
+    # equals its own 1 x 1 call
+    def bump(p, t):
+        return np.exp(-p * (t - 5.0) ** 2)
+
+    def one(t):
+        return np.ones_like(t)
+
+    p = np.array([0.1, 0.2, 0.9])
+    q = np.array([0.05, 0.1, 0.3])
+    scale = np.full((3, 3), 4.0)
+    refined, odd_rows = [], []
+    rule = numerics._rule
+
+    def spy(scale, terms, odd_terms):
+        def odd(bad):
+            rows = odd_terms(bad)
+            odd_rows.append(len(rows))
+            return rows
+        out = rule(scale, terms, odd)
+        refined.append(out[2])
+        return out
+
+    monkeypatch.setattr(numerics, "_rule", spy)
+    alone = {}
+    for i, j in np.ndindex(scale.shape):
+        v, e = integrate_separable(one, bump, bump, p[i:i + 1], q[j:j + 1],
+                                   scale[i:i + 1, j:j + 1])
+        alone[i, j] = (v[0, 0], e[0, 0], refined.pop())
+    odd_rows.clear()
+    failing = [ij for ij, (_, _, fine) in alone.items() if fine]
+    assert 0 < len(failing) < 9
+    value, est = integrate_separable(one, bump, bump, p, q, scale)
+    assert odd_rows == [len(failing)]
+    for ij, (v, e, _) in alone.items():
+        assert (value[ij], est[ij]) == (v, e)
+
+
+def test_separable_failure_carries_point_arrays():
+    # (1 + t)^(-p) is not integrable at p = 1; the p = 3 point still
+    # reports its value 1/2 and a small estimate
+    value_of = lambda t: np.ones_like(t)
+    with pytest.raises(QuadratureError) as err:
+        integrate_separable(value_of, lambda p, t: (1.0 + t) ** -p,
+                            lambda q, t: np.exp(-q * t), [3.0, 1.0], [0.0],
+                            np.ones((2, 1)))
+    value, est = err.value.value, err.value.est_error
+    assert value.shape == est.shape == (2, 1)
+    assert abs(value[0, 0] - 0.5) <= est[0, 0] < 1e-12
+    assert est[1, 0] > 1e-9 * abs(value[1, 0])
 
 
 def _brentq_reference(f, br, tol=1e-10):

@@ -15,6 +15,7 @@ import pytest
 from scipy.special import k0
 
 from conftest import fval, oracle_values
+from pairtrap import numerics
 from pairtrap.numerics import NumericsError, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies,
@@ -794,8 +795,7 @@ def test_sample_grid_layout(energies):
     assert samples.coordinates[0] == (0.3, 0.2)
     assert samples.coordinates[1] == (0.6, 0.2)   # rho runs fastest
     assert samples.coordinates[2] == (0.3, 0.4)
-    want = psi_integral(0.6, 0.4, energies["A"], G2)
-    assert samples.values[3] == pytest.approx(want, rel=1e-13)
+    assert samples.values[3] == psi_integral(0.6, 0.4, energies["A"], G2)
     # a larger grid, with an on-axis column and rows at z < 0: every point
     # is the value psi_integral gives
     rhos = [0.0] + [0.05 * 1.4 ** i for i in range(12)]
@@ -803,8 +803,36 @@ def test_sample_grid_layout(energies):
     samples = sample_grid(rhos, zs, energies["A"], G2)
     assert len(samples.values) == len(rhos) * len(zs)
     for (rho, z), got in zip(samples.coordinates, samples.values):
-        assert got == pytest.approx(psi_integral(rho, z, energies["A"], G2),
-                                    rel=1e-13)
+        assert got == psi_integral(rho, z, energies["A"], G2)
+
+
+@pytest.mark.parametrize("eta", (0.01, 100.0))
+def test_sample_grid_equals_psi_integral_bit_for_bit(eta, energies):
+    # psi_integral is the 1 x 1 case of sample_grid's one kernel, and a
+    # point's value depends on its own row, column and power-of-two bucket
+    # only: every grid sample is the point value, bit for bit.  One grid
+    # has a rho = 0 column, the other a z = 0 row (a tensor grid cannot
+    # hold both: the origin is rejected); both have z < 0 rows, span at
+    # least 6 buckets, and the first puts more points in one bucket than
+    # integrate_separable takes in a block
+    g = TrapGeometry(eta)
+    e = energies["u100" if eta == 100.0 else "u001"]
+    len_rho = 1.0 / math.sqrt(eta)
+    rhos = ([0.0] + [len_rho * 0.02 * 1.5 ** k for k in range(8)]
+            + [len_rho * (0.6 + 0.04 * k) for k in range(61)])
+    zs = ([-2.0, -0.5, -0.01] + [0.02 * 1.5 ** k for k in range(6)]
+          + [0.3 + 0.06 * k for k in range(46)])
+    kappa2 = ground_energy_offset(g) - e
+    for grid_rhos, grid_zs, big in ((rhos, zs, True),
+                                    (rhos[1::3], zs[::3] + [0.0], False)):
+        r2 = np.add.outer(np.square(grid_zs), np.square(grid_rhos))
+        _, per_bucket = np.unique(np.rint(np.log2(np.sqrt(r2 / kappa2))),
+                                  return_counts=True)
+        assert len(per_bucket) >= 6
+        assert (per_bucket.max() > numerics._BLOCK) == big
+        samples = sample_grid(grid_rhos, grid_zs, e, g)
+        assert samples.values == tuple(psi_integral(rho, z, e, g)
+                                       for rho, z in samples.coordinates)
 
 
 @pytest.mark.parametrize("route", ["radial_series", "axial_series"])
