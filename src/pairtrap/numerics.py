@@ -3,14 +3,16 @@
 One quadrature on (0, inf), a fixed exp-sinh node table that integrates a
 numpy-vectorized integrand in one pass (every proper-time integral of the
 package runs on it; an array of scales integrates a batch of integrands,
-each row on its own coarse or fine rule), one bracketed root engine (every
-level of the package is one of its roots) and the error types of the
-series the wavefunction module sums.  The engine runs scipy's brentq steps
-in plain Python as one state machine per root, so find_roots_bracketed
-drives n roots in lockstep with one batched target call per step, and
-find_root_bracketed is its n = 1 case.  All routines are pure functions of
-their inputs and keep no mutable state, so they are safe to call
-concurrently.
+each row on its own coarse or fine rule; integrate_separable takes a grid
+of integrands u_i(t) v_j(t) on shared nodes per power-of-two scale, with u
+and v once per row and column, by the same rule and no BLAS product), one
+bracketed root engine (every level of the package is one of its roots) and
+the error types of the series the wavefunction module sums.  The engine
+runs scipy's brentq steps in plain Python as one state machine per root,
+so find_roots_bracketed drives n roots in lockstep with one batched target
+call per step, and find_root_bracketed is its n = 1 case.  All routines
+are pure functions of their inputs and keep no mutable state, so they are
+safe to call concurrently.
 """
 
 import math
@@ -98,17 +100,11 @@ _ES_ROUNDING = 16.0 * 2.0 ** -52
 
 
 def _rule(scale, terms, odd_terms):
-    # the exp-sinh rule on terms, the weighted even-node values, one row of
-    # 273 per integrand, at scale (a float, or one per row), as (value,
-    # est, refined): the step-1/32 value with its change against every
-    # second node (whose weights are twice the step-1/32 ones, so the
-    # doubling is exact) as estimate, and for the rows that fail the
-    # tolerance the step-1/64 value from odd_terms(bad), their weighted
-    # odd-node values, with its change against the step-1/32 one; a
-    # rounding floor either way.  Refined is set when a fine pass ran, so
-    # _settle must judge the rows.
+    # integrate's rule on the rows of weighted even-node values terms at
+    # scale (a float or one per row), odd_terms(bad) giving the failing
+    # rows' weighted odd-node values: (value, est, whether a fine pass ran)
     value = scale * terms.sum(axis=-1)
-    coarse = (2.0 * scale) * terms[:, ::2].sum(axis=-1)
+    coarse = (2.0 * scale) * terms[..., ::2].sum(axis=-1)
     size = abs(terms).sum(axis=-1)
     est = abs(value - coarse) + _ES_ROUNDING * scale * size
     bad = _tolerance_exceeded(value, est)
@@ -118,18 +114,17 @@ def _rule(scale, terms, odd_terms):
     terms = odd_terms(bad)
     fine = 0.5 * value[bad] + scale * terms.sum(axis=-1)
     size = 0.5 * size[bad] + abs(terms).sum(axis=-1)
+    value, est = np.array(value), np.array(est)
     est[bad] = abs(fine - value[bad]) + _ES_ROUNDING * scale * size
     value[bad] = fine
     return value, est, True
 
 
 def _settle(value, est):
-    # the verdict after a fine pass: QuadratureError, carrying the value
-    # and est of every point, where any point fails on the finer rule too
+    # QuadratureError, carrying all values and ests, where one fails
     if np.count_nonzero(_tolerance_exceeded(value, est)):
-        raise QuadratureError(
-            "exp-sinh error estimate %.3e exceeds tolerance" % np.max(est),
-            value, est)
+        raise QuadratureError("exp-sinh error estimate %.3e exceeds "
+                              "tolerance" % np.max(est), value, est)
 
 
 def integrate(f_vec, scale):
@@ -142,27 +137,21 @@ def integrate(f_vec, scale):
     receives nodes of shape (n, m) and must keep the rows apart), and value
     and est are arrays of shape (n,).
 
-    The rule of step 1/32 in u runs first, and its estimate is its change
-    against the nested rule of every second node.  Where any row fails the
-    tolerance ABS_TOL + REL_TOL |value|, the odd nodes of step 1/64 are
-    added for every row, and each failing row takes the step-1/64 value
-    with its change against the step-1/32 one as estimate; the rows that
-    passed keep their step-1/32 values, so a row's result does not depend
-    on the other rows of its batch.  A rounding floor is added either way.
-    Returns (value, est).  Raises QuadratureError, carrying value and est,
-    where a row fails the tolerance on the finer rule too.  Reductions are
-    elementwise products and .sum along the last axis, never a BLAS
-    product, so a value does not depend on the BLAS build.
-    integrate_separable runs the same rule, estimate and verdict.
+    The step-1/32 rule in u runs first, its estimate its change against
+    the nested rule on every second node.  Rows failing the tolerance
+    ABS_TOL + REL_TOL |value| take the step-1/64 rule (the odd nodes, which
+    f_vec gives for every row) with its change against step 1/32 as
+    estimate; the others keep their values, so a row's result does not
+    depend on its batch.  A rounding floor is added either way.  Returns
+    (value, est); raises QuadratureError, carrying both, where a row fails
+    on the finer rule too.  Sums run along the last axis, never through a
+    BLAS product, so a value does not depend on the BLAS build.
     """
     scale = np.asarray(scale, dtype=float)
     col = scale[..., None]
-    terms = _ES_W_EVEN * f_vec(col * _ES_T_EVEN)
     value, est, refined = _rule(
-        scale.reshape(-1), terms.reshape(-1, terms.shape[-1]),
-        lambda bad: (_ES_W_ODD * f_vec(col * _ES_T_ODD)).reshape(
-            len(bad), -1)[bad])
-    value, est = value.reshape(scale.shape), est.reshape(scale.shape)
+        scale, _ES_W_EVEN * f_vec(col * _ES_T_EVEN),
+        lambda bad: (_ES_W_ODD * f_vec(col * _ES_T_ODD))[bad])
     if refined:
         _settle(value, est)
     if value.ndim == 0:
@@ -170,60 +159,42 @@ def integrate(f_vec, scale):
     return value, est
 
 
-# points per block of integrate_separable: a block touches at most this
-# many rows and columns, so each of its arrays of 273 nodes per point, row
-# or column stays near 2 MB
+# points (so rows and columns) per integrate_separable block: ~2 MB arrays
 _BLOCK = 1024
 
 
-def integrate_separable(common, u, v, a, b, scale):
-    """Integrate common(t) u(a_i, t) v(b_j, t) over (0, inf) at every point
-    (i, j) of a tensor grid, on the exp-sinh node table.
+def integrate_separable(u, v, a, b, scale):
+    """Integrate u(a_i, t) v(b_j, t) over (0, inf) at each point (i, j) of
+    a tensor grid, as integrate would at scale[i, j].
 
-    a and b are 1-D arrays of row and column parameters, and scale an array
-    of shape (len(a), len(b)) with each point's scale as integrate takes
-    it.  common maps nodes t of shape (m,) to common(t); u and v map a
-    column of parameters and those nodes to the factors, one row per
-    parameter.  Each scale is rounded to the nearest power of two, and the
-    points of one power share its nodes: a bucket evaluates common once and
-    u and v only on the rows and columns it touches, (n_a + n_b) m values
-    in place of n_a n_b m, and forms each point's row as the elementwise
-    gather-product (u common)[i] v[j], in blocks of at most _BLOCK points.
-    Every point then takes integrate's rule: step 1/32 with its estimate,
-    the step-1/64 fine pass on the odd nodes for the points that fail the
-    tolerance only, and QuadratureError, carrying the value and est arrays
-    of the whole grid, where a point fails on the finer rule too.  A
-    point's value and est depend on its own parameters and bucket only, so
-    it is the same alone as inside any grid.  No BLAS product is taken, so
-    a value does not depend on the BLAS build.  Returns (value, est), both
-    of the shape of scale.
+    u and v map a column of a's or b's (1-D arrays) and nodes t to one row
+    per parameter; a factor common to all points belongs in u.  Each scale
+    is rounded to the nearest power of two, whose points share its nodes:
+    per block of up to _BLOCK of them, u and v are evaluated on the rows
+    and columns the block touches and a point's row is the elementwise
+    product u[i] v[j].  integrate's rule and estimate follow, the fine pass
+    for the failing points only, and no BLAS product; a point's result is
+    the same alone as in any grid.  Returns (value, est) arrays of the
+    shape of scale, which a QuadratureError carries.
     """
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
+    def terms(c, nodes, weights, i, j):
+        # the weighted rows of the points (i, j) at scale c
+        t = c * nodes
+        ri, i = np.unique(i, return_inverse=True)
+        rj, j = np.unique(j, return_inverse=True)
+        return (weights * u(a[ri, None], t))[i] * v(b[rj, None], t)[j]
+
     ks = np.rint(np.log2(scale))
     value, est = np.empty(ks.shape), np.empty(ks.shape)
-    refined = False
     for k in np.unique(ks).tolist():
         c = math.ldexp(1.0, int(k))
         ii, jj = np.nonzero(ks == k)
         for lo in range(0, len(ii), _BLOCK):
             i, j = ii[lo:lo + _BLOCK], jj[lo:lo + _BLOCK]
-
-            def terms(nodes, weights, i, j):
-                # u and v on the rows and columns these points touch
-                t = c * nodes
-                ri, i = np.unique(i, return_inverse=True)
-                rj, j = np.unique(j, return_inverse=True)
-                uc = u(a[ri], t) * (weights * common(t))
-                return uc[i] * v(b[rj], t)[j]
-
-            v_blk, e_blk, fine = _rule(
-                c, terms(_ES_T_EVEN, _ES_W_EVEN, i, j),
-                lambda bad: terms(_ES_T_ODD, _ES_W_ODD, i[bad], j[bad]))
-            value[i, j], est[i, j] = v_blk, e_blk
-            refined |= fine
-    if refined:
-        _settle(value, est)
+            value[i, j], est[i, j], _ = _rule(
+                c, terms(c, _ES_T_EVEN, _ES_W_EVEN, i, j),
+                lambda bad: terms(c, _ES_T_ODD, _ES_W_ODD, i[bad], j[bad]))
+    _settle(value, est)
     return value, est
 
 

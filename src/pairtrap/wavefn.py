@@ -7,9 +7,10 @@ Laguerre x Kummer-U products (fast for cigars), and an axial series (fast
 for pancakes), one kernel summing either along a grid line (z row or rho
 column) term by term under a shared tail control, on one sequence of
 coefficients Gamma(a) U(a, b, w) per line (one specfun.gamma_u call per
-block of terms, signed, the first terms above E0 included).  Coefficients,
-integral and the quasi-1d and quasi-2d profile sums run on the numerics
-exp-sinh node table.  Grid normalization (one trapezoid weight vector per
+block of terms, signed, the first terms above E0 included).  The integral
+samples a whole grid in one numerics.integrate_separable call, psi_integral
+being its 1 x 1 case; coefficients and the quasi-1d and quasi-2d profile
+sums run on the same exp-sinh node table.  Grid normalization (one trapezoid weight vector per
 axis on the (z, rho) array, the integrable 1/r^2 core density treated
 analytically) and the contact slope in closed form complete the module.
 All lengths are in axial oscillator units; energies include the
@@ -78,37 +79,30 @@ class SeriesTruncation:
             raise ValueError("tail_tol must be positive")
 
 
-def _check_integral_domain(rhos, zs, E, g):
-    # the integral route's domain, for every point of the grid rhos x zs
+def _psi_grid(rhos, zs, E, g):
+    # Psi on the grid zs x rhos as a (z, rho) array, at scale
+    # sqrt(r^2/(E0 - E)) per point: the integrand climbs like exp(-r^2/(2t))
+    # and falls like exp(-(E0 - E) t).  Its exponent, the log-sinh form with
+    # the linear parts collected (no large terms cancel, nothing overflows),
+    # is t (E - E0) + 3/2 log 2 - log(1 - e^(-2t))/2 - log(1 - e^(-2 eta t))
+    # plus the z and rho factors' -z^2 coth(t)/2 - eta rho^2 coth(eta t)/2.
     if any(rho < 0 for rho in rhos):
         raise ValueError("rho must be nonnegative")
     if 0.0 in rhos and 0.0 in zs:
         raise ValueError("Psi diverges at the origin; use contact_coefficient")
-    e0 = ground_energy_offset(g)
+    e0, eta = ground_energy_offset(g), g.eta
     if not E < e0:
         raise ValueError("integral route needs E < E0 = %g" % e0)
-
-
-def _psi_grid(rhos, zs, E, g):
-    # Psi on the grid zs x rhos, as a (z, rho) array, by one
-    # integrate_separable call with scale sqrt(r^2/(E0 - E)) per point: the
-    # integrand climbs like exp(-r^2/(2t)) and falls like exp(-(E0 - E) t).
-    # Its exponent is t (E - E0) + 3/2 log 2 - log(1 - e^(-2t))/2
-    #   - log(1 - e^(-2 eta t)) - z^2 coth(t)/2 - eta rho^2 coth(eta t)/2,
-    # the log-sinh form with its linear parts collected, so no large terms
-    # cancel and nothing overflows; its last two terms are the z and rho
-    # factors.
-    eta = g.eta
-    de = E - ground_energy_offset(g)
+    de = E - e0
     rhos, zs = np.asarray(rhos, dtype=float), np.asarray(zs, dtype=float)
 
-    def common(t):
+    def u(a, t):
+        # the z factor, with the terms common to the grid in its exponent
         return np.exp(t * de + 1.5 * LN2 - 0.5 * np.log(-np.expm1(-2.0 * t))
-                      - np.log(-np.expm1(-2.0 * eta * t)))
+                      - np.log(-np.expm1(-2.0 * eta * t)) - a / np.tanh(t))
 
     value, _ = integrate_separable(
-        common, lambda a, t: np.exp(-a / np.tanh(t)),
-        lambda b, t: np.exp(-b / np.tanh(eta * t)),
+        u, lambda b, t: np.exp(-b / np.tanh(eta * t)),
         0.5 * zs * zs, (0.5 * eta) * rhos * rhos,
         np.sqrt(((rhos * rhos) + (zs * zs)[:, None]) / -de))
     return (eta / TWO_PI ** 1.5) * value
@@ -120,11 +114,8 @@ def psi_integral(rho, z, E, g):
     The integrand decays like exp(t (E - E0)) at large t, so the energy must
     sit strictly below E0; the r != 0 Gaussian suppression exp(-r^2/(2t))
     tames the t^{-3/2} short-time divergence.  It is the 1 x 1 case of
-    sample_grid's one grid kernel, numerics.integrate_separable at the power
-    of two nearest sqrt(r^2/(E0 - E)), so a grid sample equals this value
-    at its point.
+    sample_grid's grid kernel, so a grid sample equals this value.
     """
-    _check_integral_domain((rho,), (z,), E, g)
     return float(_psi_grid((rho,), (z,), E, g)[0, 0])
 
 
@@ -319,10 +310,11 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
 
     One route is used for every point so the samples stay homogeneous; the
     default picks the integral below E0 and the geometry-matched series
-    otherwise.  The integral route evaluates one z row at a time on the
-    exp-sinh node table (the kernel psi_integral uses), and rejects a grid
-    holding a point outside its domain with psi_integral's ValueError.  A
-    series route runs the psi_series_* kernel once per z row (radial) or
+    otherwise.  The integral route is one grid kernel, the separable node
+    table rule with each z row's and rho column's factor computed once per
+    power-of-two scale, and psi_integral its 1 x 1 case, so each sample is
+    the point value; a grid holding a point outside the domain raises
+    psi_integral's ValueError.  A series route runs the psi_series_* kernel once per z row (radial) or
     rho column (axial), the line sharing one coefficient sequence, so each
     sample is the point-wise value.
     """
@@ -333,7 +325,6 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
             route = "radial_series" if g.eta >= 1.0 else "axial_series"
     coords = tuple((rho, z) for z in zs for rho in rhos)
     if route == "integral":
-        _check_integral_domain(rhos, zs, E, g)
         values = _psi_grid(rhos, zs, E, g).ravel().tolist()
     elif route == "radial_series":
         values = [v for z in zs

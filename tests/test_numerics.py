@@ -70,13 +70,13 @@ def _closed_form_grid():
     bc = b[:, None] + c
     scale = np.sqrt(bc / a)
     want = math.sqrt(math.pi / a) * np.exp(-2.0 * np.sqrt(a * bc))
-    return (lambda t: np.exp(-a * t) / np.sqrt(t),
-            lambda p, t: np.exp(-p / t), b, c, scale, want)
+    return (lambda p, t: np.exp(-a * t - p / t) / np.sqrt(t),
+            lambda q, t: np.exp(-q / t), b, c, scale, want)
 
 
 def test_separable_rule_matches_closed_form():
-    common, factor, b, c, scale, want = _closed_form_grid()
-    value, est = integrate_separable(common, factor, factor, b, c, scale)
+    u, v, b, c, scale, want = _closed_form_grid()
+    value, est = integrate_separable(u, v, b, c, scale)
     assert value.shape == est.shape == (len(b), len(c))
     assert len(np.unique(np.rint(np.log2(scale)))) >= 6
     assert np.all(abs(value / want - 1.0) <= 1e-13)
@@ -87,11 +87,11 @@ def test_separable_rule_matches_closed_form():
 def test_separable_point_alone_equals_point_in_grid():
     # a point's value and estimate depend on its own row, column and
     # bucket: a 1 x 1 call gives them bit for bit
-    common, factor, b, c, scale, _ = _closed_form_grid()
-    value, est = integrate_separable(common, factor, factor, b, c, scale)
+    u, v, b, c, scale, _ = _closed_form_grid()
+    value, est = integrate_separable(u, v, b, c, scale)
     for i, j in np.ndindex(value.shape):
-        alone = integrate_separable(common, factor, factor, b[i:i + 1],
-                                    c[j:j + 1], scale[i:i + 1, j:j + 1])
+        alone = integrate_separable(u, v, b[i:i + 1], c[j:j + 1],
+                                    scale[i:i + 1, j:j + 1])
         assert (alone[0][0, 0], alone[1][0, 0]) == (value[i, j], est[i, j])
 
 
@@ -102,9 +102,6 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
     # equals its own 1 x 1 call
     def bump(p, t):
         return np.exp(-p * (t - 5.0) ** 2)
-
-    def one(t):
-        return np.ones_like(t)
 
     p = np.array([0.1, 0.2, 0.9])
     q = np.array([0.05, 0.1, 0.3])
@@ -124,13 +121,13 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
     monkeypatch.setattr(numerics, "_rule", spy)
     alone = {}
     for i, j in np.ndindex(scale.shape):
-        v, e = integrate_separable(one, bump, bump, p[i:i + 1], q[j:j + 1],
+        v, e = integrate_separable(bump, bump, p[i:i + 1], q[j:j + 1],
                                    scale[i:i + 1, j:j + 1])
         alone[i, j] = (v[0, 0], e[0, 0], refined.pop())
     odd_rows.clear()
     failing = [ij for ij, (_, _, fine) in alone.items() if fine]
     assert 0 < len(failing) < 9
-    value, est = integrate_separable(one, bump, bump, p, q, scale)
+    value, est = integrate_separable(bump, bump, p, q, scale)
     assert odd_rows == [len(failing)]
     for ij, (v, e, _) in alone.items():
         assert (value[ij], est[ij]) == (v, e)
@@ -139,11 +136,10 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
 def test_separable_failure_carries_point_arrays():
     # (1 + t)^(-p) is not integrable at p = 1; the p = 3 point still
     # reports its value 1/2 and a small estimate
-    value_of = lambda t: np.ones_like(t)
     with pytest.raises(QuadratureError) as err:
-        integrate_separable(value_of, lambda p, t: (1.0 + t) ** -p,
-                            lambda q, t: np.exp(-q * t), [3.0, 1.0], [0.0],
-                            np.ones((2, 1)))
+        integrate_separable(lambda p, t: (1.0 + t) ** -p,
+                            lambda q, t: np.exp(-q * t), np.array([3.0, 1.0]),
+                            np.zeros(1), np.ones((2, 1)))
     value, est = err.value.value, err.value.est_error
     assert value.shape == est.shape == (2, 1)
     assert abs(value[0, 0] - 0.5) <= est[0, 0] < 1e-12
