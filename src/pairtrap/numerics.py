@@ -177,24 +177,36 @@ def integrate_separable(u, v, a, b, scale):
     the same alone as in any grid.  Returns (value, est) arrays of the
     shape of scale, which a QuadratureError carries.
     """
+    def touched(idx, n):
+        # the distinct entries of idx, ascending, and the place of each
+        pos = np.zeros(n, dtype=np.intp)
+        pos[idx] = 1
+        (rows,) = pos.nonzero()
+        pos[rows] = np.arange(len(rows))
+        return rows, pos[idx]
+
     def terms(c, nodes, weights, i, j):
         # the weighted rows of the points (i, j) at scale c
         t = c * nodes
-        ri, i = np.unique(i, return_inverse=True)
-        rj, j = np.unique(j, return_inverse=True)
+        (ri, i), (rj, j) = touched(i, len(a)), touched(j, len(b))
         return (weights * u(a[ri, None], t))[i] * v(b[rj, None], t)[j]
 
-    ks = np.rint(np.log2(scale))
+    ks = np.rint(np.log2(scale)).ravel()
     value, est = np.empty(ks.shape), np.empty(ks.shape)
-    for k in np.unique(ks).tolist():
+    refined = False
+    for k in set(ks.tolist()):
         c = math.ldexp(1.0, int(k))
-        ii, jj = np.nonzero(ks == k)
-        for lo in range(0, len(ii), _BLOCK):
-            i, j = ii[lo:lo + _BLOCK], jj[lo:lo + _BLOCK]
-            value[i, j], est[i, j], _ = _rule(
+        (points,) = (ks == k).nonzero()
+        for lo in range(0, len(points), _BLOCK):
+            p = points[lo:lo + _BLOCK]
+            i, j = np.divmod(p, len(b))
+            value[p], est[p], fine = _rule(
                 c, terms(c, _ES_T_EVEN, _ES_W_EVEN, i, j),
                 lambda bad: terms(c, _ES_T_ODD, _ES_W_ODD, i[bad], j[bad]))
-    _settle(value, est)
+            refined |= fine
+    value, est = value.reshape(scale.shape), est.reshape(scale.shape)
+    if refined:
+        _settle(value, est)
     return value, est
 
 

@@ -63,7 +63,7 @@ def test_exp_sinh_fine_pass_is_chosen_per_row(monkeypatch):
 def _closed_form_grid():
     # t^(-1/2) e^(-a t - (b_i + c_j)/t) over (0, inf) is
     # sqrt(pi/a) e^(-2 sqrt(a (b_i + c_j))); the peak sits near
-    # t = sqrt((b + c)/a), which spans 2^-13 to 2^3
+    # t = sqrt((b + c)/a): 11 power-of-two buckets from 2^-13 to 2^2
     a = 1.5
     b = np.array([0.0, 1e-8, 1e-5, 3e-3, 0.1, 2.0, 30.0])
     c = np.array([2e-8, 1e-6, 1e-4, 0.02, 0.7, 9.0])
@@ -98,9 +98,14 @@ def test_separable_point_alone_equals_point_in_grid():
 def test_separable_fine_pass_only_for_failing_points(monkeypatch):
     # Gaussian bumps e^(-(p + q)(t - 5)^2) at scale 4: width above ~1 needs
     # the step-1/64 rule, narrower passes on step 1/32.  In one bucket, the
-    # odd nodes are formed for the failing points only, and every point
-    # equals its own 1 x 1 call
+    # odd nodes are formed for the failing points only (their rows and
+    # columns of the factors, their point rows), and every point equals its
+    # own 1 x 1 call
+    odd_factor_rows = []
+
     def bump(p, t):
+        if t.shape[-1] == len(numerics.NODE_TABLE) // 2:
+            odd_factor_rows.append(len(p))
         return np.exp(-p * (t - 5.0) ** 2)
 
     p = np.array([0.1, 0.2, 0.9])
@@ -125,12 +130,21 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
                                    scale[i:i + 1, j:j + 1])
         alone[i, j] = (v[0, 0], e[0, 0], refined.pop())
     odd_rows.clear()
+    odd_factor_rows.clear()
     failing = [ij for ij, (_, _, fine) in alone.items() if fine]
     assert 0 < len(failing) < 9
     value, est = integrate_separable(bump, bump, p, q, scale)
     assert odd_rows == [len(failing)]
+    assert odd_factor_rows == [len({i for i, _ in failing}),
+                               len({j for _, j in failing})]
     for ij, (v, e, _) in alone.items():
         assert (value[ij], est[ij]) == (v, e)
+    # the integral of e^(-s (t - 5)^2) over t > 0 is
+    # sqrt(pi/s) (1 - erfc(5 sqrt(s))/2)
+    s = p[:, None] + q
+    want = np.sqrt(math.pi / s) * (1.0 - 0.5 * np.vectorize(math.erfc)(
+        5.0 * np.sqrt(s)))
+    assert np.all(abs(value - want) <= est)
 
 
 def test_separable_failure_carries_point_arrays():
