@@ -100,9 +100,10 @@ _ES_ROUNDING = 16.0 * 2.0 ** -52
 
 
 def _rule(scale, terms, odd_terms):
-    # integrate's rule on the rows of weighted even-node values terms at
-    # scale (a float or one per row), odd_terms(bad) giving the failing
-    # rows' weighted odd-node values: (value, est, whether a fine pass ran)
+    # integrate's rule on terms, rows of weighted even-node values, at scale
+    # (a float or one per row); the step-1/16 rule weighs every second node
+    # twice, and odd_terms(bad) gives the failing rows' weighted odd-node
+    # values.  Returns (value, est, whether a fine pass ran).
     value = scale * terms.sum(axis=-1)
     coarse = (2.0 * scale) * terms[..., ::2].sum(axis=-1)
     size = abs(terms).sum(axis=-1)

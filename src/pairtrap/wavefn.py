@@ -10,9 +10,10 @@ coefficients Gamma(a) U(a, b, w) per line (one specfun.gamma_u call per
 block of terms, signed, the first terms above E0 included).  The integral
 samples a whole grid in one numerics.integrate_separable call, psi_integral
 being its 1 x 1 case; coefficients and the quasi-1d and quasi-2d profile
-sums run on the same exp-sinh node table.  Grid normalization (one trapezoid weight vector per
-axis on the (z, rho) array, the integrable 1/r^2 core density treated
-analytically) and the contact slope in closed form complete the module.
+sums run on the same exp-sinh node table.  Grid normalization (one
+trapezoid weight vector per axis on the (z, rho) array, the integrable
+1/r^2 core density treated analytically) and the contact slope in closed
+form complete the module.
 All lengths are in axial oscillator units; energies include the
 3/2-equivalent zero point through E0.
 """
@@ -114,7 +115,8 @@ def psi_integral(rho, z, E, g):
     The integrand decays like exp(t (E - E0)) at large t, so the energy must
     sit strictly below E0; the r != 0 Gaussian suppression exp(-r^2/(2t))
     tames the t^{-3/2} short-time divergence.  It is the 1 x 1 case of
-    sample_grid's grid kernel, so a grid sample equals this value.
+    sample_grid's grid kernel, numerics.integrate_separable at the power of
+    two nearest sqrt(r^2/(E0 - E)), so a grid sample equals this value.
     """
     return float(_psi_grid((rho,), (z,), E, g)[0, 0])
 
@@ -314,9 +316,9 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     table rule with each z row's and rho column's factor computed once per
     power-of-two scale, and psi_integral its 1 x 1 case, so each sample is
     the point value; a grid holding a point outside the domain raises
-    psi_integral's ValueError.  A series route runs the psi_series_* kernel once per z row (radial) or
-    rho column (axial), the line sharing one coefficient sequence, so each
-    sample is the point-wise value.
+    psi_integral's ValueError.  A series route runs the psi_series_* kernel
+    once per z row (radial) or rho column (axial), the line sharing one
+    coefficient sequence, so each sample is the point-wise value.
     """
     if route is None:
         if E < ground_energy_offset(g):
