@@ -21,8 +21,8 @@ from .solver import (InteractionModel, NoBoundState, TrapGeometry,
                      _default_window, bound_state_exact, eigenenergies,
                      solve_self_consistent)
 from .specfun import SQRT_PI, PoleSignal, gamma_ratio, gamma_u
-from .spectral import (SpectralArgument, f_cigar, f_eval, f_pancake,
-                       f_recurrence_extend, phi)
+from .spectral import (SpectralArgument, f_cigar, f_eval, f_integral,
+                       f_pancake, f_recurrence_extend, phi)
 from .wavefn import (SeriesTruncation, profile_quasi1d, profile_quasi2d, psi,
                      psi_integral, psi_series_axial, psi_series_radial)
 
@@ -495,6 +495,15 @@ def _check_battery(fast):
             ref = f_recurrence_extend(SpectralArgument(x, eta)).value
             worst = max(worst, abs(closed(x, n).value - ref) / (1 + abs(ref)))
     add("closed forms vs recurrence", worst, 1e-12)
+
+    # f_eval's interpolant on [T, T + eta], T = max(eta, 1)/2: ends, middle
+    worst = 0.0
+    for eta in (0.37, 2.37, 10.0):
+        for f in (0.0, 0.5, 1.0):
+            arg = SpectralArgument(0.5 * max(eta, 1.0) + f * eta, eta)
+            ref = f_integral(arg).value
+            worst = max(worst, abs(f_eval(arg).value - ref) / (1 + abs(ref)))
+    add("terminal fit vs direct integral", worst, 1e-13)
 
     # Gamma(1) U(1, 1, x) = e^x E1(x), Gamma(1/2) U(1/2, 3/2, x) = sqrt(pi/x),
     # and through the recurrence branch Gamma(-1/2) U(-1/2, 1/2, x)

@@ -24,20 +24,22 @@ end values of its pole-cleared root searches.
 
 The integral route keeps a bounded memo of the x-independent factor of its
 integrand on the node table at the power-of-two scales, keyed on
-(eta, scale): one F call then costs an exp(-x t) times a cached row.
+(eta, scale): one F call then costs an exp(-x t) times a cached row.  A
+memo keyed on eta holds F's Chebyshev interpolant on [T, T + eta],
+T = max(eta, 1)/2, where every recurrence ends: one integral batch per eta.
 
 Every gamma ladder of F (recurrence, pancake, cigar lift, quasi-1D term)
 is one _ladder_sums call: one specfun.rising_half call for every
 (element, step), summed per element in step order with the kernel's
 rounding bound carried into est_error, and PoleSignal at a ladder pole.
 f_eval_many evaluates F at many x of one eta in one kernel call per route,
-the recurrence's terminal integrals in one node-table pass over the
-stacked memo rows.  f_eval, f_recurrence_extend, f_pancake and f_integral
-are the same kernels at one x, and every element of a batch is bit for
-bit its scalar value, so the number of kernel calls is flat in eta (a
-ladder of thousands of steps is one rising_half call, which works element
-by element) and the solver can evaluate all its level searches in one
-call per Brent step.
+the recurrence's terminal values from the interpolant or, above T + eta,
+in one node-table pass over the stacked memo rows.  f_eval,
+f_recurrence_extend, f_pancake and f_integral are the same kernels at one
+x, and every element of a batch is bit for bit its scalar value, so the
+number of kernel calls is flat in eta (a ladder of thousands of steps is
+one rising_half call, which works element by element) and the solver can
+evaluate all its level searches in one call per Brent step.
 """
 
 import cmath
@@ -64,8 +66,10 @@ from .specfun import (
 CLOSED_FORM_TOL = 1e-12
 POLE_MERGE = 1e-12  # poles closer than this are one pole of pole_grid
 # integrand rows f_integral keeps per (eta, scale): even and odd nodes
-# apart, 2.2 kB each
+# apart, 2.2 kB each; and terminal interpolants, one per eta
 ROW_CACHE_SIZE = 64
+# the x the defining integral takes: past them its rows under/overflow
+INTEGRAL_X_RANGE = (1e-150, 1e150)
 # anisotropies the quasi-1D and quasi-2D asymptotes accept
 QUASI1D_MIN_ETA = 10.0
 QUASI2D_MAX_ETA = 0.1
@@ -193,7 +197,11 @@ def _integral_many(xs, eta):
     # values and estimates: one integrate call over the per-element scales
     # 2^k, on the memo rows of the elements stacked
     ks, rows, negs, scales = [], [], [], []
+    lo, hi = INTEGRAL_X_RANGE
     for x in xs:
+        if not lo <= x <= hi:
+            raise ValueError("F's defining integral needs %g <= x <= %g, "
+                             "not x = %r" % (lo, hi, x))
         k = -round(math.log2(x))
         ks.append(k)
         rows.append(_integrand_rows(eta, k))
@@ -209,19 +217,16 @@ def _integral_many(xs, eta):
             [_integrand_odd_rows(eta, k) for k in ks])
 
     value, est = integrate(rest, scales if len(scales) > 1 else scales[0])
-    if len(xs) == 1:
-        value, est = [value], [est]
-    else:
-        value, est = value.tolist(), est.tolist()
     out = []
-    for x, v, e in zip(xs, value, est):
+    for x, v, e in zip(xs, np.reshape(value, -1).tolist(),
+                       np.reshape(est, -1).tolist()):
         head = 2.0 * math.sqrt(math.pi * x)
         out.append((v - head, e + 2.0 ** -52 * head))
     return out
 
 
 def f_integral(arg):
-    """F by the defining integral; requires x > 0 (energy below E0).
+    """F by the defining integral, at x in INTEGRAL_X_RANGE (below E0).
 
     With F written as t^(-3/2) expm1(L(t)) under the integral,
     L = -x t - log(q(t))/2 - log(q(eta t)), q(s) = (1 - e^(-s))/s, this
@@ -232,14 +237,49 @@ def f_integral(arg):
     log q comes from its series at small argument.  The table runs at the
     power of two 2^k nearest 1/x, so the factor after e^(-x t) depends on
     (eta, k) only: it comes from a memo of ROW_CACHE_SIZE rows, and a call
-    costs one exp(-x t) times a row.  A batch of x (f_eval_many) is one
-    integrate call with the rows stacked.
+    costs one exp(-x t) times a row.  A batch of x is one integrate call
+    with the rows stacked.  f_eval's terminal interpolant is fitted to it.
     """
-    x, eta = arg.x, arg.eta
-    if not x > 0:
-        raise ValueError("f_integral needs x > 0; use f_eval for x <= 0")
-    ((value, est),) = _integral_many([x], eta)
+    ((value, est),) = _integral_many([arg.x], arg.eta)
     return SpectralValue(value, "integral", est)
+
+
+# F is analytic on [T, T + eta] within a Bernstein ellipse of parameter
+# >= 2 + sqrt(3) for every eta, so one degree of Chebyshev interpolant at
+# the points cos(theta_j) serves all eta.  A rounding in Clenshaw's step k
+# moves the sum as a change of c_k would (|T_k| <= 1), and that step's
+# operands are under sum_{j >= k} (j - k + 1) |c_j|: hence _FIT_ROUNDING.
+_FIT_N = 28
+_FIT_K = np.arange(_FIT_N)
+_FIT_THETA = (_FIT_K + 0.5) * (math.pi / _FIT_N)
+_FIT_COS = np.cos(_FIT_K[:, None] * _FIT_THETA)
+_FIT_LEBESGUE = 2.0 / math.pi * math.log(_FIT_N) + 1.0
+_FIT_ROUNDING = 2.0 ** -50 * (1.0 + 0.5 * _FIT_K * (_FIT_K + 1.0))
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _terminal_fit(eta):
+    # F's interpolant on [T, T + eta], T = max(eta, 1)/2, from one integral
+    # batch, with no BLAS product: (centre, half width, c_N-1 .. c_1, c_0/2,
+    # est), est the node ests times the Lebesgue bound, tail and rounding
+    mid, half = 0.5 * max(eta, 1.0) + 0.5 * eta, 0.5 * eta
+    nodes = (mid + half * np.cos(_FIT_THETA)).tolist()
+    values, ests = np.array(_integral_many(nodes, eta)).T
+    coefs = ((2.0 / _FIT_N) * (_FIT_COS * values).sum(axis=1)).tolist()
+    est = float(_FIT_LEBESGUE * ests.max() + 2.0 * sum(map(abs, coefs[-2:]))
+                + (_FIT_ROUNDING * np.abs(coefs)).sum())
+    return mid, half, tuple(coefs[:0:-1]), 0.5 * coefs[0], est
+
+
+def _fit_value(fit, y):
+    # the interpolant at y by Clenshaw's recurrence, in plain floats
+    mid, half, tail, c0, est = fit
+    u = (y - mid) / half
+    u2 = u + u
+    b1 = b2 = 0.0
+    for c in tail:
+        b1, b2 = c + u2 * b1 - b2, b1
+    return c0 + u * b1 - b2, est
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -360,8 +400,8 @@ def f_pancake(x, n):
 def _recurrence_many(xs, eta):
     # the recurrence-extended integral at every x of xs: the m steps of
     # each ladder in one kernel call, summed in step order with the
-    # kernel's rounding of every term, then the terminal integrals in one
-    # batch
+    # kernel's rounding of every term, then the terminal values: from the
+    # interpolant up to T + eta, in one integral batch above
     target = 0.5 * max(eta, 1.0)
     ms, tops = [], []
     for x in xs:
@@ -369,10 +409,14 @@ def _recurrence_many(xs, eta):
         ms.append(m)
         tops.append(x + m * eta)
     ladders = _ladder_sums(xs, _ladder_offsets(max(ms), eta), ms, False)
-    terminals = _integral_many(tops, eta)
+    edge = target + eta
+    far = [y for y in tops if y > edge]
+    direct = iter(_integral_many(far, eta) if far else ())
+    fit = _terminal_fit(eta) if len(far) < len(tops) else None
     coef = eta * SQRT_PI
     out = []
-    for (total, err), m, (value, est) in zip(ladders, ms, terminals):
+    for (total, err), m, y in zip(ladders, ms, tops):
+        value, est = next(direct) if y > edge else _fit_value(fit, y)
         out.append(SpectralValue(coef * total + value,
                                  "recurrence" if m > 0 else "integral",
                                  est + coef * err))
@@ -383,7 +427,7 @@ def f_recurrence_extend(arg):
     """Continue F to arbitrary x by F(x) = eta sqrt(pi) G(x) + F(x + eta).
 
     G(x) = Gamma(x)/Gamma(x+1/2).  m is minimal with x + m eta >= max(eta,1)/2
-    so the terminal integral stays well-conditioned.
+    so the terminal integral stays well-conditioned (read as in f_eval).
     """
     return _recurrence_many([arg.x], arg.eta)[0]
 
@@ -401,11 +445,13 @@ def f_eval_many(xs, eta):
 
     The batch takes f_eval's route (by eta, so one route for all) and one
     kernel call for all elements: one rising_half call over every
-    (element, ladder step) argument and one integrate call over the terminal
-    integrals.  Each element's value, route and est are the scalar
-    f_eval's bit for bit, whatever else is in the batch.  An element within
-    POLE_TOL of a pole raises PoleSignal carrying that pole's x (the first
-    such element's); a non-finite x or eta <= 0 raises ValueError.
+    (element, ladder step) argument, the terminal interpolant's Clenshaw
+    sums, and one integrate call over the terminal points above T + eta
+    (the first batch at an eta builds the interpolant: one more).  Each
+    element's value, route and est are the scalar f_eval's bit for bit,
+    whatever else is in the batch.  An element within POLE_TOL of a pole
+    raises PoleSignal carrying that pole's x (the first such element's); a
+    non-finite x, eta <= 0 or x above INTEGRAL_X_RANGE raises ValueError.
     """
     xs = list(map(float, xs))
     if not eta > 0:
@@ -420,10 +466,12 @@ def f_eval(arg):
 
     Integer 1/eta (within 1e-12) uses the pancake closed form, which at
     eta = 1 is the spherical one; anything else, integer eta >= 2 included,
-    the recurrence-extended integral.  Both routes' gamma ladders pass
-    through each pole x = -(j + k eta) (as Gamma(-j) at step k), so an
-    input within POLE_TOL of a pole raises PoleSignal there, carrying the
-    pole's x.  This is f_eval_many at one x.
+    the recurrence-extended integral, its terminal F from f_integral above
+    T + eta, T = max(eta, 1)/2, and below from an interpolant of it cached
+    per eta (within 1e-13 (1 + |F|), in est_error).  Both routes' gamma
+    ladders pass through each pole x = -(j + k eta) (as Gamma(-j) at step
+    k), so an input within POLE_TOL of a pole raises PoleSignal there,
+    carrying the pole's x.  This is f_eval_many at one x.
     """
     return _f_many([arg.x], arg.eta)[0]
 

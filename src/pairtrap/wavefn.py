@@ -117,6 +117,8 @@ def psi_integral(rho, z, E, g):
     tames the t^{-3/2} short-time divergence.  It is the 1 x 1 case of
     sample_grid's grid kernel, numerics.integrate_separable at the power of
     two nearest sqrt(r^2/(E0 - E)), so a grid sample equals this value.
+    numerics accepts the integral at an estimate under 10 ABS_TOL = 1e-11,
+    so values far below eta 1e-11/(2 pi)^{3/2} have no relative accuracy.
     """
     return float(_psi_grid((rho,), (z,), E, g)[0, 0])
 
@@ -316,7 +318,8 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     table rule with each z row's and rho column's factor computed once per
     power-of-two scale, and psi_integral its 1 x 1 case, so each sample is
     the point value; a grid holding a point outside the domain raises
-    psi_integral's ValueError.  A series route runs the psi_series_* kernel
+    psi_integral's ValueError, and a sample under its absolute floor has
+    no relative accuracy.  A series route runs the psi_series_* kernel
     once per z row (radial) or rho column (axial), the line sharing one
     coefficient sequence, so each sample is the point-wise value.
     """

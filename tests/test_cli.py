@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pairtrap import cli
+from pairtrap import cli, spectral
 from pairtrap.solver import (InteractionModel, TrapGeometry, _default_window,
                              bound_state_exact, eigenenergies)
 
@@ -18,7 +18,7 @@ def _run(argv):
 
 def test_check_fast_passes(capsys):
     assert _run(["check", "--fast"]) == 0
-    assert "8 checks" in capsys.readouterr().out
+    assert "9 checks" in capsys.readouterr().out
 
 
 def test_spectrum_window_leaves_na_cells(capsys):
@@ -91,6 +91,17 @@ def test_fig1_rows_equal_per_cell_solves(capsys):
                                window=window, max_levels=3)
         assert row == ",".join("%.12g" % v
                                for v in [inv_a] + [lv.E for lv in levels])
+
+
+def test_fig1_sweep_builds_the_terminal_fit_once(capsys):
+    # every cell of a sweep at one eta reads F's terminal values from one
+    # interpolant, built by the first F batch
+    spectral._terminal_fit.cache_clear()
+    assert _run(["fig1", "--eta", "1.618"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 162
+    info = spectral._terminal_fit.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits > 161
 
 
 def test_spectrum_resonance_default_window(capsys):

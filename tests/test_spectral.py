@@ -541,19 +541,83 @@ def test_f_eval_many_raises_at_the_first_pole_element(eta):
 def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):
     # O(1) kernel calls as eta -> 0: at eta = 0.003, x = -3.3001 the ladder
     # has 1,267 steps (it took 1,267 gamma_ratio calls), all in one
-    # rising_half call, and a batch takes one rising_half and one integrate
-    # call in all
+    # rising_half call.  The first batch at an eta also builds the terminal
+    # interpolant, one integrate call; a later batch whose terminal values
+    # lie on [T, T + eta] takes one rising_half call and no integrate call,
+    # and one with a deep bound state (x = 0.7 > T + eta) one of each
     calls = []
     for name in ("rising_half", "integrate"):
         orig = getattr(spectral, name)
         monkeypatch.setattr(spectral, name, lambda *args, _n=name, _f=orig:
                             calls.append(_n) or _f(*args))
+    spectral._terminal_fit.cache_clear()
     value = f_eval(SpectralArgument(-3.3001, 0.003)).value
     assert calls == ["rising_half", "integrate"]
     assert math.isfinite(value)
     calls.clear()
+    f_eval_many([-3.3001, -1.2345, 0.5012], 0.003)
+    assert calls == ["rising_half"]
+    calls.clear()
     f_eval_many([-3.3001, -1.2345, 0.7], 0.003)
     assert calls == ["rising_half", "integrate"]
+
+
+@given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
+       frac=st.floats(0.0, 1.0))
+def test_terminal_fit_matches_the_integral(log_eta, frac):
+    # on [T, T + eta] the recurrence's value (f_eval's at eta off the
+    # closed forms) is the interpolant's, and it lies within both estimates
+    # of the quadrature it was fitted to; its own estimate stays at
+    # rounding level
+    eta = math.exp(log_eta)
+    lo = 0.5 * max(eta, 1.0)
+    y = lo + frac * eta
+    got = f_recurrence_extend(SpectralArgument(y, eta))
+    assert got.value == spectral._fit_value(spectral._terminal_fit(eta), y)[0]
+    direct = f_integral(SpectralArgument(y, eta))
+    assert abs(got.value - direct.value) <= got.est_error + direct.est_error
+    assert got.est_error <= 1e-13 * (1.0 + abs(direct.value))
+
+
+@given(log_eta=st.floats(math.log(0.01), math.log(100.0)))
+def test_f_continuous_across_terminal_fit_edge(log_eta):
+    # y = T + eta is the interpolant's last point and the next float up is
+    # f_integral's first: the two values differ by no more than their
+    # estimates (F's slope times one ulp is far below them)
+    eta = math.exp(log_eta)
+    edge = 0.5 * max(eta, 1.0) + eta
+    above = math.nextafter(edge, math.inf)
+    inside = f_recurrence_extend(SpectralArgument(edge, eta))
+    outside = f_recurrence_extend(SpectralArgument(above, eta))
+    assert inside.value == spectral._fit_value(
+        spectral._terminal_fit(eta), edge)[0]
+    assert outside.value == f_integral(SpectralArgument(above, eta)).value
+    assert (abs(inside.value - outside.value)
+            <= inside.est_error + outside.est_error)
+
+
+@pytest.mark.parametrize("x", [1e-310, 1e-200, 1e250, 1e300])
+def test_integral_rejects_x_outside_its_range(x):
+    # past INTEGRAL_X_RANGE the node table's rows under- or overflow (a NaN
+    # estimate, or an OverflowError from ldexp at x = 1e-310), so the
+    # quadrature, and f_eval where it takes it (deep bound states), reject
+    # x with a message naming the range
+    eta = 2.37
+    with pytest.raises(ValueError, match=r"1e-150 <= x <= 1e\+150"):
+        f_integral(SpectralArgument(x, eta))
+    if x > 1.0:
+        with pytest.raises(ValueError, match=r"1e-150 <= x <= 1e\+150"):
+            f_eval(SpectralArgument(x, eta))
+
+
+def test_integral_at_the_ends_of_its_range():
+    # F -> eta/x as x -> 0 and -2 sqrt(pi x) as x -> inf
+    eta = 2.37
+    lo, hi = spectral.INTEGRAL_X_RANGE
+    small = f_integral(SpectralArgument(lo, eta)).value
+    assert abs(small * lo / eta - 1.0) <= 1e-13
+    large = f_eval(SpectralArgument(hi, eta)).value
+    assert abs(large / (-2.0 * math.sqrt(math.pi * hi)) - 1.0) <= 1e-15
 
 
 def test_spectral_argument_validation():
