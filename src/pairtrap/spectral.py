@@ -22,19 +22,20 @@ F's residue there is eta C(2j, j)/4^j, summed over the (j, k) that meet at
 the pole.  pole_grid carries these residues; the solver uses them as the
 end values of its pole-cleared root searches.
 
-The integral route keeps a bounded memo of the x-independent factor of its
-integrand on the node table at the power-of-two scales, keyed on
-(eta, scale): one F call then costs an exp(-x t) times a cached row.  A
-memo keyed on eta holds F's Chebyshev interpolant on [T, T + eta],
-T = max(eta, 1)/2, where every recurrence ends: one integral batch per eta.
+The integral route runs the node table at the power of two 2^k nearest
+1/x, so the factor of its integrand after e^(-x t) depends on (eta, k)
+only, and a batch builds it once per distinct k.  It runs at request time
+only to build two Chebyshev interpolants per eta, each on first use: F on
+[T, T + eta], T = max(eta, 1)/2, where every recurrence ends, and
+sqrt(x) (F + 2 sqrt(pi x)) in w = (T + eta)/x for the bound-side points
+above it.
 
 Every gamma ladder of F (recurrence, pancake, cigar lift, quasi-1D term)
 is one _ladder_sums call: one specfun.rising_half call for every
 (element, step), summed per element in step order with the kernel's
 rounding bound carried into est_error, and PoleSignal at a ladder pole.
 f_eval_many evaluates F at many x of one eta in one kernel call per route,
-the recurrence's terminal values from the interpolant or, above T + eta,
-in one node-table pass over the stacked memo rows.  f_eval,
+the recurrence's terminal values from the interpolants.  f_eval,
 f_recurrence_extend, f_pancake and f_integral are the same kernels at one
 x, and every element of a batch is bit for bit its scalar value, so the
 number of kernel calls is flat in eta (a ladder of thousands of steps is
@@ -65,9 +66,8 @@ from .specfun import (
 
 CLOSED_FORM_TOL = 1e-12
 POLE_MERGE = 1e-12  # poles closer than this are one pole of pole_grid
-# integrand rows f_integral keeps per (eta, scale): even and odd nodes
-# apart, 2.2 kB each; and terminal interpolants, one per eta
-ROW_CACHE_SIZE = 64
+# F's interpolants kept, per eta and piece, and gamma-ladder offset tuples
+FIT_CACHE_SIZE = 64
 # the x the defining integral takes: past them its rows under/overflow
 INTEGRAL_X_RANGE = (1e-150, 1e150)
 # anisotropies the quasi-1D and quasi-2D asymptotes accept
@@ -141,88 +141,56 @@ def _log_q(s):
 
 
 def _excess_log(t, eta):
-    # L(t) = -log(q(t))/2 - log(q(eta t)) on an ascending array of nodes.
-    # While both t and eta t lie below the split, one series in t:
+    # L(t) = -log(q(t))/2 - log(q(eta t)) elementwise on an array of nodes.
+    # Where both t and eta t lie below the split, one series in t:
     #   L = (1/4 + eta/2) t + sum_n c_n (1/2 + eta^2n) t^2n;
     # above it, the quotient form, whose ulp error is small beside L.
-    n = int(np.searchsorted(t, _LNQ_SPLIT / max(1.0, eta)))
+    series = t < _LNQ_SPLIT / max(1.0, eta)
     out = np.empty_like(t)
-    head, tail = t[:n], t[n:]
+    head, tail = t[series], t[~series]
     h2 = head * head
-    acc = out[:n]
-    acc.fill(0.0)
+    acc = np.zeros_like(head)
     for k, c in _LNQ_SERIES:
         acc += c * (0.5 + eta ** (2 * k))
         acc *= h2
     acc += (0.25 + 0.5 * eta) * head
-    np.subtract(-0.5 * _log_q(tail), _log_q(eta * tail), out=out[n:])
+    out[series] = acc
+    out[~series] = -0.5 * _log_q(tail) - _log_q(eta * tail)
     return out
 
 
-def _integrand_row(eta, k, nodes):
-    # t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))) at t = 2^k nodes; the
-    # scaling by 2^k is exact, so these are the nodes integrate() hands
-    # f_integral at scale 2^k, bit for bit, and each value depends on its
-    # own node only
-    t = math.ldexp(1.0, k) * nodes
-    row = np.expm1(_excess_log(t, eta)) / (t * np.sqrt(t))
-    row.flags.writeable = False
-    return row
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _integrand_rows(eta, k):
-    # the row at the even nodes of the table, which every F call takes
-    return _integrand_row(eta, k, NODE_TABLE[::2])
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _integrand_odd_rows(eta, k):
-    # the row at the odd nodes, which only integrate()'s fine pass takes
-    return _integrand_row(eta, k, NODE_TABLE[1::2])
-
-
-def _column(values):
-    # a batch as numpy broadcasts it against a node or step axis: one value
-    # as itself, so a batch of one stays on numpy's scalar paths, several
-    # as a column (rows stacked for a batch of memo rows)
-    if len(values) == 1:
-        return values[0]
-    values = np.array(values)
-    return values if values.ndim > 1 else values[:, None]
+def _check_range(x):
+    # past INTEGRAL_X_RANGE the node table's rows under- or overflow
+    lo, hi = INTEGRAL_X_RANGE
+    if not lo <= x <= hi:
+        raise ValueError("F's defining integral needs %g <= x <= %g, "
+                         "not x = %r" % (lo, hi, x))
 
 
 def _integral_many(xs, eta):
-    # F by the defining integral at every x > 0 of the list xs, as lists of
-    # values and estimates: one integrate call over the per-element scales
-    # 2^k, on the memo rows of the elements stacked
-    ks, rows, negs, scales = [], [], [], []
-    lo, hi = INTEGRAL_X_RANGE
-    for x in xs:
-        if not lo <= x <= hi:
-            raise ValueError("F's defining integral needs %g <= x <= %g, "
-                             "not x = %r" % (lo, hi, x))
-        k = -round(math.log2(x))
-        ks.append(k)
-        rows.append(_integrand_rows(eta, k))
-        negs.append(-x)
-        scales.append(math.ldexp(1.0, k))
-    even, neg_x = _column(rows), _column(negs)
+    # the rest integral F + 2 sqrt(pi x) at every x of the list xs, as
+    # arrays of values and estimates: one integrate call over the scales
+    # 2^k nearest 1/x.  Its integrand is e^(-x t) times a row
+    # t^(-3/2) expm1(L(t)) at t = 2^k nodes, built once per distinct k in
+    # one pass over a (k, node) array, the odd nodes' only for a fine pass;
+    # the scaling by 2^k is exact, so these are integrate()'s nodes bit
+    # for bit, and each value depends on its own node only
+    for x in (min(xs), max(xs)):
+        _check_range(x)
+    ks = [-round(math.log2(x)) for x in xs]
+    distinct = sorted(set(ks))
+    pick = np.searchsorted(distinct, ks)
+    scales = np.ldexp(1.0, distinct)
+    neg_x = -np.array(xs)[:, None]
 
     def rest(t):
         # integrate() asks for the even nodes, then maybe the odd ones
-        if t.shape[-1] == even.shape[-1]:
-            return np.exp(neg_x * t) * even
-        return np.exp(neg_x * t) * _column(
-            [_integrand_odd_rows(eta, k) for k in ks])
+        first = 0 if 2 * t.shape[-1] > len(NODE_TABLE) else 1
+        u = scales[:, None] * NODE_TABLE[first::2]
+        return np.exp(neg_x * t) * (
+            np.expm1(_excess_log(u, eta)) / (u * np.sqrt(u)))[pick]
 
-    value, est = integrate(rest, scales if len(scales) > 1 else scales[0])
-    out = []
-    for x, v, e in zip(xs, np.reshape(value, -1).tolist(),
-                       np.reshape(est, -1).tolist()):
-        head = 2.0 * math.sqrt(math.pi * x)
-        out.append((v - head, e + 2.0 ** -52 * head))
-    return out
+    return integrate(rest, scales[pick])
 
 
 def f_integral(arg):
@@ -236,19 +204,23 @@ def f_integral(arg):
     positive and decays like e^(-x t), on the numerics exp-sinh node table;
     log q comes from its series at small argument.  The table runs at the
     power of two 2^k nearest 1/x, so the factor after e^(-x t) depends on
-    (eta, k) only: it comes from a memo of ROW_CACHE_SIZE rows, and a call
-    costs one exp(-x t) times a row.  A batch of x is one integrate call
-    with the rows stacked.  f_eval's terminal interpolant is fitted to it.
+    (eta, k) only, and a batch builds it once per distinct k.  This is the
+    reference f_eval's two interpolants are fitted to; f_eval itself runs
+    no quadrature once they are built.
     """
-    ((value, est),) = _integral_many([arg.x], arg.eta)
-    return SpectralValue(value, "integral", est)
+    (value,), (est,) = _integral_many([arg.x], arg.eta)
+    head = 2.0 * math.sqrt(math.pi * arg.x)
+    return SpectralValue(float(value) - head, "integral",
+                         float(est) + 2.0 ** -52 * head)
 
 
 # F is analytic on [T, T + eta] within a Bernstein ellipse of parameter
-# >= 2 + sqrt(3) for every eta, so one degree of Chebyshev interpolant at
-# the points cos(theta_j) serves all eta.  A rounding in Clenshaw's step k
-# moves the sum as a change of c_k would (|T_k| <= 1), and that step's
-# operands are under sum_{j >= k} (j - k + 1) |c_j|: hence _FIT_ROUNDING.
+# >= 2 + sqrt(3) for every eta, and sqrt(x) (F + 2 sqrt(pi x)) is smooth in
+# w = (T + eta)/x on [0, 1], a series in 1/x at w -> 0, so one degree of
+# Chebyshev interpolant at the points cos(theta_j) serves both for all
+# eta.  A rounding in Clenshaw's step k moves the sum as a change of c_k
+# would (|T_k| <= 1), and that step's operands are under
+# sum_{j >= k} (j - k + 1) |c_j|: hence _FIT_ROUNDING.
 _FIT_N = 28
 _FIT_K = np.arange(_FIT_N)
 _FIT_THETA = (_FIT_K + 0.5) * (math.pi / _FIT_N)
@@ -257,18 +229,37 @@ _FIT_LEBESGUE = 2.0 / math.pi * math.log(_FIT_N) + 1.0
 _FIT_ROUNDING = 2.0 ** -50 * (1.0 + 0.5 * _FIT_K * (_FIT_K + 1.0))
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _terminal_fit(eta):
-    # F's interpolant on [T, T + eta], T = max(eta, 1)/2, from one integral
-    # batch, with no BLAS product: (centre, half width, c_N-1 .. c_1, c_0/2,
-    # est), est the node ests times the Lebesgue bound, tail and rounding
-    mid, half = 0.5 * max(eta, 1.0) + 0.5 * eta, 0.5 * eta
-    nodes = (mid + half * np.cos(_FIT_THETA)).tolist()
-    values, ests = np.array(_integral_many(nodes, eta)).T
+def _fit(mid, half, values, ests):
+    # the interpolant of values at the points mid + half cos(theta_j), with
+    # no BLAS product: (centre, half width, c_N-1 .. c_1, c_0/2, est), est
+    # the node ests times the Lebesgue bound, tail and rounding
     coefs = ((2.0 / _FIT_N) * (_FIT_COS * values).sum(axis=1)).tolist()
     est = float(_FIT_LEBESGUE * ests.max() + 2.0 * sum(map(abs, coefs[-2:]))
                 + (_FIT_ROUNDING * np.abs(coefs)).sum())
     return mid, half, tuple(coefs[:0:-1]), 0.5 * coefs[0], est
+
+
+@lru_cache(maxsize=FIT_CACHE_SIZE)
+def _terminal_fit(eta):
+    # F's interpolant on [T, T + eta], T = max(eta, 1)/2, from one integral
+    # batch
+    mid, half = 0.5 * max(eta, 1.0) + 0.5 * eta, 0.5 * eta
+    xs = mid + half * np.cos(_FIT_THETA)
+    values, ests = _integral_many(xs.tolist(), eta)
+    head = 2.0 * np.sqrt(np.pi * xs)
+    return _fit(mid, half, values - head, ests + 2.0 ** -52 * head)
+
+
+@lru_cache(maxsize=FIT_CACHE_SIZE)
+def _far_fit(eta):
+    # the interpolant of H(w) = sqrt(x) (F(x) + 2 sqrt(pi x)) in
+    # w = (T + eta)/x on [0, 1], H(0) = sqrt(pi) (1/4 + eta/2), from one
+    # integral batch taken before the head 2 sqrt(pi x) comes off: that
+    # head's rounding, times sqrt(x), would grow like eps x
+    xs = (0.5 * max(eta, 1.0) + eta) / (0.5 + 0.5 * np.cos(_FIT_THETA))
+    values, ests = _integral_many(xs.tolist(), eta)
+    root = np.sqrt(xs)
+    return _fit(0.5, 0.5, root * values, root * ests)
 
 
 def _fit_value(fit, y):
@@ -282,7 +273,7 @@ def _fit_value(fit, y):
     return c0 + u * b1 - b2, est
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
+@lru_cache(maxsize=FIT_CACHE_SIZE)
 def _ladder_offsets(count, step):
     # the shifts of a gamma ladder: m step for m < count, or m/count when
     # step is None (the pancake sum's)
@@ -400,8 +391,9 @@ def f_pancake(x, n):
 def _recurrence_many(xs, eta):
     # the recurrence-extended integral at every x of xs: the m steps of
     # each ladder in one kernel call, summed in step order with the
-    # kernel's rounding of every term, then the terminal values: from the
-    # interpolant up to T + eta, in one integral batch above
+    # kernel's rounding of every term, then the terminal values from the
+    # interpolants: F's up to T + eta, and above it (m = 0 only) H's at
+    # w = (T + eta)/x, F = H/sqrt(x) - 2 sqrt(pi x)
     target = 0.5 * max(eta, 1.0)
     ms, tops = [], []
     for x in xs:
@@ -410,15 +402,22 @@ def _recurrence_many(xs, eta):
         tops.append(x + m * eta)
     ladders = _ladder_sums(xs, _ladder_offsets(max(ms), eta), ms, False)
     edge = target + eta
-    far = [y for y in tops if y > edge]
-    direct = iter(_integral_many(far, eta) if far else ())
-    fit = _terminal_fit(eta) if len(far) < len(tops) else None
+    top = max(tops)
+    if top > edge:
+        _check_range(top)
+        far = _far_fit(eta)
+    near = _terminal_fit(eta) if min(tops) <= edge else None
     coef = eta * SQRT_PI
     out = []
     for (total, err), m, y in zip(ladders, ms, tops):
-        value, est = next(direct) if y > edge else _fit_value(fit, y)
+        if y > edge:
+            h, est = _fit_value(far, edge / y)
+            root, head = math.sqrt(y), 2.0 * math.sqrt(math.pi * y)
+            value, est = h / root - head, est / root + 2.0 ** -52 * head
+        else:
+            value, est = _fit_value(near, y)
         out.append(SpectralValue(coef * total + value,
-                                 "recurrence" if m > 0 else "integral",
+                                 "recurrence" if m > 0 else "interpolant",
                                  est + coef * err))
     return out
 
@@ -445,13 +444,13 @@ def f_eval_many(xs, eta):
 
     The batch takes f_eval's route (by eta, so one route for all) and one
     kernel call for all elements: one rising_half call over every
-    (element, ladder step) argument, the terminal interpolant's Clenshaw
-    sums, and one integrate call over the terminal points above T + eta
-    (the first batch at an eta builds the interpolant: one more).  Each
-    element's value, route and est are the scalar f_eval's bit for bit,
-    whatever else is in the batch.  An element within POLE_TOL of a pole
-    raises PoleSignal carrying that pole's x (the first such element's); a
-    non-finite x, eta <= 0 or x above INTEGRAL_X_RANGE raises ValueError.
+    (element, ladder step) argument, then the interpolants' Clenshaw sums
+    and no quadrature (the first batch at an eta that needs an interpolant
+    builds it: one integrate call each).  Each element's value, route and
+    est are the scalar f_eval's bit for bit, whatever else is in the batch.
+    An element within POLE_TOL of a pole raises PoleSignal carrying that
+    pole's x (the first such element's); a non-finite x, eta <= 0 or x
+    above INTEGRAL_X_RANGE raises ValueError.
     """
     xs = list(map(float, xs))
     if not eta > 0:
@@ -466,9 +465,11 @@ def f_eval(arg):
 
     Integer 1/eta (within 1e-12) uses the pancake closed form, which at
     eta = 1 is the spherical one; anything else, integer eta >= 2 included,
-    the recurrence-extended integral, its terminal F from f_integral above
-    T + eta, T = max(eta, 1)/2, and below from an interpolant of it cached
-    per eta (within 1e-13 (1 + |F|), in est_error).  Both routes' gamma
+    the recurrence-extended integral, its terminal F from two interpolants
+    of f_integral cached per eta (within 1e-13 (1 + |F|), in est_error):
+    one on [T, T + eta], T = max(eta, 1)/2, and one in (T + eta)/x above
+    it.  Its route is "recurrence" where the ladder has a step and
+    "interpolant" where x itself is read from a fit.  Both routes' gamma
     ladders pass through each pole x = -(j + k eta) (as Gamma(-j) at step
     k), so an input within POLE_TOL of a pole raises PoleSignal there,
     carrying the pole's x.  This is f_eval_many at one x.

@@ -94,14 +94,39 @@ def test_fig1_rows_equal_per_cell_solves(capsys):
 
 
 def test_fig1_sweep_builds_the_terminal_fit_once(capsys):
-    # every cell of a sweep at one eta reads F's terminal values from one
-    # interpolant, built by the first F batch
+    # every cell of a sweep at one eta reads F's terminal values from the
+    # two interpolants, on [T, T + eta] and above it, each built once by
+    # the first F batch that needs it
     spectral._terminal_fit.cache_clear()
+    spectral._far_fit.cache_clear()
     assert _run(["fig1", "--eta", "1.618"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 162
-    info = spectral._terminal_fit.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert info.hits > 161
+    for fit in (spectral._terminal_fit, spectral._far_fit):
+        info = fit.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 161
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--eta", "2.37"],
+    ["bound", "--eta", "2.37", "--inv-a-steps", "161"]])
+def test_sweeps_integrate_only_to_build_the_fits(argv, capsys, monkeypatch):
+    # a 161-cell sweep runs no single-element quadrature: F's defining
+    # integral runs twice, once per interpolant build, on the 28 points of
+    # each fit
+    sizes = []
+    integrate = spectral.integrate
+
+    def counted(f_vec, scale):
+        sizes.append(len(scale))
+        return integrate(f_vec, scale)
+
+    monkeypatch.setattr(spectral, "integrate", counted)
+    spectral._terminal_fit.cache_clear()
+    spectral._far_fit.cache_clear()
+    assert _run(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 162
+    assert sizes == [spectral._FIT_N] * 2
 
 
 def test_spectrum_resonance_default_window(capsys):

@@ -378,27 +378,27 @@ def _fresh_f_integral(x, eta, scale):
 
 @pytest.mark.parametrize("eta", [0.003, 0.26, 2.37, 3.9, 300.0, 1e5])
 def test_integrand_row_memo(eta):
-    # F from the memo row at scale 2^k equals a fresh table at that scale
-    # bit for bit, and cold and warm calls agree bit for bit (at eta = 1e5
-    # and x below ~0.6 the fine pass runs, on the odd row).  Against a
-    # fresh table at scale 1/x it moves by at most 4 ulp (1 + |F|), or,
-    # where the table's own estimate is larger (x below ~1e-6, and eta =
-    # 300 below x ~ 100), by under a quarter of the two estimates.
+    # F from the integrand row at scale 2^k equals a fresh table at that
+    # scale bit for bit, alone and in one batch over every x, whose rows
+    # are built once per distinct k (at eta = 1e5 and x below ~0.6 the
+    # fine pass runs, on the odd row).  Against a fresh table at scale 1/x
+    # it moves by at most 4 ulp (1 + |F|), or, where the table's own
+    # estimate is larger (x below ~1e-6, and eta = 300 below x ~ 100), by
+    # under a quarter of the two estimates.
     ulp = 2.0 ** -52
-    for x in np.logspace(-8.0, 6.0, 29):
-        x = float(x)
-        arg = SpectralArgument(x, eta)
-        spectral._integrand_rows.cache_clear()
-        spectral._integrand_odd_rows.cache_clear()
-        cold = f_integral(arg)
-        warm = f_integral(arg)
-        assert (cold.value, cold.est_error) == (warm.value, warm.est_error)
+    xs = np.logspace(-8.0, 6.0, 29).tolist()
+    batch, batch_est = spectral._integral_many(xs, eta)
+    for x, rest, rest_est in zip(xs, batch.tolist(), batch_est.tolist()):
+        got = f_integral(SpectralArgument(x, eta))
+        head = 2.0 * math.sqrt(math.pi * x)
+        assert (got.value, got.est_error) == (rest - head,
+                                              rest_est + ulp * head)
         k = -round(math.log2(x))
-        assert cold.value == _fresh_f_integral(x, eta, 2.0 ** k)[0]
+        assert got.value == _fresh_f_integral(x, eta, 2.0 ** k)[0]
         fresh, fresh_est = _fresh_f_integral(x, eta, 1.0 / x)
-        gap = abs(cold.value - fresh)
+        gap = abs(got.value - fresh)
         assert (gap <= 4.0 * ulp * (1.0 + abs(fresh))
-                or gap <= 0.25 * (cold.est_error + fresh_est)), (x, gap)
+                or gap <= 0.25 * (got.est_error + fresh_est)), (x, gap)
 
 
 def test_f_eval_raises_at_poles():
@@ -427,7 +427,7 @@ def test_f_eval_raises_at_poles():
                                  1.0 / 7.0, 300.0])
 def test_f_eval_pole_check_covers_every_pole(eta):
     # the routes' gamma ladders are f_eval's only pole check: on all five
-    # routes (spherical, cigar, pancake, integral and recurrence) every pole
+    # routes (spherical, cigar, pancake, interpolant and recurrence) every pole
     # of pole_grid down to -(eta + 1.05), so past the first k = 1 pole,
     # raises at and 5e-10 either side of it (inside POLE_TOL), located
     # within 1e-12, and 2e-9 either side of it does not
@@ -518,7 +518,7 @@ def test_f_eval_many_matches_scalar_bit_for_bit(eta):
 def test_f_eval_many_covers_every_route():
     routes = {v.route for eta in _MANY_ETAS
               for v in f_eval_many(_mixed_batch(eta), eta)}
-    assert routes == {"spherical", "pancake", "integral", "recurrence"}
+    assert routes == {"spherical", "pancake", "interpolant", "recurrence"}
 
 
 @pytest.mark.parametrize("eta", _MANY_ETAS)
@@ -542,15 +542,17 @@ def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):
     # O(1) kernel calls as eta -> 0: at eta = 0.003, x = -3.3001 the ladder
     # has 1,267 steps (it took 1,267 gamma_ratio calls), all in one
     # rising_half call.  The first batch at an eta also builds the terminal
-    # interpolant, one integrate call; a later batch whose terminal values
-    # lie on [T, T + eta] takes one rising_half call and no integrate call,
-    # and one with a deep bound state (x = 0.7 > T + eta) one of each
+    # interpolant, one integrate call, and the first with a deep bound
+    # state (x = 0.7 > T + eta) the interpolant above T + eta, one more; a
+    # later batch takes one rising_half call and no integrate call, with
+    # its terminal values on either side of T + eta
     calls = []
     for name in ("rising_half", "integrate"):
         orig = getattr(spectral, name)
         monkeypatch.setattr(spectral, name, lambda *args, _n=name, _f=orig:
                             calls.append(_n) or _f(*args))
     spectral._terminal_fit.cache_clear()
+    spectral._far_fit.cache_clear()
     value = f_eval(SpectralArgument(-3.3001, 0.003)).value
     assert calls == ["rising_half", "integrate"]
     assert math.isfinite(value)
@@ -560,6 +562,9 @@ def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):
     calls.clear()
     f_eval_many([-3.3001, -1.2345, 0.7], 0.003)
     assert calls == ["rising_half", "integrate"]
+    calls.clear()
+    f_eval_many([-3.3001, 0.5012, 0.7, 1e6], 0.003)
+    assert calls == ["rising_half"]
 
 
 @given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
@@ -579,11 +584,45 @@ def test_terminal_fit_matches_the_integral(log_eta, frac):
     assert got.est_error <= 1e-13 * (1.0 + abs(direct.value))
 
 
+def _far_value(eta, x):
+    # F above T + eta from the interpolant of sqrt(x) (F + 2 sqrt(pi x)) in
+    # w = (T + eta)/x
+    edge = 0.5 * max(eta, 1.0) + eta
+    h = spectral._fit_value(spectral._far_fit(eta), edge / x)[0]
+    return h / math.sqrt(x) - 2.0 * math.sqrt(math.pi * x)
+
+
+@given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
+       frac=st.floats(0.0, 1.0))
+def test_far_fit_matches_the_integral(log_eta, frac):
+    # for x log-uniform in [T + eta, 1e12] the recurrence's value (f_eval's
+    # at eta off the closed forms) is the far interpolant's, with route
+    # "interpolant", and it lies within both estimates of the quadrature;
+    # its own estimate stays at rounding level
+    eta = math.exp(log_eta)
+    edge = 0.5 * max(eta, 1.0) + eta
+    x = math.nextafter(edge * (1e12 / edge) ** frac, math.inf)
+    got = f_recurrence_extend(SpectralArgument(x, eta))
+    assert (got.value, got.route) == (_far_value(eta, x), "interpolant")
+    direct = f_integral(SpectralArgument(x, eta))
+    assert abs(got.value - direct.value) <= got.est_error + direct.est_error
+    assert got.est_error <= 1e-13 * (1.0 + abs(direct.value))
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.37, 1.0, 2.37, 10.0, 100.0])
+def test_far_fit_end_value(eta):
+    # at w = 0 (x -> inf) the far interpolant meets H(0) = sqrt(pi)
+    # (1/4 + eta/2), from L(t) ~ (1/4 + eta/2) t at small t
+    h0, _ = spectral._fit_value(spectral._far_fit(eta), 0.0)
+    want = math.sqrt(math.pi) * (0.25 + 0.5 * eta)
+    assert abs(h0 / want - 1.0) <= 1e-14
+
+
 @given(log_eta=st.floats(math.log(0.01), math.log(100.0)))
 def test_f_continuous_across_terminal_fit_edge(log_eta):
-    # y = T + eta is the interpolant's last point and the next float up is
-    # f_integral's first: the two values differ by no more than their
-    # estimates (F's slope times one ulp is far below them)
+    # y = T + eta is the terminal interpolant's last point and the next
+    # float up is the far interpolant's first: the two values differ by no
+    # more than their estimates (F's slope times one ulp is far below them)
     eta = math.exp(log_eta)
     edge = 0.5 * max(eta, 1.0) + eta
     above = math.nextafter(edge, math.inf)
@@ -591,7 +630,8 @@ def test_f_continuous_across_terminal_fit_edge(log_eta):
     outside = f_recurrence_extend(SpectralArgument(above, eta))
     assert inside.value == spectral._fit_value(
         spectral._terminal_fit(eta), edge)[0]
-    assert outside.value == f_integral(SpectralArgument(above, eta)).value
+    assert outside.value == _far_value(eta, above)
+    assert inside.route == outside.route == "interpolant"
     assert (abs(inside.value - outside.value)
             <= inside.est_error + outside.est_error)
 
@@ -600,14 +640,17 @@ def test_f_continuous_across_terminal_fit_edge(log_eta):
 def test_integral_rejects_x_outside_its_range(x):
     # past INTEGRAL_X_RANGE the node table's rows under- or overflow (a NaN
     # estimate, or an OverflowError from ldexp at x = 1e-310), so the
-    # quadrature, and f_eval where it takes it (deep bound states), reject
-    # x with a message naming the range
+    # quadrature, and f_eval and f_eval_many where they take an integral's
+    # interpolant (deep bound states), reject x with a message naming the
+    # range
     eta = 2.37
     with pytest.raises(ValueError, match=r"1e-150 <= x <= 1e\+150"):
         f_integral(SpectralArgument(x, eta))
     if x > 1.0:
         with pytest.raises(ValueError, match=r"1e-150 <= x <= 1e\+150"):
             f_eval(SpectralArgument(x, eta))
+        with pytest.raises(ValueError, match=r"1e-150 <= x <= 1e\+150"):
+            f_eval_many([-1.3, 0.7, x, 5.0], eta)
 
 
 def test_integral_at_the_ends_of_its_range():
@@ -628,7 +671,7 @@ def test_spectral_argument_validation():
 
 
 def test_route_reporting():
-    general = ("integral", "recurrence")
+    general = ("interpolant", "recurrence")
     assert f_eval(SpectralArgument(0.7, 1.0)).route == "spherical"
     assert f_eval(SpectralArgument(0.7, 2.0)).route == "recurrence"
     assert f_eval(SpectralArgument(0.7, 0.25)).route == "pancake"
@@ -656,7 +699,7 @@ def test_f_continuous_across_closed_form_switch(switch, interval, frac):
     assert closed.route in ("spherical", "pancake")
     sides = [f_eval(SpectralArgument(x, eta * (1.0 + d)))
              for d in (-1e-11, 1e-11)]
-    assert all(v.route in ("integral", "recurrence") for v in sides)
+    assert all(v.route in ("interpolant", "recurrence") for v in sides)
     mid = 0.5 * (sides[0].value + sides[1].value)
     assert abs(closed.value - mid) <= 1e-13 * (1.0 + abs(closed.value))
 
