@@ -6,10 +6,10 @@ function, the Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
 {1/2, 1, 3/2} (Tricomi's U times Gamma(a), the pair wavefunction's series
 coefficient) and Laguerre polynomials, on numpy and the math module alone.
 rising_half works in plain floats, with a relative rounding bound for
-every value.  ln_gamma_u gives log Gamma(a) U for a > 0 on the numerics
-exp-sinh node table, one pass for an array of a; gamma_u gives the signed
-product for any a off the Gamma poles from one such pass, with the rows
-below a = 1/2 recurred down from seeds in the same pass.
+every value.  ln_gamma_u gives log Gamma(a) U for a > 0 from its Laplace
+form on the numerics exp-sinh node table, one pass for an array of a;
+gamma_u gives the signed product for any a off the Gamma poles from one
+such pass, with the rows below a = 1/2 recurred down from seeds in it.
 """
 
 import math
@@ -19,7 +19,8 @@ from operator import add, sub, truediv
 
 import numpy as np
 
-from .numerics import integrate
+from .numerics import (_ES_T_EVEN, _ES_T_ODD, _ES_W_EVEN, _ES_W_ODD, _rule,
+                       _settle)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -304,50 +305,57 @@ def ln_gamma_u(a, b, w):
     """log of Gamma(a)*U(a, b, w) for a > 0, w > 0, b in {1/2, 1, 3/2}.
 
     a may be a float or a 1-D array (one row per entry, all rows in one
-    exp-sinh pass); a float gives a float.  The value is the log of the
-    Laplace integral int_0^inf exp(psi(log t)) dlog t with
-      psi(l) = (b - 1) l - w t + (b - a - 1) log1p(1/t),  t = e^l,
-    whose integrand is positive, so the product stays representable in log
-    form even where Gamma(a) alone would overflow; log1p(1/t) keeps the
-    large-a exponent free of cancellation.  Each row is scaled at the peak c
-    of psi, the positive root of w t^2 + (w + 1 - b) t - a = 0, and
-    integrated in y after log(t/c) = p (v + k (v - sqrt(v^2 + 1))),
-    v = log y.  p = min(1, 10 width), width the relative peak width, widens
-    a sharp peak (large a w) to 0.1 in v, where the table resolves it; k > 0
-    only for a < 1/2, where it steepens the left branch to slope
-    p (1 + 2k) = p/(2a) so that the slow t^a rise from t = 0 ends inside
-    the table.
+    pass); a float gives a float.  The value is the log of the Laplace form
+    of DLMF 13.4.4, int_0^inf exp(-a s + log phi(s)) ds with s = log(1 + 1/t)
+    and log phi = -b log(1 - e^-s) - w e^-s/(1 - e^-s), taken relative to
+    its peak at s* = log(1 + 1/t*), t* > 0 the root of w t^2 + (w - b) t = a,
+    so it stays representable where Gamma(a) overflows.  A row runs on the
+    nodes s = c T^(2^-j), T the exp-sinh table: 2^-j (j >= 0 the least with
+    2^j times the relative peak width >= 0.1) spreads a sharp peak (large
+    a w), c = 2^(i 2^-j) is nearest s* (sqrt(s*/a), towards the tail, where
+    a s* < 1).  Rows of one key (c, j) share log phi: a row costs one exp
+    per node, and its value depends on its own a only.
     """
     b = _check_b(b)
     a_in = np.asarray(a, dtype=float)
     av = a_in.reshape(-1, 1)
     if not (np.all(av > 0) and w > 0):
         raise ValueError("ln_gamma_u needs a > 0 and w > 0")
-    q = w + 1.0 - b
+
+    def ln_phi(s):
+        em = -np.expm1(-s)
+        return -b * np.log(em) - w * np.exp(-s) / em
+
+    q = w - b
     disc = np.sqrt(q * q + (4.0 * w) * av)
-    c = 2.0 * av / (disc + q) if q >= 0.0 else (disc - q) / (2.0 * w)
-    # -psi''(log c), the inverse square of the relative peak width
-    curv = (av + (1.0 - b)) * c / ((1.0 + c) * (1.0 + c)) + w * c
-    p = np.minimum(1.0, 10.0 / np.sqrt(curv))
-    pk = p * np.maximum(0.0, 0.25 / av - 0.5)
-    lc = np.log(c)
-    bam1 = (b - 1.0) - av
+    t = 2.0 * av / (disc + q) if q >= 0.0 else (disc - q) / (2.0 * w)
+    s = np.log1p(1.0 / t)
+    peak = ln_phi(s) - av * s
+    # (s* times sqrt(-(log f)''(s*)), the inverse relative width)^2 / 100
+    j = np.maximum(0.0, np.ceil(0.5 * np.log2(
+        0.01 * (2.0 * w * t + q) * t * (1.0 + t) * s * s)))
+    k = np.rint(np.log2(s * np.sqrt(np.maximum(1.0, 1.0 / (av * s))))
+                * np.exp2(j))
+    keys, pick = np.unique((k + 1j * j).ravel(), return_inverse=True)
+    p = np.exp2(-keys.imag)[:, None]
+    c = np.exp2(keys.real[:, None] * p)
 
-    def psi(lt):
-        return ((b - 1.0) * lt - w * np.exp(lt)
-                + bam1 * np.logaddexp(0.0, -lt))
+    def terms(nodes, weights, r):
+        # rows r: per bucket log phi plus log(weight ds/d(c nodes)), then an
+        # exp per node, its argument raised to -700 so no term is subnormal
+        tp = nodes ** p
+        g = ln_phi(c * tp) + np.log(weights * (p * tp / nodes))
+        e = (c * tp)[pick[r]]
+        e *= -av[r]
+        e += g[pick[r]]
+        e -= peak[r]
+        return np.exp(np.maximum(e, -700.0, out=e), out=e)
 
-    psi0 = psi(lc)
-
-    def f(y):
-        v = np.log(y[:1])
-        hyp = np.sqrt(v * v + 1.0)
-        lt = (lc + (p + pk) * v) - pk * hyp
-        jac = (p + pk) - pk * (v / hyp)
-        return np.exp(psi(lt) - (psi0 + v)) * jac
-
-    value, _ = integrate(f, np.ones(len(av)))
-    out = psi0[:, 0] + np.log(value)
+    value, est, _ = _rule(
+        c[pick, 0], terms(_ES_T_EVEN, _ES_W_EVEN, slice(None)),
+        lambda bad: terms(_ES_T_ODD, _ES_W_ODD, bad))
+    _settle(value, est)
+    out = peak[:, 0] + np.log(value)
     return float(out[0]) if a_in.ndim == 0 else out
 
 
@@ -356,9 +364,9 @@ def gamma_u(a, b, w):
 
     a may be a float or a 1-D array (float in, float out); an a within
     POLE_TOL of a nonpositive integer raises PoleSignal.  Every value comes
-    from one ln_gamma_u pass: a row with a >= 1/2 directly, and a row below
-    1/2 from the two rows a + n, a + n + 1 (n the least with a + n >= 1/2)
-    appended to the same pass, by DLMF 13.3.7 written for V = Gamma U,
+    from one ln_gamma_u pass, as alone bit for bit: a row a >= 1/2 directly,
+    one below 1/2 from the rows a + n, a + n + 1 (n the least with
+    a + n >= 1/2) appended to the pass, by DLMF 13.3.7 for V = Gamma U,
       V(a - 1) = [(w + 2a - b) V(a) - (a - b + 1) V(a + 1)]/(a - 1),
     run downward, the stable direction (U is the minimal solution as a
     grows).  The rows below 1/2 step together, each stopping after its n.

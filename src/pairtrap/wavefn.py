@@ -7,7 +7,7 @@ Laguerre x Kummer-U products (fast for cigars), and an axial series (fast
 for pancakes), one kernel summing either along a grid line (z row or rho
 column) term by term under a shared tail control, on one sequence of
 coefficients Gamma(a) U(a, b, w) per line (one specfun.gamma_u call per
-block of terms, signed, the first terms above E0 included).  The integral
+block sized to the terms the sum takes, signed).  The integral
 samples a whole grid in one numerics.integrate_separable call, psi_integral
 being its 1 x 1 case; coefficients and the quasi-1d and quasi-2d profile
 sums run on the same exp-sinh node table.  Grid normalization (one
@@ -123,37 +123,52 @@ def psi_integral(rho, z, E, g):
     return float(_psi_grid((rho,), (z,), E, g)[0, 0])
 
 
-# Largest coefficient block: the kernel holds a few (block, 273) arrays, so
-# this caps its memory at ~20 MB (twice that if every row lies below
-# a = 1/2, each such row adding a second seed); the cost per term is flat
-# past ~100 rows.
+# Largest coefficient block: ~10 MB of (block, 273) kernel arrays (twice if
+# every row lies below a = 1/2); the cost per row is flat past ~30 rows.
 _MAX_BLOCK = 1024
 
 
 class _Coefficients:
     """Gamma(a_m) U(a_m, b, w) for m = 0, 1, ..., max_terms - 1, a_m given
-    by a_of(m) on an index array.  Iteration yields them in order; they are
-    computed on first use in blocks of 32, 64, 128, ... up to _MAX_BLOCK
-    terms, one kernel call per block, and kept, so every point of a grid
-    line that needs the same sequence shares them."""
+    by a_of(m) on an index array, yielded in order, computed on first use in
+    blocks (one gamma_u call each) and kept, so every point of a grid line
+    shares them.  A block takes the total to at least first, 1.5 times as
+    many and 16 more (at most _MAX_BLOCK more); first is where _sum_terms
+    stops if term m is exp(-beta sqrt(m)) of the total, at the widest window
+    (osc_x the line's least positive Laguerre argument): the least n with
+    exp(-beta sqrt(n - win)) 2 sqrt(n)/beta <= tail_tol, by fixed-point
+    steps from below."""
 
-    def __init__(self, a_of, b, w, max_terms):
+    def __init__(self, a_of, b, w, trunc, beta, osc_x):
         self._a_of, self._b, self._w = a_of, b, w
-        self._max_terms = max_terms
+        self._max_terms = trunc.max_terms
         self._blocks = []
         self._size = 0
+        n, last = 1.0, 0.0
+        while n - last >= 1.0:
+            head = math.log(2.0 * math.sqrt(n) / beta / trunc.tail_tol)
+            last, n = n, min((max(head, 0.0) / beta) ** 2
+                             + _window(n - 1.0, osc_x), trunc.max_terms)
+        self._first = int(n) + 1
 
     def __iter__(self):
         for i in itertools.count():
             if i == len(self._blocks):
                 if self._size == self._max_terms:
                     return
-                stop = min(self._size + min(self._size + 32, _MAX_BLOCK),
-                           self._max_terms)
+                stop = min(max(self._first, self._size * 3 // 2,
+                               self._size + 16),
+                           self._size + _MAX_BLOCK, self._max_terms)
                 a = self._a_of(np.arange(self._size, stop))
                 self._blocks.append(gamma_u(a, self._b, self._w).tolist())
                 self._size = stop
             yield from self._blocks[i]
+
+
+def _window(m, osc_x):
+    # the envelope window after term m: half a period of 2 sqrt(m osc_x)
+    return (min(max(8, int(math.pi * math.sqrt((m + 1.0) / osc_x)) + 1), 1000)
+            if osc_x > 0.0 else 2)
 
 
 class _SuffixMax:
@@ -194,11 +209,7 @@ def _sum_terms(terms, trunc, label, osc_x, decay_beta):
         total += t
         hist.append(abs(t))
         recent.push(m, hist[-1])
-        if osc_x > 0.0:
-            period = TWO_PI * math.sqrt((m + 1.0) / osc_x)
-            win = min(max(8, int(0.5 * period) + 1), 1000)
-        else:
-            win = 2
+        win = _window(m, osc_x)
         if m + 1 >= win:
             env = recent.since(m + 1 - win)
             if m + 1 >= 2 * win:
@@ -256,7 +267,8 @@ def _series_line(route, c, others, E, g, trunc):
         if is_nonpositive_integer(a):
             raise PoleSignal("series coefficient Gamma(%.17g) at a pole "
                              "(threshold energy)" % a, a)
-    coef = _Coefficients(a_of, b, arg, trunc.max_terms)
+    coef = _Coefficients(a_of, b, arg, trunc, beta,
+                         min((y for y in ys if y > 0.0), default=0.0))
     return [pref * math.exp(-0.5 * (arg + y)) * _PREF
             * _sum_terms(map(operator.mul, coef, laguerre_iter(y, alpha)),
                          trunc, route.replace("_", " "), y, beta)
@@ -269,8 +281,8 @@ def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
     Term m carries Gamma(a_m) U(a_m, 1/2, z^2) L_m(eta rho^2) with
     a_m = eta m - (E - E0)/2.  On the z = 0 line the terms decay only like
     m^{-3/4} with oscillating sign, so that line is rejected.  The
-    coefficients come in blocks of 32, 64, ... from one gamma_u call
-    each; the sum adds them term by term under the tail control.
+    coefficients come in blocks from one gamma_u call each, the first sized
+    to the terms the sum takes; it adds them under the tail control.
     """
     return _series_line("radial_series", z, (rho,), E, g, trunc)[0]
 
@@ -472,7 +484,7 @@ def normalize(samples, g):
     zs, zi = np.unique(coords[:, 1], return_inverse=True)
     n = len(coords)
     cell = zi * len(rhos) + ri
-    if len(rhos) * len(zs) != n or len(np.unique(cell)) != n:
+    if len(rhos) * len(zs) != n or not np.bincount(cell, minlength=n).all():
         raise ValueError("normalize needs a full tensor grid without repeats")
     if len(rhos) < 4 or len(zs) < 4:
         raise ValueError("normalize needs at least a 4 x 4 grid")

@@ -143,9 +143,10 @@ def main():
             t *= -u
             piece = t * (mp.mpf(1) / (j + 1) - s / j)
             total -= piece
-            # j > 1 guard: at x = 0 the j = 1 piece is exactly zero and
-            # must not be mistaken for convergence
-            if j > 1 and abs(piece) < mp.mpf("1e-45") * (abs(total) + 1):
+            # stop on u^j, which bounds every later piece, not on the piece
+            # itself: its factor 1/(j+1) - s/j vanishes at s = j/(j+1)
+            # (x = 0 at j = 1, x = -0.3 at j = 4), which is not convergence
+            if abs(t) * (1 + abs(s)) < mp.mpf("1e-45") * (abs(total) + 1):
                 return total
             j += 1
 

@@ -248,14 +248,14 @@ def test_gamma_u_negative_a_grid_vs_mpmath():
 
 def test_gamma_u_batch_matches_rows():
     # float in, float out; an array mixing rows on both sides of a = 1/2
-    # gives each row's scalar value up to the rule the pass shares
+    # gives each row's scalar value bit for bit
     assert isinstance(gamma_u(-0.3, 1.0, 0.5), float)
     a = np.array([2.5, -1.7, 0.2, 0.5, -0.05, 7.0, -3.4])
     for b in _GRID_B:
         batch = gamma_u(a, b, 0.8)
         assert batch.shape == a.shape
         for x, got in zip(a, batch):
-            _close(got, gamma_u(float(x), b, 0.8), 1e-14)
+            assert got == gamma_u(float(x), b, 0.8), (x, b)
 
 
 def test_hurwitz_zeta_half_vs_mpmath():
@@ -318,14 +318,42 @@ def test_ln_gamma_u_vs_mpmath_grid():
 
 def test_ln_gamma_u_batch_matches_rows():
     # float in, float out; an array of a gives one value per row, equal to
-    # the scalar call up to the finer rule a batch may share between rows
+    # the scalar call bit for bit (a row's bucket and rule are its own)
     assert isinstance(ln_gamma_u(2.0, 1.0, 0.5), float)
     a = np.array(_GRID_A)
     for b, w in itertools.product(_GRID_B, _GRID_W):
         batch = ln_gamma_u(a, b, w)
         assert batch.shape == a.shape
         for x, got in zip(_GRID_A, batch):
-            _log_close(got, ln_gamma_u(x, b, w), 1e-15)
+            assert got == ln_gamma_u(x, b, w), (x, b, w)
+
+
+@pytest.mark.parametrize("eta, b", [(10.0, 0.5), (100.0, 0.5),
+                                    (0.01, 1.0), (0.1, 1.0)])
+def test_ln_gamma_u_series_sequences_vs_mpmath(eta, b):
+    # the coefficient sequences the series routes sum, x = -0.1 and m up to
+    # 150: a_m = x + eta m at b = 1/2 (radial), a_m = (m + x)/eta at b = 1
+    # (axial), each in one batch, every 25th row and the last against the
+    # Laplace reference at 1e-13 wherever Gamma U is representable
+    m = np.arange(151)
+    a = -0.1 + eta * m if b == 0.5 else (m - 0.1) / eta
+    a = a[a > 0.0]
+    with mpmath.workdps(20):
+        for w in (0.25, 1.0):
+            got = ln_gamma_u(a, b, w)
+            for i in list(range(0, len(a), 25)) + [len(a) - 1]:
+                want = float(_ln_gamma_u_laplace(a[i], b, w))
+                if want > -745.0:
+                    _log_close(got[i], want, 1e-13)
+
+
+def test_ln_gamma_u_below_half_vs_mpmath():
+    # the public domain is every a > 0, not only the rows gamma_u asks for
+    with mpmath.workdps(20):
+        for a, b, w in itertools.product((0.05, 0.2, 0.45), _GRID_B,
+                                         (1e-3, 0.3, 3.0)):
+            want = float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, w)))
+            _log_close(ln_gamma_u(a, b, w), want, 1e-13)
 
 
 def test_ln_gamma_u_vs_mpmath_large_a():

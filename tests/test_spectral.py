@@ -294,12 +294,10 @@ def test_quasi_variant_domain_gates():
 # phi
 # ---------------------------------------------------------------------------
 
-# phi(5) is frozen only in spectral_oracle.out.  That file's phi(-0.3) is
-# not read: a direct 40-digit sum with the Hurwitz-zeta tail puts it 7.8e-10
-# off, while the same sum agrees with phi_check.out at x = -0.305.
+# phi(5) and phi(-0.3) are frozen only in spectral_oracle.out.
 @pytest.mark.parametrize("key", [k for k in PHI
                                  if re.fullmatch(r"phi\([^)]*\)", k)]
-                         + ["phi(5)"])
+                         + ["phi(5)", "phi(-0.3)"])
 def test_phi_frozen(key):
     (x,) = args_of(key)
     _close(phi(x), fval(PHI if key in PHI else ORA1, key), 5e-12,

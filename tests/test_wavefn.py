@@ -622,6 +622,37 @@ def test_series_blocks_raise_like_scalar_terms(route, rho, z, trunc, message):
         assert str(got.value) == message
 
 
+def test_series_coefficients_sized_to_terms_summed(monkeypatch):
+    # the first level above E0 at 1/a = 0.5, psi at (rho, z) =
+    # (1/2, 1/2) and (1, 1) in units of (eta^-1/2, 1), 20,000 terms at
+    # 1e-11: over the eight points the coefficient rows computed stay
+    # within a quarter (plus 8) of the terms the sums take
+    rows, summed = [0], [0]
+
+    def counted_gamma_u(a, b, w):
+        rows[0] += len(a)
+        return gamma_u(a, b, w)
+
+    def counted_laguerre(x, alpha=0.0):
+        for value in laguerre_iter(x, alpha):
+            summed[0] += 1
+            yield value
+
+    monkeypatch.setattr(wavefn, "gamma_u", counted_gamma_u)
+    monkeypatch.setattr(wavefn, "laguerre_iter", counted_laguerre)
+    trunc = SeriesTruncation(20000, 1e-11)
+    model = InteractionModel.from_inverse_a(0.5)
+    for eta in (12.0, 60.0, 0.02, 0.08):
+        g = TrapGeometry(eta)
+        e0 = ground_energy_offset(g)
+        (level,) = eigenenergies(model, g, max_levels=1,
+                                 window=(e0, e0 + 2.0 * min(1.0, eta)))
+        for rho, z in ((0.5, 0.5), (1.0, 1.0)):
+            psi(rho / math.sqrt(eta), z, level.E, g, trunc=trunc)
+    assert summed[0] > 0
+    assert rows[0] <= 1.25 * summed[0] + 8, (rows[0], summed[0])
+
+
 def _sum_terms_rescan(terms, trunc, label, osc_x, decay_beta):
     # _sum_terms' tail control with both window maxima taken by rescanning
     # the history: the brute-force reference of the suffix-maximum stacks
