@@ -496,8 +496,8 @@ def _check_battery(fast):
             worst = max(worst, abs(closed(x, n).value - ref) / (1 + abs(ref)))
     add("closed forms vs recurrence", worst, 1e-12)
 
-    # f_eval's interpolants: on [T, T + eta], T = max(eta, 1)/2, its ends
-    # and middle; above it, 2, 100 and 1e6 times T + eta
+    # f_eval's interpolant above T = max(eta, 1)/2: at T, T + eta/2 and
+    # T + eta, and at 2, 100 and 1e6 times T + eta
     worst = 0.0
     for eta in (0.37, 2.37, 10.0):
         lo = 0.5 * max(eta, 1.0)
@@ -506,7 +506,7 @@ def _check_battery(fast):
             arg = SpectralArgument(x, eta)
             ref = f_integral(arg).value
             worst = max(worst, abs(f_eval(arg).value - ref) / (1 + abs(ref)))
-    add("interpolants vs direct integral", worst, 1e-13)
+    add("interpolant vs direct integral", worst, 1e-13)
 
     # Gamma(1) U(1, 1, x) = e^x E1(x), Gamma(1/2) U(1/2, 3/2, x) = sqrt(pi/x),
     # and through the recurrence branch Gamma(-1/2) U(-1/2, 1/2, x)

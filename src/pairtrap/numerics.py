@@ -17,6 +17,7 @@ safe to call concurrently.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -86,8 +87,8 @@ def _tolerance_exceeded(value, est):
 # at import.  The nodes reach t/c = 2e-51 at the bottom, enough for an
 # integrable t^(-1/2) endpoint, and t/c = 2e11 at the top.  The grid nests
 # three rules: step 1/16 (k % 4 == 0), 1/32 (k even) and 1/64 (all k).
-# NODE_TABLE holds the nodes at scale 1 in k order; integrate() asks for the
-# even ones first and the odd ones only for its fine pass.
+# NODE_TABLE holds the nodes at scale 1 in k order; _rule alone lays them
+# out, the even ones first and the odd ones only for its fine pass.
 _ES_U = np.arange(-320, 225) / 64.0
 NODE_TABLE = np.exp(0.5 * math.pi * np.sinh(_ES_U))
 NODE_TABLE.flags.writeable = False
@@ -99,22 +100,25 @@ _ES_T_ODD, _ES_W_ODD = NODE_TABLE[1::2], _ES_W[1::2]
 _ES_ROUNDING = 16.0 * 2.0 ** -52
 
 
-def _rule(scale, terms, odd_terms):
-    # integrate's rule on terms, rows of weighted even-node values, at scale
-    # (a float or one per row); the step-1/16 rule weighs every second node
-    # twice, and odd_terms(bad) gives the failing rows' weighted odd-node
-    # values.  Returns (value, est, whether a fine pass ran).
-    value = scale * terms.sum(axis=-1)
-    coarse = (2.0 * scale) * terms[..., ::2].sum(axis=-1)
-    size = abs(terms).sum(axis=-1)
+def _rule(scale, terms):
+    # the exp-sinh rule at scale (a float or one per row) on
+    # terms(nodes, weights, rows), the weighted integrand values of the
+    # given rows at those nodes: the even nodes for every row (slice(None)),
+    # where the step-1/16 rule weighs every second node twice, then the odd
+    # nodes for the rows (a boolean mask) that fail the tolerance.  Returns
+    # (value, est, whether a fine pass ran).
+    evens = terms(_ES_T_EVEN, _ES_W_EVEN, slice(None))
+    value = scale * evens.sum(axis=-1)
+    coarse = (2.0 * scale) * evens[..., ::2].sum(axis=-1)
+    size = abs(evens).sum(axis=-1)
     est = abs(value - coarse) + _ES_ROUNDING * scale * size
     bad = _tolerance_exceeded(value, est)
     if not np.count_nonzero(bad):
         return value, est, False
     scale = np.broadcast_to(scale, bad.shape)[bad]
-    terms = odd_terms(bad)
-    fine = 0.5 * value[bad] + scale * terms.sum(axis=-1)
-    size = 0.5 * size[bad] + abs(terms).sum(axis=-1)
+    odds = terms(_ES_T_ODD, _ES_W_ODD, bad)
+    fine = 0.5 * value[bad] + scale * odds.sum(axis=-1)
+    size = 0.5 * size[bad] + abs(odds).sum(axis=-1)
     value, est = np.array(value), np.array(est)
     est[bad] = abs(fine - value[bad]) + _ES_ROUNDING * scale * size
     value[bad] = fine
@@ -150,9 +154,8 @@ def integrate(f_vec, scale):
     """
     scale = np.asarray(scale, dtype=float)
     col = scale[..., None]
-    value, est, refined = _rule(
-        scale, _ES_W_EVEN * f_vec(col * _ES_T_EVEN),
-        lambda bad: (_ES_W_ODD * f_vec(col * _ES_T_ODD))[bad])
+    value, est, refined = _rule(scale, lambda nodes, weights, rows: (
+        weights * f_vec(col * nodes))[rows])
     if refined:
         _settle(value, est)
     if value.ndim == 0:
@@ -186,10 +189,10 @@ def integrate_separable(u, v, a, b, scale):
         pos[rows] = np.arange(len(rows))
         return rows, pos[idx]
 
-    def terms(c, nodes, weights, i, j):
-        # the weighted rows of the points (i, j) at scale c
+    def terms(c, i, j, nodes, weights, rows):
+        # the weighted rows of the points (i, j)[rows] at scale c
         t = c * nodes
-        (ri, i), (rj, j) = touched(i, len(a)), touched(j, len(b))
+        (ri, i), (rj, j) = touched(i[rows], len(a)), touched(j[rows], len(b))
         return (weights * u(a[ri, None], t))[i] * v(b[rj, None], t)[j]
 
     ks = np.rint(np.log2(scale)).ravel()
@@ -201,9 +204,7 @@ def integrate_separable(u, v, a, b, scale):
         for lo in range(0, len(points), _BLOCK):
             p = points[lo:lo + _BLOCK]
             i, j = np.divmod(p, len(b))
-            value[p], est[p], fine = _rule(
-                c, terms(c, _ES_T_EVEN, _ES_W_EVEN, i, j),
-                lambda bad: terms(c, _ES_T_ODD, _ES_W_ODD, i[bad], j[bad]))
+            value[p], est[p], fine = _rule(c, partial(terms, c, i, j))
             refined |= fine
     value, est = value.reshape(scale.shape), est.reshape(scale.shape)
     if refined:

@@ -384,6 +384,15 @@ def _roots_in_segments(target, segments, ends=None):
     return [(root, br) for root, br in zip(roots, brs) if root is not None]
 
 
+def _check_window(window):
+    # a window's (e_lo, e_hi); ValueError unless both are finite and
+    # e_lo < e_hi, as an unbounded one holds poles without end
+    e_lo, e_hi = window
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
+        raise ValueError("window must be a bounded interval")
+    return e_lo, e_hi
+
+
 def eigenenergies(model, g, window=None, max_levels=20):
     """Levels of the fixed-a eigencondition inside an energy window.
 
@@ -397,9 +406,7 @@ def eigenenergies(model, g, window=None, max_levels=20):
                          "use solve_self_consistent")
     if window is None:
         window = _default_window(g, max_levels, (model.inv_a,))
-    e_lo, e_hi = window
-    if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
-        raise ValueError("window must be a bounded interval")
+    e_lo, e_hi = _check_window(window)
     e0 = ground_energy_offset(g)
     x_lo = (e0 - e_hi) / 2.0
     x_hi = (e0 - e_lo) / 2.0
@@ -465,7 +472,7 @@ def spectrum_1d_reference(a1d, g, window):
     ratio is monotone between consecutive half-integer breakpoints, where
     it alternates poles (integers <= 0) and zeros (half-integers <= -1/2).
     """
-    e_lo, e_hi = window
+    e_lo, e_hi = _check_window(window)
     e0 = ground_energy_offset(g)
     if math.isinf(a1d):
         # ratio-zero condition: y = -1/2 - n
@@ -504,7 +511,7 @@ def spectrum_2d_reference(a2d, g, window):
     """
     if not a2d > 0:
         raise ValueError("a2d must be positive")
-    e_lo, e_hi = window
+    e_lo, e_hi = _check_window(window)
     e0 = ground_energy_offset(g)
     c = math.log(2.0 * a2d * a2d * g.eta)
 
@@ -655,7 +662,7 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
         # spare ones.
         lo, hi = _default_window(g, max_levels + 2, (-2.0, 2.0))
         window = (min(lo, e0 - 70.0), hi)
-    e_lo, e_hi = window
+    e_lo, e_hi = _check_window(window)
 
     def target(es):
         fs = f_eval_many([(e0 - e) / 2.0 for e in es], g.eta)

@@ -19,8 +19,7 @@ from operator import add, sub, truediv
 
 import numpy as np
 
-from .numerics import (_ES_T_EVEN, _ES_T_ODD, _ES_W_EVEN, _ES_W_ODD, _rule,
-                       _settle)
+from .numerics import _rule, _settle
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -351,9 +350,7 @@ def ln_gamma_u(a, b, w):
         e -= peak[r]
         return np.exp(np.maximum(e, -700.0, out=e), out=e)
 
-    value, est, _ = _rule(
-        c[pick, 0], terms(_ES_T_EVEN, _ES_W_EVEN, slice(None)),
-        lambda bad: terms(_ES_T_ODD, _ES_W_ODD, bad))
+    value, est, _ = _rule(c[pick, 0], terms)
     _settle(value, est)
     out = peak[:, 0] + np.log(value)
     return float(out[0]) if a_in.ndim == 0 else out

@@ -22,20 +22,18 @@ F's residue there is eta C(2j, j)/4^j, summed over the (j, k) that meet at
 the pole.  pole_grid carries these residues; the solver uses them as the
 end values of its pole-cleared root searches.
 
-The integral route runs the node table at the power of two 2^k nearest
-1/x, so the factor of its integrand after e^(-x t) depends on (eta, k)
-only, and a batch builds it once per distinct k.  It runs at request time
-only to build two Chebyshev interpolants per eta, each on first use: F on
-[T, T + eta], T = max(eta, 1)/2, where every recurrence ends, and
-sqrt(x) (F + 2 sqrt(pi x)) in w = (T + eta)/x for the bound-side points
-above it.
+The integral route runs each x on the node table at the power of two 2^k
+nearest 1/x.  It runs at request time only to build, on first use, one
+Chebyshev interpolant per eta: of sqrt(x) (F + 2 sqrt(pi x)) in w = T/x,
+T = max(eta, 1)/2, which serves every recurrence's terminal point and
+every bound-side point, all of them at x >= T.
 
 Every gamma ladder of F (recurrence, pancake, cigar lift, quasi-1D term)
 is one _ladder_sums call: one specfun.rising_half call for every
 (element, step), summed per element in step order with the kernel's
 rounding bound carried into est_error, and PoleSignal at a ladder pole.
 f_eval_many evaluates F at many x of one eta in one kernel call per route,
-the recurrence's terminal values from the interpolants.  f_eval,
+the recurrence's terminal values from the interpolant.  f_eval,
 f_recurrence_extend, f_pancake and f_integral are the same kernels at one
 x, and every element of a batch is bit for bit its scalar value, so the
 number of kernel calls is flat in eta (a ladder of thousands of steps is
@@ -52,7 +50,7 @@ from operator import truediv
 
 import numpy as np
 
-from .numerics import NODE_TABLE, NumericsError, integrate
+from .numerics import NumericsError, integrate
 from .specfun import (
     POLE_TOL,
     PoleSignal,
@@ -66,7 +64,7 @@ from .specfun import (
 
 CLOSED_FORM_TOL = 1e-12
 POLE_MERGE = 1e-12  # poles closer than this are one pole of pole_grid
-# F's interpolants kept, per eta and piece, and gamma-ladder offset tuples
+# F's interpolants kept, one per eta, and gamma-ladder offset tuples
 FIT_CACHE_SIZE = 64
 # the x the defining integral takes: past them its rows under/overflow
 INTEGRAL_X_RANGE = (1e-150, 1e150)
@@ -169,28 +167,18 @@ def _check_range(x):
 
 def _integral_many(xs, eta):
     # the rest integral F + 2 sqrt(pi x) at every x of the list xs, as
-    # arrays of values and estimates: one integrate call over the scales
-    # 2^k nearest 1/x.  Its integrand is e^(-x t) times a row
-    # t^(-3/2) expm1(L(t)) at t = 2^k nodes, built once per distinct k in
-    # one pass over a (k, node) array, the odd nodes' only for a fine pass;
-    # the scaling by 2^k is exact, so these are integrate()'s nodes bit
-    # for bit, and each value depends on its own node only
+    # arrays of values and estimates: one integrate call, each row on the
+    # nodes at the power of two 2^k nearest 1/x, its integrand
+    # e^(-x t) t^(-3/2) expm1(L(t)) with L from _excess_log
     for x in (min(xs), max(xs)):
         _check_range(x)
-    ks = [-round(math.log2(x)) for x in xs]
-    distinct = sorted(set(ks))
-    pick = np.searchsorted(distinct, ks)
-    scales = np.ldexp(1.0, distinct)
     neg_x = -np.array(xs)[:, None]
 
     def rest(t):
-        # integrate() asks for the even nodes, then maybe the odd ones
-        first = 0 if 2 * t.shape[-1] > len(NODE_TABLE) else 1
-        u = scales[:, None] * NODE_TABLE[first::2]
-        return np.exp(neg_x * t) * (
-            np.expm1(_excess_log(u, eta)) / (u * np.sqrt(u)))[pick]
+        return np.exp(neg_x * t) * (np.expm1(_excess_log(t, eta))
+                                    / (t * np.sqrt(t)))
 
-    return integrate(rest, scales[pick])
+    return integrate(rest, np.ldexp(1.0, [-round(math.log2(x)) for x in xs]))
 
 
 def f_integral(arg):
@@ -201,12 +189,10 @@ def f_integral(arg):
     takes the x-only part t^(-3/2) (e^(-x t) - 1) out exactly, as
     -2 sqrt(pi x), and integrates the rest,
     e^(-x t) t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))), which is
-    positive and decays like e^(-x t), on the numerics exp-sinh node table;
-    log q comes from its series at small argument.  The table runs at the
-    power of two 2^k nearest 1/x, so the factor after e^(-x t) depends on
-    (eta, k) only, and a batch builds it once per distinct k.  This is the
-    reference f_eval's two interpolants are fitted to; f_eval itself runs
-    no quadrature once they are built.
+    positive and decays like e^(-x t), on the numerics exp-sinh node table
+    at the power of two 2^k nearest 1/x; log q comes from its series at
+    small argument.  This is the reference f_eval's interpolant is fitted
+    to; f_eval itself runs no quadrature once it is built.
     """
     (value,), (est,) = _integral_many([arg.x], arg.eta)
     head = 2.0 * math.sqrt(math.pi * arg.x)
@@ -214,13 +200,17 @@ def f_integral(arg):
                          float(est) + 2.0 ** -52 * head)
 
 
-# F is analytic on [T, T + eta] within a Bernstein ellipse of parameter
-# >= 2 + sqrt(3) for every eta, and sqrt(x) (F + 2 sqrt(pi x)) is smooth in
-# w = (T + eta)/x on [0, 1], a series in 1/x at w -> 0, so one degree of
-# Chebyshev interpolant at the points cos(theta_j) serves both for all
-# eta.  A rounding in Clenshaw's step k moves the sum as a change of c_k
-# would (|T_k| <= 1), and that step's operands are under
-# sum_{j >= k} (j - k + 1) |c_j|: hence _FIT_ROUNDING.
+# Every recurrence ends at a y >= T = max(eta, 1)/2, where F is read from
+# one interpolant per eta: of H(w) = sqrt(x) (F(x) + 2 sqrt(pi x)) in
+# w = T/x on [0, 1], H(0) = sqrt(pi) (1/4 + eta/2).  H is smooth there,
+# and at w = 0 its k-th Taylor coefficient is that of F's asymptotic series
+# in 1/x, Gamma(k + 1/2) a_k/T^k, a_k the integrand's small-t series
+# coefficient; that series converges out to t = 2 pi/max(eta, 1) = pi/T,
+# so the Taylor coefficients grow like Gamma(k + 1/2)/pi^k for every eta,
+# and one degree of Chebyshev interpolant at the points cos(theta_j)
+# serves all eta.  A rounding in Clenshaw's step k
+# moves the sum as a change of c_k would (|T_k| <= 1), and that step's
+# operands are under sum_{j >= k} (j - k + 1) |c_j|: hence _FIT_ROUNDING.
 _FIT_N = 28
 _FIT_K = np.arange(_FIT_N)
 _FIT_THETA = (_FIT_K + 0.5) * (math.pi / _FIT_N)
@@ -229,48 +219,32 @@ _FIT_LEBESGUE = 2.0 / math.pi * math.log(_FIT_N) + 1.0
 _FIT_ROUNDING = 2.0 ** -50 * (1.0 + 0.5 * _FIT_K * (_FIT_K + 1.0))
 
 
-def _fit(mid, half, values, ests):
-    # the interpolant of values at the points mid + half cos(theta_j), with
-    # no BLAS product: (centre, half width, c_N-1 .. c_1, c_0/2, est), est
-    # the node ests times the Lebesgue bound, tail and rounding
-    coefs = ((2.0 / _FIT_N) * (_FIT_COS * values).sum(axis=1)).tolist()
-    est = float(_FIT_LEBESGUE * ests.max() + 2.0 * sum(map(abs, coefs[-2:]))
-                + (_FIT_ROUNDING * np.abs(coefs)).sum())
-    return mid, half, tuple(coefs[:0:-1]), 0.5 * coefs[0], est
-
-
 @lru_cache(maxsize=FIT_CACHE_SIZE)
 def _terminal_fit(eta):
-    # F's interpolant on [T, T + eta], T = max(eta, 1)/2, from one integral
-    # batch
-    mid, half = 0.5 * max(eta, 1.0) + 0.5 * eta, 0.5 * eta
-    xs = mid + half * np.cos(_FIT_THETA)
-    values, ests = _integral_many(xs.tolist(), eta)
-    head = 2.0 * np.sqrt(np.pi * xs)
-    return _fit(mid, half, values - head, ests + 2.0 ** -52 * head)
-
-
-@lru_cache(maxsize=FIT_CACHE_SIZE)
-def _far_fit(eta):
-    # the interpolant of H(w) = sqrt(x) (F(x) + 2 sqrt(pi x)) in
-    # w = (T + eta)/x on [0, 1], H(0) = sqrt(pi) (1/4 + eta/2), from one
-    # integral batch taken before the head 2 sqrt(pi x) comes off: that
-    # head's rounding, times sqrt(x), would grow like eps x
-    xs = (0.5 * max(eta, 1.0) + eta) / (0.5 + 0.5 * np.cos(_FIT_THETA))
+    # H's interpolant at the points w = (1 + cos(theta_j))/2, with no BLAS
+    # product: (c_N-1 .. c_1, c_0/2, est), est the node ests times the
+    # Lebesgue bound, tail and rounding.  Its one integral batch is taken
+    # before the head 2 sqrt(pi x) comes off: that head's rounding, times
+    # sqrt(x), would grow like eps x
+    xs = 0.5 * max(eta, 1.0) / (0.5 + 0.5 * np.cos(_FIT_THETA))
     values, ests = _integral_many(xs.tolist(), eta)
     root = np.sqrt(xs)
-    return _fit(0.5, 0.5, root * values, root * ests)
+    coefs = (2.0 / _FIT_N) * (_FIT_COS * (root * values)).sum(axis=1)
+    coefs = coefs.tolist()
+    est = float(_FIT_LEBESGUE * (root * ests).max()
+                + 2.0 * sum(map(abs, coefs[-2:]))
+                + (_FIT_ROUNDING * np.abs(coefs)).sum())
+    return tuple(coefs[:0:-1]), 0.5 * coefs[0], est
 
 
-def _fit_value(fit, y):
-    # the interpolant at y by Clenshaw's recurrence, in plain floats
-    mid, half, tail, c0, est = fit
-    u = (y - mid) / half
-    u2 = u + u
+def _fit_value(fit, w):
+    # the interpolant at w by Clenshaw's recurrence, in plain floats
+    tail, c0, est = fit
+    u2 = 4.0 * w - 2.0
     b1 = b2 = 0.0
     for c in tail:
         b1, b2 = c + u2 * b1 - b2, b1
-    return c0 + u * b1 - b2, est
+    return c0 + (2.0 * w - 1.0) * b1 - b2, est
 
 
 @lru_cache(maxsize=FIT_CACHE_SIZE)
@@ -391,9 +365,9 @@ def f_pancake(x, n):
 def _recurrence_many(xs, eta):
     # the recurrence-extended integral at every x of xs: the m steps of
     # each ladder in one kernel call, summed in step order with the
-    # kernel's rounding of every term, then the terminal values from the
-    # interpolants: F's up to T + eta, and above it (m = 0 only) H's at
-    # w = (T + eta)/x, F = H/sqrt(x) - 2 sqrt(pi x)
+    # kernel's rounding of every term, then each terminal value
+    # F(y) = H(T/y)/sqrt(y) - 2 sqrt(pi) sqrt(y) from the interpolant, the
+    # head's three roundings in its estimate
     target = 0.5 * max(eta, 1.0)
     ms, tops = [], []
     for x in xs:
@@ -401,24 +375,17 @@ def _recurrence_many(xs, eta):
         ms.append(m)
         tops.append(x + m * eta)
     ladders = _ladder_sums(xs, _ladder_offsets(max(ms), eta), ms, False)
-    edge = target + eta
-    top = max(tops)
-    if top > edge:
-        _check_range(top)
-        far = _far_fit(eta)
-    near = _terminal_fit(eta) if min(tops) <= edge else None
-    coef = eta * SQRT_PI
+    _check_range(max(tops))
+    fit = _terminal_fit(eta)
+    coef, head_coef = eta * SQRT_PI, 2.0 * SQRT_PI
     out = []
     for (total, err), m, y in zip(ladders, ms, tops):
-        if y > edge:
-            h, est = _fit_value(far, edge / y)
-            root, head = math.sqrt(y), 2.0 * math.sqrt(math.pi * y)
-            value, est = h / root - head, est / root + 2.0 ** -52 * head
-        else:
-            value, est = _fit_value(near, y)
-        out.append(SpectralValue(coef * total + value,
+        h, est = _fit_value(fit, target / y)
+        root = math.sqrt(y)
+        head = head_coef * root
+        out.append(SpectralValue(coef * total + (h / root - head),
                                  "recurrence" if m > 0 else "interpolant",
-                                 est + coef * err))
+                                 est / root + 2.0 ** -51 * head + coef * err))
     return out
 
 
@@ -426,7 +393,9 @@ def f_recurrence_extend(arg):
     """Continue F to arbitrary x by F(x) = eta sqrt(pi) G(x) + F(x + eta).
 
     G(x) = Gamma(x)/Gamma(x+1/2).  m is minimal with x + m eta >= max(eta,1)/2
-    so the terminal integral stays well-conditioned (read as in f_eval).
+    so the terminal integral stays well-conditioned; it is read from
+    f_eval's interpolant, which one range check on the largest terminal
+    point keeps inside INTEGRAL_X_RANGE.
     """
     return _recurrence_many([arg.x], arg.eta)[0]
 
@@ -444,10 +413,11 @@ def f_eval_many(xs, eta):
 
     The batch takes f_eval's route (by eta, so one route for all) and one
     kernel call for all elements: one rising_half call over every
-    (element, ladder step) argument, then the interpolants' Clenshaw sums
-    and no quadrature (the first batch at an eta that needs an interpolant
-    builds it: one integrate call each).  Each element's value, route and
-    est are the scalar f_eval's bit for bit, whatever else is in the batch.
+    (element, ladder step) argument, then the interpolant's Clenshaw sums
+    and no quadrature (the first batch at an eta off the closed forms
+    builds the interpolant: one integrate call).  Each element's value,
+    route and est are the scalar f_eval's bit for bit, whatever else is in
+    the batch.
     An element within POLE_TOL of a pole raises PoleSignal carrying that
     pole's x (the first such element's); a non-finite x, eta <= 0 or x
     above INTEGRAL_X_RANGE raises ValueError.
@@ -465,14 +435,14 @@ def f_eval(arg):
 
     Integer 1/eta (within 1e-12) uses the pancake closed form, which at
     eta = 1 is the spherical one; anything else, integer eta >= 2 included,
-    the recurrence-extended integral, its terminal F from two interpolants
-    of f_integral cached per eta (within 1e-13 (1 + |F|), in est_error):
-    one on [T, T + eta], T = max(eta, 1)/2, and one in (T + eta)/x above
-    it.  Its route is "recurrence" where the ladder has a step and
-    "interpolant" where x itself is read from a fit.  Both routes' gamma
-    ladders pass through each pole x = -(j + k eta) (as Gamma(-j) at step
-    k), so an input within POLE_TOL of a pole raises PoleSignal there,
-    carrying the pole's x.  This is f_eval_many at one x.
+    the recurrence-extended integral, its terminal F at y >= T,
+    T = max(eta, 1)/2, from one interpolant of f_integral in T/y cached
+    per eta (within 1e-13 (1 + |F|), in est_error).  Its route is
+    "recurrence" where the ladder has a step and "interpolant" where x
+    itself is read from the fit.  Both routes' gamma ladders pass through
+    each pole x = -(j + k eta) (as Gamma(-j) at step k), so an input within
+    POLE_TOL of a pole raises PoleSignal there, carrying the pole's x.
+    This is f_eval_many at one x.
     """
     return _f_many([arg.x], arg.eta)[0]
 
@@ -573,9 +543,12 @@ def phi(x):
 
 def pole_grid(eta, x_min):
     """All poles x = -(j + k eta) with x >= x_min, descending, with F's
-    residues; poles within POLE_MERGE are one pole with the summed residue."""
-    if not x_min < 0:
-        raise ValueError("x_min must be < 0")
+    residues; poles within POLE_MERGE are one pole with the summed residue.
+    Raises ValueError unless eta > 0 and x_min < 0 are both finite."""
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    if not -math.inf < x_min < 0:
+        raise ValueError("x_min must be finite and < 0")
     vals = []
     k = 0
     while k * eta <= -x_min:

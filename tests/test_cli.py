@@ -38,6 +38,13 @@ def test_window_needs_both_ends():
                  "--window-min", "2"]) == 1
 
 
+def test_unbounded_resonance_window_exits_2():
+    # the solver rejects the window instead of walking its poles without end
+    assert _run(["spectrum", "--eta", "2", "--resonance", "0.5,0.3,3.5",
+                 "--window-min", "0", "--window-max", "inf",
+                 "--levels", "2"]) == 2
+
+
 def test_eta_must_be_finite():
     for command in ("spectrum", "bound"):
         assert _run([command, "--eta", "inf", "--a", "1"]) == 1
@@ -95,16 +102,13 @@ def test_fig1_rows_equal_per_cell_solves(capsys):
 
 def test_fig1_sweep_builds_the_terminal_fit_once(capsys):
     # every cell of a sweep at one eta reads F's terminal values from the
-    # two interpolants, on [T, T + eta] and above it, each built once by
-    # the first F batch that needs it
+    # one interpolant above T, built once by the first F batch
     spectral._terminal_fit.cache_clear()
-    spectral._far_fit.cache_clear()
     assert _run(["fig1", "--eta", "1.618"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 162
-    for fit in (spectral._terminal_fit, spectral._far_fit):
-        info = fit.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits > 161
+    info = spectral._terminal_fit.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits > 161
 
 
 @pytest.mark.parametrize("argv", [
@@ -112,8 +116,7 @@ def test_fig1_sweep_builds_the_terminal_fit_once(capsys):
     ["bound", "--eta", "2.37", "--inv-a-steps", "161"]])
 def test_sweeps_integrate_only_to_build_the_fits(argv, capsys, monkeypatch):
     # a 161-cell sweep runs no single-element quadrature: F's defining
-    # integral runs twice, once per interpolant build, on the 28 points of
-    # each fit
+    # integral runs once, to build the interpolant on its 28 points
     sizes = []
     integrate = spectral.integrate
 
@@ -123,10 +126,9 @@ def test_sweeps_integrate_only_to_build_the_fits(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(spectral, "integrate", counted)
     spectral._terminal_fit.cache_clear()
-    spectral._far_fit.cache_clear()
     assert _run(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 162
-    assert sizes == [spectral._FIT_N] * 2
+    assert sizes == [spectral._FIT_N]
 
 
 def test_spectrum_resonance_default_window(capsys):

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq  # the reference; pairtrap leaves it out
 from scipy.special import digamma
 
-from pairtrap import numerics, solver
+from pairtrap import numerics, solver, specfun, spectral, wavefn
 from pairtrap.numerics import (NumericsError, QuadratureError, RootBracket,
                                bracket_from_signs, find_root_bracketed,
                                find_roots_bracketed, integrate,
@@ -74,6 +74,16 @@ def _closed_form_grid():
             lambda q, t: np.exp(-q / t), b, c, scale, want)
 
 
+def test_node_layout_stays_in_numerics():
+    # the exp-sinh node layout (table, even and odd halves, weights) is
+    # numerics' alone: the modules integrating on it hand _rule a terms
+    # callback and bind none of it
+    layout = {"NODE_TABLE", "_ES_T_EVEN", "_ES_T_ODD", "_ES_W_EVEN",
+              "_ES_W_ODD"}
+    for module in (spectral, specfun, wavefn):
+        assert not layout & set(vars(module)), module.__name__
+
+
 def test_separable_rule_matches_closed_form():
     u, v, b, c, scale, want = _closed_form_grid()
     value, est = integrate_separable(u, v, b, c, scale)
@@ -114,12 +124,13 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
     refined, odd_rows = [], []
     rule = numerics._rule
 
-    def spy(scale, terms, odd_terms):
-        def odd(bad):
-            rows = odd_terms(bad)
-            odd_rows.append(len(rows))
-            return rows
-        out = rule(scale, terms, odd)
+    def spy(scale, terms):
+        def counted(nodes, weights, rows):
+            out = terms(nodes, weights, rows)
+            if not isinstance(rows, slice):  # the fine pass
+                odd_rows.append(len(out))
+            return out
+        out = rule(scale, counted)
         refined.append(out[2])
         return out
 

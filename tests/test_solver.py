@@ -312,6 +312,26 @@ def _overlay_column(tag):
     return [float(m.group(1)) for m in rows]
 
 
+_SOLVERS = {
+    "eigenenergies": lambda g, w: eigenenergies(
+        InteractionModel.fixed(1.0), g, window=w),
+    "self_consistent": lambda g, w: solve_self_consistent(
+        InteractionModel.from_resonance(0.5, 0.3, 3.5), g, window=w),
+    "reference_1d": lambda g, w: spectrum_1d_reference(math.inf, g, w),
+    "reference_2d": lambda g, w: spectrum_2d_reference(0.7, g, w),
+}
+
+
+@pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (math.nan, 1.0), (3.0, 1.0)])
+@pytest.mark.parametrize("solver_name", sorted(_SOLVERS))
+def test_solvers_reject_unbounded_windows(solver_name, window):
+    # an unbounded window holds poles or cuts without end: every solver
+    # rejects it, and a NaN or reversed one, before it walks the window
+    with pytest.raises(ValueError, match="bounded interval"):
+        _SOLVERS[solver_name](TrapGeometry(2.0), window)
+
+
 def test_spectrum_1d_reference_structure():
     g = TrapGeometry(100.0)
     a1 = a1d_effective(1.0, g)

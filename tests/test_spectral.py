@@ -11,7 +11,7 @@ import re
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import args_of, fval, oracle_lines, oracle_values
@@ -338,6 +338,36 @@ def test_pole_grid_contents():
     assert pole_grid(0.5, -1.6).poles == (0.0, -0.5, -1.0, -1.5)
 
 
+@pytest.mark.parametrize("eta, x_min", [
+    (0.0, -1.0), (-1.0, -1.0), (math.nan, -1.0), (math.inf, -1.0),
+    (2.0, -math.inf), (2.0, math.nan), (2.0, 0.0)])
+def test_pole_grid_rejects_bad_arguments(eta, x_min):
+    # eta <= 0 or x_min = -inf would list poles without end, and a NaN
+    # would list none
+    with pytest.raises(ValueError):
+        pole_grid(eta, x_min)
+
+
+@given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
+       interval=st.integers(0, 6),
+       fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=8, max_size=8,
+                      unique=True))
+def test_f_decreases_between_consecutive_poles(log_eta, interval, fracs):
+    # on the bound branch (0, 20), which crosses x = T, or on one of the
+    # first six pole intervals, F falls wherever two consecutive values
+    # differ by more than their estimates
+    eta = math.exp(log_eta)
+    poles = pole_grid(eta, -8.0).poles
+    lo, hi = (0.0, 20.0) if interval == 0 else (poles[interval],
+                                                poles[interval - 1])
+    assume(hi - lo > 1e-3)  # keeps every point POLE_TOL off the poles
+    xs = [lo + f * (hi - lo) for f in sorted(fracs)]
+    fs = f_eval_many(xs, eta)
+    for a, b in zip(fs, fs[1:]):
+        if abs(a.value - b.value) > a.est_error + b.est_error:
+            assert b.value < a.value, (eta, xs)
+
+
 @pytest.mark.parametrize("eta", [0.61, 1.0, 2.0, 3.0, 0.5, 1.5, 10.0])
 def test_pole_residues(eta):
     # lim (x - p) F(x) = sum of eta C(2j, j)/4^j over the (j, k) meeting
@@ -377,9 +407,8 @@ def _fresh_f_integral(x, eta, scale):
 @pytest.mark.parametrize("eta", [0.003, 0.26, 2.37, 3.9, 300.0, 1e5])
 def test_integrand_row_memo(eta):
     # F from the integrand row at scale 2^k equals a fresh table at that
-    # scale bit for bit, alone and in one batch over every x, whose rows
-    # are built once per distinct k (at eta = 1e5 and x below ~0.6 the
-    # fine pass runs, on the odd row).  Against a fresh table at scale 1/x
+    # scale bit for bit, alone and in one batch over every x (at eta = 1e5
+    # and x below ~0.6 the fine pass runs, on the odd nodes).  Against a fresh table at scale 1/x
     # it moves by at most 4 ulp (1 + |F|), or, where the table's own
     # estimate is larger (x below ~1e-6, and eta = 300 below x ~ 100), by
     # under a quarter of the two estimates.
@@ -540,96 +569,73 @@ def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):
     # O(1) kernel calls as eta -> 0: at eta = 0.003, x = -3.3001 the ladder
     # has 1,267 steps (it took 1,267 gamma_ratio calls), all in one
     # rising_half call.  The first batch at an eta also builds the terminal
-    # interpolant, one integrate call, and the first with a deep bound
-    # state (x = 0.7 > T + eta) the interpolant above T + eta, one more; a
-    # later batch takes one rising_half call and no integrate call, with
-    # its terminal values on either side of T + eta
+    # interpolant, one integrate call; every later batch takes one
+    # rising_half call and no integrate call, deep bound states (x = 0.7,
+    # 1e6) included
     calls = []
     for name in ("rising_half", "integrate"):
         orig = getattr(spectral, name)
         monkeypatch.setattr(spectral, name, lambda *args, _n=name, _f=orig:
                             calls.append(_n) or _f(*args))
     spectral._terminal_fit.cache_clear()
-    spectral._far_fit.cache_clear()
     value = f_eval(SpectralArgument(-3.3001, 0.003)).value
     assert calls == ["rising_half", "integrate"]
     assert math.isfinite(value)
-    calls.clear()
-    f_eval_many([-3.3001, -1.2345, 0.5012], 0.003)
-    assert calls == ["rising_half"]
-    calls.clear()
-    f_eval_many([-3.3001, -1.2345, 0.7], 0.003)
-    assert calls == ["rising_half", "integrate"]
-    calls.clear()
-    f_eval_many([-3.3001, 0.5012, 0.7, 1e6], 0.003)
-    assert calls == ["rising_half"]
+    for xs in ([-3.3001, -1.2345, 0.5012], [-3.3001, -1.2345, 0.7],
+               [-3.3001, 0.5012, 0.7, 1e6]):
+        calls.clear()
+        f_eval_many(xs, 0.003)
+        assert calls == ["rising_half"]
+
+
+def _fit_read(eta, y):
+    # F at y >= T from the interpolant of H in w = T/y
+    h = spectral._fit_value(spectral._terminal_fit(eta),
+                            0.5 * max(eta, 1.0) / y)[0]
+    root = math.sqrt(y)
+    return h / root - 2.0 * math.sqrt(math.pi) * root
 
 
 @given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
-       frac=st.floats(0.0, 1.0))
-def test_terminal_fit_matches_the_integral(log_eta, frac):
-    # on [T, T + eta] the recurrence's value (f_eval's at eta off the
-    # closed forms) is the interpolant's, and it lies within both estimates
-    # of the quadrature it was fitted to; its own estimate stays at
-    # rounding level
+       frac=st.floats(0.0, 1.0), far=st.booleans())
+def test_terminal_fit_matches_the_integral(log_eta, frac, far):
+    # for y uniform in [T, T + eta], or log-uniform in [T, 1e12], the
+    # recurrence's value (f_eval's at eta off the closed forms) is the
+    # interpolant's read, with route "interpolant", and it lies within
+    # both estimates of the quadrature it was fitted to; its own estimate
+    # stays at rounding level
     eta = math.exp(log_eta)
     lo = 0.5 * max(eta, 1.0)
-    y = lo + frac * eta
+    y = lo * (1e12 / lo) ** frac if far else lo + frac * eta
     got = f_recurrence_extend(SpectralArgument(y, eta))
-    assert got.value == spectral._fit_value(spectral._terminal_fit(eta), y)[0]
+    assert (got.value, got.route) == (_fit_read(eta, y), "interpolant")
     direct = f_integral(SpectralArgument(y, eta))
-    assert abs(got.value - direct.value) <= got.est_error + direct.est_error
-    assert got.est_error <= 1e-13 * (1.0 + abs(direct.value))
-
-
-def _far_value(eta, x):
-    # F above T + eta from the interpolant of sqrt(x) (F + 2 sqrt(pi x)) in
-    # w = (T + eta)/x
-    edge = 0.5 * max(eta, 1.0) + eta
-    h = spectral._fit_value(spectral._far_fit(eta), edge / x)[0]
-    return h / math.sqrt(x) - 2.0 * math.sqrt(math.pi * x)
-
-
-@given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
-       frac=st.floats(0.0, 1.0))
-def test_far_fit_matches_the_integral(log_eta, frac):
-    # for x log-uniform in [T + eta, 1e12] the recurrence's value (f_eval's
-    # at eta off the closed forms) is the far interpolant's, with route
-    # "interpolant", and it lies within both estimates of the quadrature;
-    # its own estimate stays at rounding level
-    eta = math.exp(log_eta)
-    edge = 0.5 * max(eta, 1.0) + eta
-    x = math.nextafter(edge * (1e12 / edge) ** frac, math.inf)
-    got = f_recurrence_extend(SpectralArgument(x, eta))
-    assert (got.value, got.route) == (_far_value(eta, x), "interpolant")
-    direct = f_integral(SpectralArgument(x, eta))
     assert abs(got.value - direct.value) <= got.est_error + direct.est_error
     assert got.est_error <= 1e-13 * (1.0 + abs(direct.value))
 
 
 @pytest.mark.parametrize("eta", [0.01, 0.37, 1.0, 2.37, 10.0, 100.0])
 def test_far_fit_end_value(eta):
-    # at w = 0 (x -> inf) the far interpolant meets H(0) = sqrt(pi)
-    # (1/4 + eta/2), from L(t) ~ (1/4 + eta/2) t at small t
-    h0, _ = spectral._fit_value(spectral._far_fit(eta), 0.0)
+    # at its far end w = 0 (x -> inf) the interpolant meets
+    # H(0) = sqrt(pi) (1/4 + eta/2), from L(t) ~ (1/4 + eta/2) t at small t
+    h0, _ = spectral._fit_value(spectral._terminal_fit(eta), 0.0)
     want = math.sqrt(math.pi) * (0.25 + 0.5 * eta)
     assert abs(h0 / want - 1.0) <= 1e-14
 
 
 @given(log_eta=st.floats(math.log(0.01), math.log(100.0)))
 def test_f_continuous_across_terminal_fit_edge(log_eta):
-    # y = T + eta is the terminal interpolant's last point and the next
-    # float up is the far interpolant's first: the two values differ by no
-    # more than their estimates (F's slope times one ulp is far below them)
+    # x = T is the interpolant's first point, read at m = 0, and the next
+    # float down takes one recurrence step to just below T + eta: the two
+    # values differ by no more than their estimates (F's slope times one
+    # ulp is far below them)
     eta = math.exp(log_eta)
-    edge = 0.5 * max(eta, 1.0) + eta
-    above = math.nextafter(edge, math.inf)
+    edge = 0.5 * max(eta, 1.0)
+    below = math.nextafter(edge, -math.inf)
     inside = f_recurrence_extend(SpectralArgument(edge, eta))
-    outside = f_recurrence_extend(SpectralArgument(above, eta))
-    assert inside.value == spectral._fit_value(
-        spectral._terminal_fit(eta), edge)[0]
-    assert outside.value == _far_value(eta, above)
-    assert inside.route == outside.route == "interpolant"
+    outside = f_recurrence_extend(SpectralArgument(below, eta))
+    assert inside.value == _fit_read(eta, edge)
+    assert (inside.route, outside.route) == ("interpolant", "recurrence")
     assert (abs(inside.value - outside.value)
             <= inside.est_error + outside.est_error)
 
