@@ -596,22 +596,34 @@ def _fit_read(eta, y):
     return h / root - 2.0 * math.sqrt(math.pi) * root
 
 
-@given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
-       frac=st.floats(0.0, 1.0), far=st.booleans())
-def test_terminal_fit_matches_the_integral(log_eta, frac, far):
-    # for y uniform in [T, T + eta], or log-uniform in [T, 1e12], the
-    # recurrence's value (f_eval's at eta off the closed forms) is the
-    # interpolant's read, with route "interpolant", and it lies within
-    # both estimates of the quadrature it was fitted to; its own estimate
-    # stays at rounding level
-    eta = math.exp(log_eta)
-    lo = 0.5 * max(eta, 1.0)
-    y = lo * (1e12 / lo) ** frac if far else lo + frac * eta
+def _check_fit_against_integral(eta, y):
+    # the recurrence's value (f_eval's at eta off the closed forms) is the
+    # interpolant's read, with route "interpolant", and it lies within both
+    # estimates of the quadrature it was fitted to; its own estimate stays
+    # at rounding level
     got = f_recurrence_extend(SpectralArgument(y, eta))
     assert (got.value, got.route) == (_fit_read(eta, y), "interpolant")
     direct = f_integral(SpectralArgument(y, eta))
     assert abs(got.value - direct.value) <= got.est_error + direct.est_error
     assert got.est_error <= 1e-13 * (1.0 + abs(direct.value))
+
+
+@given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
+       frac=st.floats(0.0, 1.0))
+def test_terminal_fit_matches_the_integral(log_eta, frac):
+    # y uniform in [T, T + eta], the part of the fit nearest the recurrence
+    eta = math.exp(log_eta)
+    lo = 0.5 * max(eta, 1.0)
+    _check_fit_against_integral(eta, lo + frac * eta)
+
+
+@given(log_eta=st.floats(math.log(0.01), math.log(100.0)),
+       frac=st.floats(0.0, 1.0))
+def test_far_fit_matches_the_integral(log_eta, frac):
+    # y log-uniform in [T, 1e12], out to the fit's far end w -> 0
+    eta = math.exp(log_eta)
+    lo = 0.5 * max(eta, 1.0)
+    _check_fit_against_integral(eta, lo * (1e12 / lo) ** frac)
 
 
 @pytest.mark.parametrize("eta", [0.01, 0.37, 1.0, 2.37, 10.0, 100.0])
