@@ -19,8 +19,8 @@ from .spectral import (PoleGrid, SpectralArgument, SpectralValue, f_cigar,
 from .wavefn import (ProfileSamples, SeriesTruncation, contact_coefficient,
                      contact_scattering_length, norm_squared_exact,
                      normalize, profile_quasi1d, profile_quasi2d, psi,
-                     psi_integral, psi_series_axial, psi_series_radial,
-                     sample_grid)
+                     psi_integral, psi_peeled, psi_series_axial,
+                     psi_series_radial, sample_grid)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,8 @@ __all__ = [
     "f_quasi1d", "f_quasi2d",
     "f_recurrence_extend", "ground_energy_offset", "norm_squared_exact",
     "normalize", "phi", "pole_grid", "profile_quasi1d", "profile_quasi2d",
-    "psi", "psi_integral", "psi_series_axial", "psi_series_radial",
+    "psi", "psi_integral", "psi_peeled", "psi_series_axial",
+    "psi_series_radial",
     "resonance_a_eff", "sample_grid", "solve_self_consistent",
     "spectrum_1d_reference", "spectrum_2d_reference",
 ]

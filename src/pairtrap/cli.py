@@ -18,13 +18,15 @@ from dataclasses import dataclass
 
 from .numerics import NumericsError
 from .solver import (InteractionModel, NoBoundState, TrapGeometry,
-                     _default_window, bound_state_exact, eigenenergies,
+                     _check_window, _default_window, bound_state_exact,
+                     eigenenergies, ground_energy_offset,
                      solve_self_consistent)
 from .specfun import SQRT_PI, PoleSignal, gamma_ratio, gamma_u
 from .spectral import (SpectralArgument, f_cigar, f_eval, f_integral,
                        f_pancake, f_recurrence_extend, phi)
 from .wavefn import (SeriesTruncation, profile_quasi1d, profile_quasi2d, psi,
-                     psi_integral, psi_series_axial, psi_series_radial)
+                     psi_integral, psi_peeled, psi_series_axial,
+                     psi_series_radial)
 
 COMMANDS = ("spectrum", "bound", "wavefunction", "fig1", "fig2", "check")
 _FIG1_GRID = (-4.0, 4.0, 161)
@@ -328,12 +330,11 @@ def _bound_cell(task):
 def _wavefn_cell(task):
     eta, energy, axis, coord = task
     g = TrapGeometry(eta)
-    trunc = SeriesTruncation(max_terms=20000, tail_tol=1e-11)
     rho, z = (0.0, coord) if axis == "axial" else (coord, 0.0)
     exact = asym = None
     notes = []
     try:
-        exact = psi(rho, z, energy, g, trunc=trunc)
+        exact = psi(rho, z, energy, g)
     except (ValueError, NumericsError, PoleSignal) as exc:
         notes.append("exact at %g: %s" % (coord, exc))
     try:
@@ -362,6 +363,8 @@ def _pool_map(fn, tasks, threads):
 
 def run_spectrum(cfg):
     """Sweep 1/a (or solve one model) and tabulate inv_a, E_1..E_n."""
+    if cfg.window is not None:
+        _check_window(cfg.window)  # an unbounded window fails the run
     g = TrapGeometry(cfg.eta)
     header = ("inv_a",) + tuple("E_%d" % (i + 1) for i in range(cfg.levels))
     if cfg.resonance is not None:
@@ -545,6 +548,12 @@ def _check_battery(fast):
         ax = psi_series_axial(0.5, 0.5, e_bound, g2, tr)
         add("wavefunction route agreement",
             max(abs(rad / ref - 1.0), abs(ax / ref - 1.0)), 1e-6)
+        e0 = ground_energy_offset(g2)
+        (level,) = eigenenergies(InteractionModel.from_inverse_a(1.0), g2,
+                                 window=(e0, e0 + 2.0), max_levels=1)
+        add("excited psi: integral vs series",
+            abs(psi_peeled(0.5, 0.5, level.E, g2)
+                / psi_series_radial(0.5, 0.5, level.E, g2, tr) - 1.0), 1e-10)
     slope = (0.025 * psi_integral(0.0, 0.025, e_bound, g2)
              - 0.5 / math.pi) / 0.025
     # crude one-step slope: generous tolerance, the fit is refined in tests

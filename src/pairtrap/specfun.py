@@ -9,7 +9,8 @@ rising_half works in plain floats, with a relative rounding bound for
 every value.  ln_gamma_u gives log Gamma(a) U for a > 0 from its Laplace
 form on the numerics exp-sinh node table, one pass for an array of a;
 gamma_u gives the signed product for any a off the Gamma poles from one
-such pass, with the rows below a = 1/2 recurred down from seeds in it.
+such pass, with the rows below a = 1/2 recurred down from seeds in it by
+gamma_u_down, the recurrence the wavefunction's peeled integral shares.
 """
 
 import math
@@ -356,6 +357,27 @@ def ln_gamma_u(a, b, w):
     return float(out[0]) if a_in.ndim == 0 else out
 
 
+def gamma_u_down(cur, up, a, steps, b, w):
+    """V(a - n) for V = Gamma U at (., b, w), from the seeds cur = V(a) and
+    up = V(a + 1), by DLMF 13.3.7
+      V(a - 1) = [(w + 2a - b) V(a) - (a - b + 1) V(a + 1)]/(a - 1)
+    run downward, the stable direction (U is the minimal solution as a
+    grows).  The arguments broadcast as numpy arrays; n = steps elementwise,
+    the elements stepping together, each stopping after its own n.
+    """
+    steps = np.asarray(steps)
+    for i in range(int(steps.max(initial=0.0))):
+        go = steps > i
+        down = ((w + 2.0 * a - b) * cur - (a - b + 1.0) * up) / (a - 1.0)
+        if go.all():
+            up, cur, a = cur, down, a - 1.0
+        else:
+            up = np.where(go, cur, up)
+            cur = np.where(go, down, cur)
+            a = a - go
+    return cur
+
+
 def gamma_u(a, b, w):
     """Signed Gamma(a) U(a, b, w) for w > 0 and b in {1/2, 1, 3/2}.
 
@@ -363,10 +385,7 @@ def gamma_u(a, b, w):
     POLE_TOL of a nonpositive integer raises PoleSignal.  Every value comes
     from one ln_gamma_u pass, as alone bit for bit: a row a >= 1/2 directly,
     one below 1/2 from the rows a + n, a + n + 1 (n the least with
-    a + n >= 1/2) appended to the pass, by DLMF 13.3.7 for V = Gamma U,
-      V(a - 1) = [(w + 2a - b) V(a) - (a - b + 1) V(a + 1)]/(a - 1),
-    run downward, the stable direction (U is the minimal solution as a
-    grows).  The rows below 1/2 step together, each stopping after its n.
+    a + n >= 1/2) appended to the pass, by gamma_u_down.
     """
     b = _check_b(b)
     a_in = np.asarray(a, dtype=float)
@@ -381,14 +400,7 @@ def gamma_u(a, b, w):
     rows[low] = ac
     v = np.exp(ln_gamma_u(np.concatenate((rows, ac + 1.0)), b, w))
     out, up = v[:len(av)], v[len(av):]
-    cur = out[low]
-    for i in range(int(steps.max(initial=0.0))):
-        go = steps > i
-        down = ((w + 2.0 * ac - b) * cur - (ac - b + 1.0) * up) / (ac - 1.0)
-        up = np.where(go, cur, up)
-        cur = np.where(go, down, cur)
-        ac = ac - go
-    out[low] = cur
+    out[low] = gamma_u_down(out[low], up, ac, steps, b, w)
     return float(out[0]) if a_in.ndim == 0 else out
 
 

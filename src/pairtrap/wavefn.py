@@ -1,19 +1,25 @@
 """Relative-motion pair wavefunction in the anisotropic trap.
 
 Psi(rho, z) carries a 1/(2 pi r) contact core at the origin and a Gaussian
-envelope at large distance.  Three exact routes are provided: a proper-time
-integral valid below the ground energy E0 = 1/2 + eta, a radial series in
-Laguerre x Kummer-U products (fast for cigars), and an axial series (fast
-for pancakes), one kernel summing either along a grid line (z row or rho
+envelope at large distance.  Two exact routes cover every energy off the
+noninteracting thresholds: a proper-time integral below the ground energy
+E0 = 1/2 + eta, and above it the peeled integral, the geometry's mode
+series (Laguerre x Gamma(a) U(a, b, w) products) summed under the Laplace
+form of its coefficients by the Laguerre generating function, with the few
+modes below a = 1/2 peeled off as a head recurred down from Gamma U seeds
+(specfun.gamma_u_down) integrated in the same pass.  Either integral
+samples a whole grid in one numerics.integrate_separable call per route,
+psi_integral and psi_peeled being its 1 x 1 case.  The radial series
+(fast for cigars) and the axial series (fast for pancakes) stay as
+reference routes: one kernel sums either along a grid line (z row or rho
 column) term by term under a shared tail control, on one sequence of
-coefficients Gamma(a) U(a, b, w) per line (one specfun.gamma_u call per
-block sized to the terms the sum takes, signed).  The integral
-samples a whole grid in one numerics.integrate_separable call, psi_integral
-being its 1 x 1 case; coefficients and the quasi-1d and quasi-2d profile
-sums run on the same exp-sinh node table.  Grid normalization (one
-trapezoid weight vector per axis on the (z, rho) array, the integrable
-1/r^2 core density treated analytically) and the contact slope in closed
-form complete the module.
+coefficients per line (one specfun.gamma_u call per block sized to the
+terms the sum takes, signed).  One check of the energy against the poles
+of F flags a threshold for the series and the peeled route alike.  The
+quasi-1d and quasi-2d profile sums run on the same exp-sinh node table.
+Grid normalization (one trapezoid weight vector per axis on the (z, rho)
+array, the integrable 1/r^2 core density treated analytically) and the
+contact slope in closed form complete the module.
 All lengths are in axial oscillator units; energies include the
 3/2-equivalent zero point through E0.
 """
@@ -30,11 +36,14 @@ from .numerics import (NumericsError, SeriesError, integrate,
                        integrate_separable)
 from .solver import ground_energy_offset
 from .specfun import (
+    POLE_TOL,
+    SQRT_PI,
     PoleSignal,
     gamma_u,
+    gamma_u_down,
     hurwitz_zeta_half,
-    is_nonpositive_integer,
     laguerre_iter,
+    rising_half,
 )
 from .spectral import SpectralArgument, f_eval, f_eval_many, phi
 
@@ -43,7 +52,7 @@ TWO_PI = 2.0 * math.pi
 # 1/(2 pi^{3/2}), the shared series prefactor
 _PREF = 0.5 / math.pi ** 1.5
 
-ROUTES = ("integral", "radial_series", "axial_series")
+ROUTES = ("integral", "peeled", "radial_series", "axial_series")
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,8 @@ def psi_integral(rho, z, E, g):
     """Proper-time integral for Psi at energies below E0.
 
     The integrand decays like exp(t (E - E0)) at large t, so the energy must
-    sit strictly below E0; the r != 0 Gaussian suppression exp(-r^2/(2t))
+    sit strictly below E0 (above it, psi_peeled takes the growing modes off
+    the same integral); the r != 0 Gaussian suppression exp(-r^2/(2t))
     tames the t^{-3/2} short-time divergence.  It is the 1 x 1 case of
     sample_grid's grid kernel, numerics.integrate_separable at the power of
     two nearest sqrt(r^2/(E0 - E)), so a grid sample equals this value.
@@ -121,6 +131,200 @@ def psi_integral(rho, z, E, g):
     so values far below eta 1e-11/(2 pi)^{3/2} have no relative accuracy.
     """
     return float(_psi_grid((rho,), (z,), E, g)[0, 0])
+
+
+def _check_threshold(x, eta):
+    # an energy on a noninteracting threshold, x = (E0 - E)/2 within
+    # POLE_TOL of a pole -(j + k eta) of F, puts a mode coefficient
+    # Gamma(a_m) of either series and of the peeled head on a Gamma pole;
+    # the poles are walked along the coarser of the two ladders
+    step, unit = (eta, 1.0) if eta >= 1.0 else (1.0, eta)
+    n = 0
+    while n * step <= POLE_TOL - x:
+        off = -x - n * step
+        off -= round(off / unit) * unit
+        if abs(off) <= POLE_TOL:
+            raise PoleSignal("E on a noninteracting threshold: x = %.17g "
+                             "is a pole of F" % x, x + off)
+        n += 1
+
+
+# Laguerre terms that stand for the peeled bracket where s is small
+_BRACKET_TERMS = 60
+
+
+def _bracket(ln_s, y, alpha, lag, n0):
+    # [G(s, y) - sum_{m<n0} s^m L_m(y)]/s^n0 for the generating function
+    # G = (1 - s)^(-alpha-1) exp(-y s/(1 - s)) of L_m = L_m^(alpha)(y)
+    # (DLMF 18.12.13), lag the rows L_m(y) from m = 0.  With n0 = 0 it is
+    # G, with n0 = 1 expm1(log G)/s, log(1 - s) taken by log1p below
+    # s = 1/2; otherwise the Laguerre tail sum_{m>=n0} s^(m-n0) L_m
+    # (_BRACKET_TERMS terms) where s < min(1/2, 1/y), and the closed form
+    # less the head elsewhere; at y = 0 with alpha = 0 it is 1/(1 - s).
+    s = np.exp(ln_s)
+    oms = -np.expm1(ln_s)
+    ln_g = -y * (s / oms) - (alpha + 1.0) * np.where(
+        s < 0.5, np.log1p(np.maximum(-s, -0.5)), np.log(oms))
+    if n0 < 2:
+        return np.expm1(ln_g) / s if n0 else np.exp(ln_g)
+    s = np.broadcast_to(s, ln_g.shape)
+    out = np.zeros(ln_g.shape)
+    for row in lag[:n0 - 1:-1]:
+        out *= s
+        out += row
+    far = (s >= 0.5) | (s * y >= 1.0)
+    if far.any():
+        sf = s[far]
+        head = np.zeros(len(sf))
+        for row in lag[n0 - 1::-1]:
+            head *= sf
+            head += np.broadcast_to(row, s.shape)[far]
+        out[far] = (np.exp(ln_g[far]) - head) / sf ** n0
+    if alpha == 0.0:
+        out = np.where(y == 0.0, 1.0 / oms, out)
+    return out
+
+
+# The table's last node sits near 2e11 times the scale, so a scale of at
+# least _REACH/zeta leaves e^(-zeta t) under e^-40 there
+_REACH = 2e-10
+
+
+def _peeled_sum(zeta, y, a0, step, b, alpha):
+    # S[i, j] = sum_m Gamma(a_m) U(a_m, b, zeta_i) L_m^(alpha)(y_j) with
+    # a_m = a0 + m step.  DLMF 13.4.4 writes each coefficient as
+    # int e^(-zeta t) t^-1 (1 + t)^(b-1) p^a_m dt, p = t/(1 + t), so with
+    # s = p^step the modes m >= n0 sum under one integral, p^a_n0 times
+    # the _bracket.  The n0 head modes, a_m < 1/2, come from the seeds
+    # Gamma(a) U(a, b, zeta_i) at a = a_m + n, a_m + n + 1 (n the least
+    # with a_m + n >= 1/2), integrated in the same pass as the columns
+    # before the y's and recurred down by gamma_u_down.  A point sits at
+    # the scale t with zeta_eff t (1 + t) = a_n0 + 1/2, zeta_eff =
+    # zeta + y/step (y = 0 for a seed), where the integrand turns: p^a_n0
+    # rises below it and e^(-zeta_eff t) falls above it; and at least at
+    # _REACH/zeta, as the bracket tends to -sum_{m<n0} L_m(y) where G dies
+    # and leaves e^(-zeta t) alone to cut the integrand off.
+    # A row zeta = 0 (b = 1/2 only) has no such cut-off: there the head's
+    # t^(-3/2) tail, Lambda = sum_{m<n0} L_m(y) times p^a_n0, is added to
+    # the integrand and its integral Lambda sqrt(pi) Gamma(a_n0)/
+    # Gamma(a_n0 + 1/2) taken off again, leaving a t^(-5/2) decay, and
+    # the head takes Gamma(a) U(a, 1/2, 0) = sqrt(pi) Gamma(a)/Gamma(a + 1/2).
+    n0 = 0
+    while a0 + n0 * step < 0.5:
+        n0 += 1
+    a_n = a0 + n0 * step
+    am = [a0 + m * step for m in range(n0)]
+    down = [math.ceil(0.5 - a) for a in am]
+    lag = np.empty((n0 + _BRACKET_TERMS if n0 > 1 else n0, len(y)))
+    for m, row in zip(range(len(lag)), laguerre_iter(y, alpha)):
+        lag[m] = row
+    c = a_n + 0.5
+
+    def part(zeta, seeds, shift):
+        # the tail integrals on the rows zeta, then the seeds' beside them
+        ns = len(seeds)
+
+        def u(z, t):
+            return np.exp(-z * t) / (t if b == 1.0 else t * np.sqrt(1.0 + t))
+
+        def v(cols, t):
+            # the touched columns in ascending order: seeds, then y's
+            cols = cols[:, 0]
+            ln_p = -np.log1p(1.0 / t)
+            k = np.searchsorted(cols, ns)
+            j = cols[k:] - ns
+            out = np.empty((len(cols), len(t)))
+            out[k:] = _bracket(np.maximum(step * ln_p, -700.0), y[j, None],
+                               alpha, lag[:, j, None], n0)
+            if shift is not None:
+                out[k:] += shift[j, None]
+            out[k:] *= np.exp(np.maximum(a_n * ln_p, -700.0))
+            if k:
+                out[:k] = np.exp(np.maximum(seeds[cols[:k], None] * ln_p,
+                                            -700.0))
+            return out
+
+        zeff = np.empty((len(zeta), ns + len(y)))
+        zeff[:, :ns] = zeta[:, None]
+        zeff[:, ns:] = zeta[:, None] + y / step
+        scale = 2.0 * c / (zeff + np.sqrt(zeff * (zeff + 4.0 * c)))
+        if shift is None:  # rows zeta > 0, cut off by e^(-zeta t)
+            np.maximum(scale, _REACH / zeta[:, None], out=scale)
+        value, _ = integrate_separable(u, v, zeta, np.arange(zeff.shape[1]),
+                                       scale)
+        return value[:, ns:], value[:, :ns]
+
+    if zeta.all():
+        seeds = np.array([a + n for a, n in zip(am, down)]
+                         + [a + n + 1.0 for a, n in zip(am, down)])
+        out, sv = part(zeta, seeds, None)
+        for m in range(n0):
+            head = gamma_u_down(sv[:, m], sv[:, n0 + m], seeds[m], down[m],
+                                b, zeta)
+            out += head[:, None] * lag[m]
+        return out
+    out = np.empty((len(zeta), len(y)))
+    live = zeta > 0.0
+    if live.any():
+        out[live] = _peeled_sum(zeta[live], y, a0, step, b, alpha)
+    lam = lag[:n0].sum(axis=0)
+    tail, _ = part(zeta[~live], np.zeros(0), lam)
+    head = [SQRT_PI / r for r in rising_half(am + [a_n], 0.5)[0]]
+    tail -= head[n0] * lam
+    for m in range(n0):
+        tail += head[m] * lag[m]
+    out[~live] = tail
+    return out
+
+
+def _psi_peeled_grid(rhos, zs, E, g):
+    # Psi on the grid zs x rhos as a (z, rho) array by the peeled integral:
+    # the radial peel (zeta = z^2, y = eta rho^2) for eta >= 1 and on the
+    # rho = 0 column, where y = 0 and the axial peel's U(., 1, 0) diverges;
+    # the axial peel (zeta = eta rho^2, y = z^2) for the other columns
+    if any(rho < 0 for rho in rhos):
+        raise ValueError("rho must be nonnegative")
+    if 0.0 in rhos and 0.0 in zs:
+        raise ValueError("Psi diverges at the origin; use contact_coefficient")
+    eta = g.eta
+    x = 0.5 * (ground_energy_offset(g) - E)
+    _check_threshold(x, eta)
+    rhos, zs = np.asarray(rhos, dtype=float), np.asarray(zs, dtype=float)
+    zz, rr = zs * zs, eta * rhos * rhos
+    if eta >= 1.0:
+        out = eta * _peeled_sum(zz, rr, x, eta, 0.5, 0.0)
+    elif rhos.all():
+        out = _peeled_sum(rr, zz, x / eta, 1.0 / eta, 1.0, -0.5).T
+    else:
+        axis = rhos == 0.0
+        out = np.empty((len(zs), len(rhos)))
+        out[:, axis] = eta * _peeled_sum(zz, rr[axis], x, eta, 0.5, 0.0)
+        out[:, ~axis] = _peeled_sum(rr[~axis], zz, x / eta, 1.0 / eta, 1.0,
+                                    -0.5).T
+    return _PREF * np.exp(-0.5 * (zz[:, None] + rr)) * out
+
+
+def psi_peeled(rho, z, E, g):
+    """Psi at any energy off the noninteracting thresholds as one peeled
+    proper-time integral; the default route above E0.
+
+    The geometry's mode series (radial for eta >= 1, axial below, and
+    radial on the rho = 0 axis) is summed under DLMF 13.4.4's Laplace form
+    of its coefficients Gamma(a_m) U(a_m, b, zeta): the modes with
+    a_m >= 1/2 by the Laguerre generating function, as one integral on the
+    exp-sinh node table, and the few below 1/2 from Gamma U seeds
+    integrated in the same pass and recurred down (specfun.gamma_u_down).
+    Both series lines, z = 0 and rho = 0, are in its domain; the origin
+    raises ValueError, and E on a threshold (x = (E0 - E)/2 a pole of F)
+    raises PoleSignal.  It is the 1 x 1 case of sample_grid's peeled grid,
+    so a grid sample equals this value.  Like psi_integral it carries no
+    relative accuracy far below the quadrature's absolute floor.  Close
+    to the rho = 0 axis at eta < 1 (rho under about 1e-4/sqrt(eta)) or to
+    the z = 0 plane (|z| under about 1e-8), but off them, e^(-zeta t) cuts
+    the integrand off too far out for the node table, and the call raises
+    QuadratureError.
+    """
+    return float(_psi_peeled_grid((rho,), (z,), E, g)[0, 0])
 
 
 # Largest coefficient block: ~10 MB of (block, 273) kernel arrays (twice if
@@ -260,13 +464,7 @@ def _series_line(route, c, others, E, g, trunc):
         b, arg, alpha = 1.0, eta * c * c, -0.5
         beta, pref = 2.0 * c, 1.0
         ys = [z * z for z in others]
-    # only the finitely many coefficients below 1/2 can sit on a Gamma pole,
-    # and gamma_u sees none past the last term summed
-    for a in itertools.takewhile(lambda a: a < 0.5,
-                                 map(a_of, itertools.count())):
-        if is_nonpositive_integer(a):
-            raise PoleSignal("series coefficient Gamma(%.17g) at a pole "
-                             "(threshold energy)" % a, a)
+    _check_threshold(x, eta)
     coef = _Coefficients(a_of, b, arg, trunc, beta,
                          min((y for y in ys if y > 0.0), default=0.0))
     return [pref * math.exp(-0.5 * (arg + y)) * _PREF
@@ -277,6 +475,7 @@ def _series_line(route, c, others, E, g, trunc):
 
 def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
     """Laguerre expansion over radial modes; converges fastest for eta >= 1.
+    A reference route: psi_peeled sums the same series in closed form.
 
     Term m carries Gamma(a_m) U(a_m, 1/2, z^2) L_m(eta rho^2) with
     a_m = eta m - (E - E0)/2.  On the z = 0 line the terms decay only like
@@ -289,6 +488,7 @@ def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
 
 def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
     """Axial-mode expansion; converges fastest for eta < 1.
+    A reference route, as psi_series_radial.
 
     Term k carries L_k^{(-1/2)}(z^2) Gamma(b_k) U(b_k, 1, eta rho^2) with
     b_k = (k - (E - E0)/2)/eta.  U(., 1, .) is logarithmic at zero argument,
@@ -299,21 +499,19 @@ def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
 
 
 def psi(rho, z, E, g, route=None, trunc=SeriesTruncation()):
-    """Evaluate Psi picking the route suited to the energy and geometry.
+    """Evaluate Psi picking the route suited to the energy.
 
-    Below E0 and away from the origin the integral is used; otherwise the
-    series matched to the trap shape (radial for eta >= 1, axial for
-    eta < 1), swapping when the point sits on the line its series rejects.
+    Below E0 the proper-time integral (psi_integral), otherwise the peeled
+    integral (psi_peeled), which holds on the z = 0 and rho = 0 lines too.
+    route names one of ROUTES instead; trunc applies to the series routes
+    only, which stay as reference routes.
     """
     if route is None:
-        if E < ground_energy_offset(g) and (rho != 0.0 or z != 0.0):
-            route = "integral"
-        elif g.eta >= 1.0:
-            route = "radial_series" if z != 0.0 else "axial_series"
-        else:
-            route = "axial_series" if rho > 1e-6 else "radial_series"
+        route = "integral" if E < ground_energy_offset(g) else "peeled"
     if route == "integral":
         return psi_integral(rho, z, E, g)
+    if route == "peeled":
+        return psi_peeled(rho, z, E, g)
     if route == "radial_series":
         return psi_series_radial(rho, z, E, g, trunc)
     if route == "axial_series":
@@ -325,24 +523,23 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     """Evaluate Psi on the tensor grid rhos x zs (z outer, rho inner).
 
     One route is used for every point so the samples stay homogeneous; the
-    default picks the integral below E0 and the geometry-matched series
-    otherwise.  The integral route is one grid kernel, the separable node
-    table rule with each z row's and rho column's factor computed once per
-    power-of-two scale, and psi_integral its 1 x 1 case, so each sample is
-    the point value; a grid holding a point outside the domain raises
-    psi_integral's ValueError, and a sample under its absolute floor has
-    no relative accuracy.  A series route runs the psi_series_* kernel
+    default picks the integral below E0 and the peeled integral otherwise.
+    Either integral is one grid kernel, numerics.integrate_separable with
+    each z row's and rho column's factor computed once per power-of-two
+    scale, and psi_integral or psi_peeled its 1 x 1 case, so each sample is
+    the point value; a grid holding a point outside the domain raises the
+    point route's error, and a sample under the quadrature's absolute floor
+    has no relative accuracy.  A series route runs the psi_series_* kernel
     once per z row (radial) or rho column (axial), the line sharing one
     coefficient sequence, so each sample is the point-wise value.
     """
     if route is None:
-        if E < ground_energy_offset(g):
-            route = "integral"
-        else:
-            route = "radial_series" if g.eta >= 1.0 else "axial_series"
+        route = "integral" if E < ground_energy_offset(g) else "peeled"
     coords = tuple((rho, z) for z in zs for rho in rhos)
     if route == "integral":
         values = _psi_grid(rhos, zs, E, g).ravel().tolist()
+    elif route == "peeled":
+        values = _psi_peeled_grid(rhos, zs, E, g).ravel().tolist()
     elif route == "radial_series":
         values = [v for z in zs
                   for v in _series_line(route, z, rhos, E, g, trunc)]

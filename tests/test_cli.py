@@ -45,6 +45,15 @@ def test_unbounded_resonance_window_exits_2():
                  "--levels", "2"]) == 2
 
 
+def test_unbounded_fixed_a_window_exits_2(capsys):
+    # as with --resonance: the run fails instead of writing an NA row
+    assert _run(["spectrum", "--eta", "2", "--a", "1", "--levels", "2",
+                 "--window-min", "0", "--window-max", "inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "window must be a bounded interval" in err
+
+
 def test_eta_must_be_finite():
     for command in ("spectrum", "bound"):
         assert _run([command, "--eta", "inf", "--a", "1"]) == 1
@@ -267,6 +276,22 @@ def test_wavefunction_default_grid_has_no_na_row(tmp_path, capsys):
     assert coords[0] == pytest.approx(coords[1] - coords[0], rel=1e-9)
     assert coords[1] - coords[0] == pytest.approx(hi / 60, rel=1e-9)
     assert not any("NA" in row for row in rows)
+
+
+@pytest.mark.parametrize("eta, axis", [(2.0, "axial"), (2.0, "radial"),
+                                       (0.5, "axial"), (0.5, "radial")])
+def test_excited_profiles_have_exact_values(eta, axis, capsys):
+    # above E0 (a = 1, E = E0 + 0.6) the exact column holds a value on
+    # both axes at every default grid point; the asymptotic profiles need
+    # E < E0, so that column is NA
+    assert _run(["wavefunction", "--eta", repr(eta), "--a", "1", "--axis",
+                 axis, "--energy", repr(0.5 + eta + 0.6)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "coordinate,psi_exact,psi_asymptotic"
+    assert len(rows) == 60
+    for row in rows:
+        coord, exact, asym = row.split(",")
+        assert math.isfinite(float(exact)) and asym == "NA"
 
 
 def test_config_file_fills_absent_flags_and_flags_override(tmp_path, capsys):

@@ -12,9 +12,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import k0
 
-from conftest import fval, oracle_values
+from conftest import args_of, fval, oracle_values
 from pairtrap import numerics
 from pairtrap.numerics import NumericsError, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
@@ -26,12 +28,13 @@ from pairtrap.spectral import SpectralArgument, f_eval
 from pairtrap.wavefn import (ProfileSamples, SeriesTruncation, _sum_terms,
                              contact_coefficient, contact_scattering_length,
                              norm_squared_exact, normalize, profile_quasi1d,
-                             profile_quasi2d, psi, psi_integral,
+                             profile_quasi2d, psi, psi_integral, psi_peeled,
                              psi_series_axial, psi_series_radial, sample_grid)
 
 ORA1 = oracle_values("wavefn_oracle.out")
 ORA2 = oracle_values("wavefn_oracle2.out")
 ORA3 = oracle_values("wavefn_oracle3.out")
+ORA4 = oracle_values("wavefn_oracle4.out")
 NODES = oracle_values("node_table_oracle.out")
 
 G1 = TrapGeometry(1.0)
@@ -158,15 +161,14 @@ def test_route_dispatch(energies):
 
 
 def test_series_above_e0_where_integral_diverges(energies):
-    # excited state: only the series routes converge
+    # excited state: the below-E0 integral diverges, and the default route,
+    # the peeled integral, agrees with the radial series
     e_exc = eigenenergies(InteractionModel.from_inverse_a(0.0), G100,
                           window=(100.6, 102.4), max_levels=1)[0].E
     _close(e_exc, fval(ORA2, "E_exc_eta100"), 1e-12)
-    with pytest.raises(ValueError):
-        psi_integral(0.3, 0.5, e_exc, G100)
-    val = psi(0.3, 0.5, e_exc, G100,
-              trunc=SeriesTruncation(max_terms=4000, tail_tol=1e-13))
-    assert math.isfinite(val)
+    trunc = SeriesTruncation(max_terms=4000, tail_tol=1e-13)
+    val = psi(0.3, 0.5, e_exc, G100, trunc=trunc)
+    _close(val, psi_series_radial(0.3, 0.5, e_exc, G100, trunc), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +625,9 @@ def test_series_blocks_raise_like_scalar_terms(route, rho, z, trunc, message):
 
 
 def test_series_coefficients_sized_to_terms_summed(monkeypatch):
-    # the first level above E0 at 1/a = 0.5, psi at (rho, z) =
-    # (1/2, 1/2) and (1, 1) in units of (eta^-1/2, 1), 20,000 terms at
-    # 1e-11: over the eight points the coefficient rows computed stay
+    # the first level above E0 at 1/a = 0.5, the geometry's series at
+    # (rho, z) = (1/2, 1/2) and (1, 1) in units of (eta^-1/2, 1), 20,000
+    # terms at 1e-11: over the eight points the coefficient rows computed stay
     # within a quarter (plus 8) of the terms the sums take
     rows, summed = [0], [0]
 
@@ -647,8 +649,9 @@ def test_series_coefficients_sized_to_terms_summed(monkeypatch):
         e0 = ground_energy_offset(g)
         (level,) = eigenenergies(model, g, max_levels=1,
                                  window=(e0, e0 + 2.0 * min(1.0, eta)))
+        route = "radial_series" if eta >= 1.0 else "axial_series"
         for rho, z in ((0.5, 0.5), (1.0, 1.0)):
-            psi(rho / math.sqrt(eta), z, level.E, g, trunc=trunc)
+            psi(rho / math.sqrt(eta), z, level.E, g, route=route, trunc=trunc)
     assert summed[0] > 0
     assert rows[0] <= 1.25 * summed[0] + 8, (rows[0], summed[0])
 
@@ -869,7 +872,7 @@ def test_sample_grid_equals_psi_integral_bit_for_bit(eta, energies):
 @pytest.mark.parametrize("route", ["radial_series", "axial_series"])
 def test_sample_grid_series_routes(route, energies):
     # every series sample is the point-wise value, z outer and rho inner,
-    # below E0 and above it, where the default is the geometry's series
+    # below E0 and above it, where the default is the peeled integral
     g, fn, below = ((G2, psi_series_radial, energies["A"])
                     if route == "radial_series"
                     else (G05, psi_series_axial, energies["B"]))
@@ -882,29 +885,126 @@ def test_sample_grid_series_routes(route, energies):
         assert samples.coordinates == coords
         assert samples.values == tuple(fn(rho, z, e, g, trunc)
                                        for rho, z in coords)
-    assert sample_grid(rhos, zs, e, g, trunc=trunc) == samples
+    default = sample_grid(rhos, zs, e, g, trunc=trunc)
+    assert default.method == "peeled"
+    assert default.coordinates == coords
+    assert default.values == tuple(psi_peeled(rho, z, e, g)
+                                   for rho, z in coords)
+    for got, want in zip(default.values, samples.values):
+        _close(got, want, 1e-10)
 
 
 def test_psi_swaps_series_on_the_rejected_line(monkeypatch):
-    # above E0 psi takes the geometry's series by its module name, and the
-    # other one on the line the geometry's series rejects
+    # above E0 psi takes the peeled integral by its module name, on the
+    # lines each series rejects too, and agrees with the series that
+    # converges there
     trunc = SeriesTruncation(max_terms=4000, tail_tol=1e-12)
     calls = []
-    for name in ("psi_series_radial", "psi_series_axial"):
+    for name in ("psi_peeled", "psi_series_radial", "psi_series_axial"):
         fn = getattr(wavefn, name)
         monkeypatch.setattr(wavefn, name,
                             lambda *a, _n=name, _f=fn: calls.append(_n)
                             or _f(*a))
-    for g, rho, z, name, fn in (
-            (G2, 0.5, 0.0, "psi_series_axial", psi_series_axial),
-            (G2, 0.5, 0.4, "psi_series_radial", psi_series_radial),
-            (G05, 0.0, 1.0, "psi_series_radial", psi_series_radial),
-            (G05, 0.5, 0.4, "psi_series_axial", psi_series_axial)):
+    for g, rho, z, fn in (
+            (G2, 0.5, 0.0, psi_series_axial),
+            (G2, 0.5, 0.4, psi_series_radial),
+            (G05, 0.0, 1.0, psi_series_radial),
+            (G05, 0.5, 0.4, psi_series_axial)):
         e = ground_energy_offset(g) + 0.3
         calls.clear()
         got = psi(rho, z, e, g, trunc=trunc)
-        assert calls == [name]
-        assert got == fn(rho, z, e, g, trunc)
+        assert calls == ["psi_peeled"]
+        _close(got, fn(rho, z, e, g, trunc), 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the peeled integral above E0
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", [k for k in ORA4 if k.startswith("psi(")])
+def test_peeled_frozen_where_the_series_fail(key):
+    # wavefn_oracle4.out: 40-digit values on the rho = 0 and z = 0 lines,
+    # far out in rho at small z (eta = 7.3, where the radial series stalls)
+    # and with two modes below a = 1/2 (dE = 5.2)
+    eta, de, rho, z = args_of(key)
+    got = psi(rho, z, 0.5 + eta + de, TrapGeometry(eta))
+    _close(got, fval(ORA4, key), 1e-13)
+
+
+def test_peeled_oracle_cross_check():
+    # the generator's axial series, summed term by term, meets its peeled
+    # value at the eta = 7.3 point
+    key = "eta=7.3,dE=0.6,rho=2.0,z=0.2"
+    assert fval(ORA4, "axial_series_relerr(%s)" % key) < 1e-40
+    _close(fval(ORA4, "axial_series(%s)" % key), fval(ORA4, "psi(%s)" % key),
+           1e-15)
+
+
+@pytest.mark.parametrize("eta", (0.01, 0.5, 1.0, 2.0, 100.0))
+def test_peeled_matches_integral_below_e0(eta):
+    # the peel holds at every energy off the thresholds: below E0 (no head
+    # mode, or one with 0 < a_0 < 1/2) it meets the independent proper-time
+    # integral, on both axes too
+    g = TrapGeometry(eta)
+    for inv_a in (1.0, 0.0, -1.0):
+        e = bound_state_exact(InteractionModel.from_inverse_a(inv_a), g).E
+        for rho, z in ((0.5, 0.5), (0.0, 0.4), (0.3, 0.0), (1.2, 1.5)):
+            rho /= math.sqrt(eta)
+            _close(psi_peeled(rho, z, e, g), psi_integral(rho, z, e, g),
+                   1e-13)
+
+
+@settings(max_examples=40)
+@given(st.floats(0.0, 1.0), st.booleans(), st.floats(-1.0, 1.0))
+def test_default_psi_above_e0_matches_series(u, cigar, inv_a):
+    # the default psi at the first level above E0 equals the geometry's
+    # series at a tight truncation, at (l/2, 1/2) and (l, 1), l = eta^-1/2,
+    # over the wavefunction domains: eta log-uniform in [10, 100] or
+    # [0.01, 0.1], 1/a in [-1, 1]
+    eta = 10.0 ** (1.0 + u if cigar else -2.0 + u)
+    g = TrapGeometry(eta)
+    e0 = ground_energy_offset(g)
+    (level,) = eigenenergies(InteractionModel.from_inverse_a(inv_a), g,
+                             window=(e0, e0 + 2.0 * min(1.0, eta)),
+                             max_levels=1)
+    trunc = SeriesTruncation(40000, 1e-13)
+    route = "radial_series" if cigar else "axial_series"
+    length = 1.0 / math.sqrt(eta)
+    for rho, z in ((0.5 * length, 0.5), (length, 1.0)):
+        _close(psi(rho, z, level.E, g),
+               psi(rho, z, level.E, g, route=route, trunc=trunc), 1e-12)
+
+
+def test_peeled_grid_equals_point_values():
+    # psi_peeled is the 1 x 1 case of the peeled grid: every sample is the
+    # point value bit for bit, with a z = 0 row, a z < 0 row and, at
+    # eta < 1, a rho = 0 column (the radial peel's column) beside the
+    # axial peel's; n0 = 1 and n0 = 2 energies
+    for g, de in ((G2, 0.6), (G2, 5.2), (G05, 0.6), (G05, 2.3)):
+        e = ground_energy_offset(g) + de
+        rhos = (0.0, 0.2, 0.7, 1.5) if g is G05 else (0.2, 0.7, 1.5)
+        zs = (-0.4, 0.0, 0.3, 1.1) if g is G2 else (-0.4, 0.3, 1.1)
+        samples = sample_grid(rhos, zs, e, g)
+        assert samples.method == "peeled"
+        assert samples.values == tuple(psi_peeled(rho, z, e, g)
+                                       for rho, z in samples.coordinates)
+
+
+def test_peeled_route_pole_flagged():
+    # the peeled route shares the series' one threshold check: PoleSignal
+    # at the energies test_series_coefficient_pole_flagged uses, finite
+    # 1e-7 above them; the origin is rejected
+    with pytest.raises(PoleSignal):
+        psi_peeled(0.5, 0.5, ground_energy_offset(G2), G2)
+    for g, cal_e in ((TrapGeometry(2.5), 5.0), (TrapGeometry(0.4), 2.0)):
+        e = ground_energy_offset(g) + cal_e
+        with pytest.raises(PoleSignal):
+            psi_peeled(0.5, 0.5, e, g)
+        with pytest.raises(PoleSignal):
+            sample_grid((0.5, 1.0), (0.5,), e, g)
+        assert math.isfinite(psi_peeled(0.5, 0.5, e + 1e-7, g))
+    with pytest.raises(ValueError):
+        psi_peeled(0.0, 0.0, ground_energy_offset(G2) + 0.3, G2)
 
 
 def test_profile_samples_validation():
