@@ -31,10 +31,13 @@ The intervals are solved in chunks, in lockstep: the walk hands out as
 many intervals as levels are still missing (each holds at most one, so a
 chunk never reaches past the last level asked for), their searches run
 side by side in numerics.find_roots_bracketed, and every Brent step of the
-chunk is one spectral.f_eval_many call over the roots still running; the
-end values the chunk needs are one such call, and the retries next to
-residue ends a second lockstep solve.  Each root is the one a search of
-its interval alone would give, bit for bit.
+chunk is at most one spectral.f_values call (F as plain floats) over the
+roots still running; the end values the chunk needs are one such call,
+and the retries next to residue ends a second lockstep solve.  Each root
+is the one a search of its interval alone would give, bit for bit.
+eigenenergies keeps F at the points of a search that no a moves (the
+window edges, and the first Brent point of a segment between two poles,
+set by its residue ends alone) in a memo per window for the next cells.
 """
 
 import math
@@ -58,7 +61,7 @@ from .spectral import (
     QUASI1D_MIN_ETA,
     QUASI2D_MAX_ETA,
     f_eval,  # probed as solver.f_eval by perfbench; no search here calls it
-    f_eval_many,
+    f_values,
     phi,
     pole_grid,
 )
@@ -236,6 +239,22 @@ def _pole_xs(eta, x_lo):
     return grid.poles, grid.residues
 
 
+@lru_cache(maxsize=POLE_CACHE_SIZE)
+def _window_walk(eta, x_lo, x_hi):
+    # eigenenergies' walk over [x_lo, x_hi], the same for every 1/a: its
+    # cuts (+inf for the bound branch, then the poles), F's residues, and
+    # the memo of F that its cells fill
+    poles, residues = _pole_xs(eta, x_lo)
+    return (math.inf, *poles), dict(zip(poles, residues)), {}
+
+
+def _check_max_levels(n):
+    # islice's own error names neither the argument nor the function
+    if not (hasattr(n, "__index__") and n.__index__() >= 0):
+        raise ValueError("max_levels must be a nonnegative integer, not %r"
+                         % (n,))
+
+
 def _branch_index(poles, x):
     # the number of poles (descending) at or above x - POLE_TOL
     return bisect_right(poles, POLE_TOL - x, key=neg)
@@ -404,6 +423,7 @@ def eigenenergies(model, g, window=None, max_levels=20):
     if not isinstance(model, FixedLength):
         raise ValueError("eigenenergies needs a fixed model; "
                          "use solve_self_consistent")
+    _check_max_levels(max_levels)
     if window is None:
         window = _default_window(g, max_levels, (model.inv_a,))
     e_lo, e_hi = _check_window(window)
@@ -411,7 +431,7 @@ def eigenenergies(model, g, window=None, max_levels=20):
     x_lo = (e0 - e_hi) / 2.0
     x_hi = (e0 - e_lo) / 2.0
 
-    poles, residues = _pole_xs(g.eta, x_lo)
+    poles, _ = _pole_xs(g.eta, x_lo)
     if model.noninteracting:
         out = [EnergyLevel(E=e0 - 2.0 * p, x=p,
                            branch_index=_branch_index(poles, p),
@@ -419,15 +439,36 @@ def eigenenergies(model, g, window=None, max_levels=20):
                for p in poles if x_lo <= p <= x_hi]
         return out[:max_levels]
 
-    inv_a = model.inv_a
+    cuts, pole_res, known = _window_walk(g.eta, x_lo, x_hi)
+    shift = SQRT_2PI * model.inv_a
+    fresh = []  # the chunk's segments between two poles, Brent not started
 
     def target(xs):
-        return [f.value + SQRT_2PI * inv_a for f in f_eval_many(xs, g.eta)]
+        # F + sqrt(2 pi)/a, F from the memo where it has x; F at a window
+        # edge, or at the fresh segments' first points (one round), goes in
+        if known.keys().isdisjoint(xs):
+            fs = f_values(xs, g.eta)
+        else:
+            fs = [known.get(x) for x in xs]
+            todo = [x for x, f in zip(xs, fs) if f is None]
+            new = iter(f_values(todo, g.eta) if todo else ())
+            fs = [next(new) if f is None else f for f in fs]
+        if x_lo in xs or x_hi in xs:
+            known.update((x, f) for x, f in zip(xs, fs) if x in (x_lo, x_hi))
+        if fresh:
+            first = [(x, f) for x, f in zip(xs, fs)
+                     if any(a < x < b for a, b in fresh)]
+            if first:
+                known.update(first)
+                fresh.clear()
+        return [f + shift for f in fs]
+
+    def solve(chunk):
+        fresh[:] = [(a, b) for a, b, pa, pb in chunk if pa and pb]
+        return _roots_in_segments(target, chunk)
 
     # the bound branch x in (0, x_hi] first: F falls from +inf there
-    roots = _ordered_roots([math.inf, *poles], x_lo, x_hi,
-                           partial(_roots_in_segments, target),
-                           residues=dict(zip(poles, residues)),
+    roots = _ordered_roots(cuts, x_lo, x_hi, solve, residues=pole_res,
                            want=max_levels)
     levels = (EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
                           branch_index=_branch_index(poles, x))
@@ -545,9 +586,10 @@ def bound_state_exact(model, g):
         raise NoBoundState("a = 0 has no level below E0")
     e0 = ground_energy_offset(g)
     inv_a = model.inv_a
+    shift = SQRT_2PI * inv_a
 
     def target(xs):
-        return [f.value + SQRT_2PI * inv_a for f in f_eval_many(xs, g.eta)]
+        return [f + shift for f in f_values(xs, g.eta)]
 
     # the bracket grows on x times the target, which tends to eta at x = 0
     br = _bracket_by_doubling(lambda x: target([x])[0] * x, EDGE_CLEARANCE,
@@ -654,6 +696,7 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
     if not isinstance(model, (Resonance, EnergyDependent)):
         raise ValueError("solve_self_consistent needs an "
                          "energy-dependent model")
+    _check_max_levels(max_levels)
     e0 = ground_energy_offset(g)
     if window is None:
         # no fixed 1/a pins the lowest level: 1/a_eff far below E0 can
@@ -665,9 +708,8 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
     e_lo, e_hi = _check_window(window)
 
     def target(es):
-        fs = f_eval_many([(e0 - e) / 2.0 for e in es], g.eta)
-        return [f.value + SQRT_2PI * model.inv_a_eff(e)
-                for f, e in zip(fs, es)]
+        fs = f_values([(e0 - e) / 2.0 for e in es], g.eta)
+        return [f + SQRT_2PI * model.inv_a_eff(e) for f, e in zip(fs, es)]
 
     # cuts in E: F poles, a_eff zeros and the window ends (intervals
     # outside the window are clipped away).  An F pole that is also a

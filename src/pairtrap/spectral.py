@@ -33,12 +33,14 @@ is one _ladder_sums call: one specfun.rising_half call for every
 (element, step), summed per element in step order with the kernel's
 rounding bound carried into est_error, and PoleSignal at a ladder pole.
 f_eval_many evaluates F at many x of one eta in one kernel call per route,
-the recurrence's terminal values from the interpolant.  f_eval,
-f_recurrence_extend, f_pancake and f_integral are the same kernels at one
-x, and every element of a batch is bit for bit its scalar value, so the
-number of kernel calls is flat in eta (a ladder of thousands of steps is
-one rising_half call, which works element by element) and the solver can
-evaluate all its level searches in one call per Brent step.
+the recurrence's terminal values from the interpolant; each kernel works
+in plain floats, and f_values hands the level searches its values without
+wrapping them in SpectralValue.  f_eval, f_recurrence_extend, f_pancake
+and f_integral are the same kernels at one x, and every element of a
+batch is bit for bit its scalar value, so the number of kernel calls is
+flat in eta (a ladder of thousands of steps is one rising_half call,
+which works element by element) and the solver can evaluate all its
+level searches in one call per Brent step.
 """
 
 import cmath
@@ -87,7 +89,7 @@ class SpectralArgument:
             raise ValueError("x must be finite")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SpectralValue:
     """F value with the route that produced it and an error estimate."""
 
@@ -95,20 +97,9 @@ class SpectralValue:
     route: str
     est_error: float
 
-    def __init__(self, value, route, est_error):
-        # through the slot descriptors: the generated frozen __init__ goes
-        # through object.__setattr__, half as slow again, and every x of
-        # every F batch builds one
-        if not est_error >= 0:
+    def __post_init__(self):
+        if not self.est_error >= 0:
             raise ValueError("est_error must be >= 0")
-        _SET_VALUE(self, value)
-        _SET_ROUTE(self, route)
-        _SET_EST(self, est_error)
-
-
-_SET_VALUE, _SET_ROUTE, _SET_EST = (
-    SpectralValue.__dict__[name].__set__
-    for name in ("value", "route", "est_error"))
 
 
 @dataclass(frozen=True)
@@ -337,16 +328,14 @@ def f_cigar(x, n):
 
 def _pancake_many(xs, n):
     # the eta = 1/n closed form at every x of xs: one ladder row each,
-    # summed in m order, with the kernel's rounding of every term
+    # summed in m order, with the kernel's rounding of every term; as
+    # lists of values, routes and ests
     coef = 2.0 * SQRT_PI / n
-    route = "spherical" if n == 1 else "pancake"
-    out = []
-    for total, err in _ladder_sums(xs, _ladder_offsets(n, None),
-                                   [n] * len(xs), True):
-        value = -coef * total
-        out.append(SpectralValue(value, route,
-                                 1e-14 * (1.0 + abs(value)) + coef * err))
-    return out
+    sums = _ladder_sums(xs, _ladder_offsets(n, None), [n] * len(xs), True)
+    values = [-coef * total for total, _ in sums]
+    return (values, ["spherical" if n == 1 else "pancake"] * len(xs),
+            [1e-14 * (1.0 + abs(v)) + coef * err
+             for v, (_, err) in zip(values, sums)])
 
 
 def f_pancake(x, n):
@@ -359,7 +348,7 @@ def f_pancake(x, n):
     n = int(n)
     if n < 1:
         raise ValueError("pancake closed form needs a positive integer 1/eta")
-    return _pancake_many([x], n)[0]
+    return list(map(SpectralValue, *_pancake_many([x], n)))[0]
 
 
 def _recurrence_many(xs, eta):
@@ -367,7 +356,8 @@ def _recurrence_many(xs, eta):
     # each ladder in one kernel call, summed in step order with the
     # kernel's rounding of every term, then each terminal value
     # F(y) = H(T/y)/sqrt(y) - 2 sqrt(pi) sqrt(y) from the interpolant, the
-    # head's three roundings in its estimate
+    # head's three roundings in its estimate; as lists of values, routes
+    # and ests
     target = 0.5 * max(eta, 1.0)
     ms, tops = [], []
     for x in xs:
@@ -378,15 +368,14 @@ def _recurrence_many(xs, eta):
     _check_range(max(tops))
     fit = _terminal_fit(eta)
     coef, head_coef = eta * SQRT_PI, 2.0 * SQRT_PI
-    out = []
-    for (total, err), m, y in zip(ladders, ms, tops):
+    values, ests = [], []
+    for (total, err), y in zip(ladders, tops):
         h, est = _fit_value(fit, target / y)
         root = math.sqrt(y)
         head = head_coef * root
-        out.append(SpectralValue(coef * total + (h / root - head),
-                                 "recurrence" if m > 0 else "interpolant",
-                                 est / root + 2.0 ** -51 * head + coef * err))
-    return out
+        values.append(coef * total + (h / root - head))
+        ests.append(est / root + 2.0 ** -51 * head + coef * err)
+    return values, ["recurrence" if m else "interpolant" for m in ms], ests
 
 
 def f_recurrence_extend(arg):
@@ -397,11 +386,19 @@ def f_recurrence_extend(arg):
     f_eval's interpolant, which one range check on the largest terminal
     point keeps inside INTEGRAL_X_RANGE.
     """
-    return _recurrence_many([arg.x], arg.eta)[0]
+    return list(map(SpectralValue, *_recurrence_many([arg.x], arg.eta)))[0]
 
 
 def _f_many(xs, eta):
-    # f_eval's route for eta, on a nonempty list of finite floats
+    # f_eval's route for eta at every x of the sequence xs, as the route
+    # kernel's lists of values, routes and ests
+    xs = list(map(float, xs))
+    if not eta > 0:
+        raise ValueError("eta must be > 0")
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("x must be finite")
+    if not xs:
+        return [], [], []
     n_pan = round(1.0 / eta)
     if n_pan >= 1 and abs(1.0 / eta - n_pan) < CLOSED_FORM_TOL:
         return _pancake_many(xs, n_pan)
@@ -415,19 +412,21 @@ def f_eval_many(xs, eta):
     kernel call for all elements: one rising_half call over every
     (element, ladder step) argument, then the interpolant's Clenshaw sums
     and no quadrature (the first batch at an eta off the closed forms
-    builds the interpolant: one integrate call).  Each element's value,
-    route and est are the scalar f_eval's bit for bit, whatever else is in
-    the batch.
+    builds the interpolant: one integrate call).  The kernel returns plain
+    floats, which this wraps; f_values is the same call without the
+    wrapping.  Each element's value, route and est are the scalar
+    f_eval's bit for bit, whatever else is in the batch.
     An element within POLE_TOL of a pole raises PoleSignal carrying that
     pole's x (the first such element's); a non-finite x, eta <= 0 or x
     above INTEGRAL_X_RANGE raises ValueError.
     """
-    xs = list(map(float, xs))
-    if not eta > 0:
-        raise ValueError("eta must be > 0")
-    if not all(map(math.isfinite, xs)):
-        raise ValueError("x must be finite")
-    return _f_many(xs, eta) if xs else []
+    return list(map(SpectralValue, *_f_many(xs, eta)))
+
+
+def f_values(xs, eta):
+    """f_eval_many's values as plain floats, from the same kernel call and
+    with the same errors: all that the level searches read."""
+    return _f_many(xs, eta)[0]
 
 
 def f_eval(arg):
@@ -444,7 +443,7 @@ def f_eval(arg):
     POLE_TOL of a pole raises PoleSignal there, carrying the pole's x.
     This is f_eval_many at one x.
     """
-    return _f_many([arg.x], arg.eta)[0]
+    return f_eval_many([arg.x], arg.eta)[0]
 
 
 def f_quasi1d(arg, bound_state=False):

@@ -45,7 +45,7 @@ from .specfun import (
     laguerre_iter,
     rising_half,
 )
-from .spectral import SpectralArgument, f_eval, f_eval_many, phi
+from .spectral import SpectralArgument, f_eval, f_values, phi
 
 LN2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
@@ -632,13 +632,12 @@ def norm_squared_exact(E, g):
     """Squared norm of the unnormalized Psi from the spectral derivative.
 
     ||Psi||^2 = -F'(x)/(4 pi^{3/2}) at x = (E0 - E)/2; the derivative is
-    taken by a five-point stencil (its four F values from one f_eval_many
+    taken by a five-point stencil (its four F values from one f_values
     call), valid away from the poles of F.
     """
     x = 0.5 * (ground_energy_offset(g) - E)
     h = 1e-4 * max(1.0, abs(x))
-    vals = [f.value for f in f_eval_many([x + k * h for k in (-2, -1, 1, 2)],
-                                          g.eta)]
+    vals = f_values([x + k * h for k in (-2, -1, 1, 2)], g.eta)
     deriv = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
     n2 = -deriv / (4.0 * math.pi ** 1.5)
     if not n2 > 0:

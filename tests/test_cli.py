@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from pairtrap import cli, spectral
+from pairtrap import cli, solver, spectral
 from pairtrap.solver import (InteractionModel, TrapGeometry, _default_window,
-                             bound_state_exact, eigenenergies)
+                             bound_state_exact, eigenenergies,
+                             ground_energy_offset)
 
 
 def _run(argv):
@@ -91,9 +92,10 @@ def test_spectrum_sweep_default_window(capsys):
 
 
 def test_fig1_rows_equal_per_cell_solves(capsys):
-    # fig1's 161-cell sweep prints, per 1/a, the levels a per-cell
-    # eigenenergies solve finds in the sweep's one default window; a sweep
-    # solver must keep this
+    # fig1's 161-cell sweep prints, per 1/a, the levels a cold per-cell
+    # eigenenergies solve finds in the sweep's one default window (no pole
+    # grid and no window memo kept from other cells); a sweep solver must
+    # keep this
     assert _run(["fig1", "--eta", "2.37", "--levels", "3"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header == "inv_a,E_1,E_2,E_3"
@@ -103,10 +105,38 @@ def test_fig1_rows_equal_per_cell_solves(capsys):
     window = _default_window(g, 3, inv_grid)
     for row, inv_a in zip(rows, inv_grid):
         assert "NA" not in row.split(",")
+        solver._pole_xs.cache_clear()
+        solver._window_walk.cache_clear()
         levels = eigenenergies(InteractionModel.from_inverse_a(inv_a), g,
                                window=window, max_levels=3)
         assert row == ",".join("%.12g" % v
                                for v in [inv_a] + [lv.E for lv in levels])
+
+
+def test_fig1_window_memo_stays_bounded(capsys, monkeypatch):
+    # the window memo keeps F only where no 1/a moves the point: the
+    # window edges and one first Brent point per segment walked, however
+    # many cells the sweep solves
+    walked = set()
+    search = solver._roots_in_segments
+
+    def spy(target, segments, ends=None):
+        walked.update((a, b) for a, b, _, _ in segments)
+        return search(target, segments, ends)
+
+    monkeypatch.setattr(solver, "_roots_in_segments", spy)
+    solver._window_walk.cache_clear()
+    assert _run(["fig1", "--eta", "2.37"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 162
+    g = TrapGeometry(2.37)
+    e_lo, e_hi = _default_window(
+        g, 6, [-4.0 + 8.0 * i / 160 for i in range(161)])
+    e0 = ground_energy_offset(g)
+    assert solver._window_walk.cache_info().currsize == 1
+    _, _, known = solver._window_walk(2.37, (e0 - e_hi) / 2.0,
+                                      (e0 - e_lo) / 2.0)
+    assert solver._window_walk.cache_info().hits >= 161
+    assert 0 < len(known) <= len(walked) + 2
 
 
 def test_fig1_sweep_builds_the_terminal_fit_once(capsys):

@@ -505,16 +505,16 @@ def test_negative_det_resonance_keeps_two_roots_per_interval():
 
 
 def _count_f_values(monkeypatch):
-    # the sizes of the solver's f_eval_many batches: every F value the
-    # solver takes goes through one
+    # the sizes of the solver's f_values batches: every F value the solver
+    # takes goes through one
     batches = []
-    many = solver.f_eval_many
+    many = solver.f_values
 
     def counted_many(xs, eta):
         batches.append(len(xs))
         return many(xs, eta)
 
-    monkeypatch.setattr(solver, "f_eval_many", counted_many)
+    monkeypatch.setattr(solver, "f_values", counted_many)
     return batches
 
 
@@ -535,6 +535,47 @@ def test_certified_resonance_f_call_budget(monkeypatch):
                    for model, g, window in cases)
     assert n_levels == 8
     assert 0 < sum(batches) <= 15 * n_levels
+
+
+_GENERIC_ETA = st.floats(math.log(0.25), math.log(4.0)).map(math.exp).filter(
+    lambda eta: min(abs(eta - round(eta)),
+                    abs(1.0 / eta - round(1.0 / eta))) > 1e-3)
+
+
+@given(eta=st.one_of(_GENERIC_ETA,
+                     st.integers(1, 8).map(lambda n: 1.0 / n)),
+       inv_as=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=5),
+       levels=st.integers(1, 6))
+def test_levels_do_not_depend_on_the_window_memo(eta, inv_as, levels):
+    # the levels are a function of (eta, a, window): a cell solved after
+    # others at its window, the memo warm, equals a cell solved with the
+    # memo cleared, on the recurrence (generic eta) and pancake (integer
+    # 1/eta) kernels
+    g = TrapGeometry(eta)
+    window = solver._default_window(g, levels, inv_as)
+    models = [InteractionModel.from_inverse_a(v) for v in inv_as]
+    solver._window_walk.cache_clear()
+    warm = [eigenenergies(m, g, window=window, max_levels=levels)
+            for m in models]
+    cold = []
+    for m in models:
+        solver._window_walk.cache_clear()
+        cold.append(eigenenergies(m, g, window=window, max_levels=levels))
+    assert warm == cold
+    assert all(len(lv) == levels for lv in cold)
+
+
+@pytest.mark.parametrize("solve, model", [
+    (eigenenergies, InteractionModel.from_inverse_a(0.5)),
+    (solve_self_consistent, InteractionModel.from_resonance(0.5, 0.3, 3.5))])
+def test_max_levels_must_be_a_nonnegative_integer(solve, model):
+    g = TrapGeometry(2.37)
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="max_levels must be a "
+                                             "nonnegative integer"):
+            solve(model, g, window=(-1.0, 9.0), max_levels=bad)
+    assert solve(model, g, window=(-1.0, 9.0), max_levels=0) == []
+    assert len(solve(model, g, window=(-1.0, 9.0), max_levels=2)) == 2
 
 
 def test_energy_level_is_frozen_record():
@@ -634,9 +675,17 @@ def test_fig1_f_call_budget(monkeypatch):
         window = solver._default_window(g, 6, (-4.0, 4.0))
         cells += [(InteractionModel.from_inverse_a(v), g, window)
                   for v in (-4.0, -1.0, 0.0, 1.0, 4.0)]
+    solver._window_walk.cache_clear()
     batches = _count_f_values(monkeypatch)
     n_levels = sum(len(eigenenergies(model, g, window=window, max_levels=6))
                    for model, g, window in cells)
     assert n_levels == 6 * len(cells)
     assert 0 < sum(batches) <= 7.5 * n_levels
     assert len(batches) <= 12 * len(cells)
+    # a second pass over the same cells reads the 1/a-free points of each
+    # window from its memo
+    first = sum(batches)
+    batches.clear()
+    for model, g, window in cells:
+        eigenenergies(model, g, window=window, max_levels=6)
+    assert 0 < sum(batches) < first

@@ -22,6 +22,7 @@ from pairtrap.numerics import integrate
 from pairtrap.specfun import PoleSignal, gamma_ratio
 from pairtrap.spectral import (SpectralArgument, f_cigar, f_eval,
                                f_eval_many, f_integral, f_pancake, f_quasi1d,
+                               f_values,
                                f_quasi2d, f_recurrence_extend, phi, pole_grid)
 
 ORA1 = oracle_values("spectral_oracle.out")
@@ -563,6 +564,38 @@ def test_f_eval_many_raises_at_the_first_pole_element(eta):
         assert err.value.location == scalar
     with pytest.raises(ValueError):
         f_eval_many([0.7, math.nan], eta)
+
+
+@pytest.mark.parametrize("eta", _MANY_ETAS)
+def test_f_values_is_f_eval_many_without_the_wrapping(eta):
+    # the level searches' float path reads the values of the same kernel
+    # call, bit for bit, on every route (these batches reach all four, as
+    # test_f_eval_many_covers_every_route checks), and fails where the
+    # object path fails, in the same way: the solver's per-x fallback
+    # depends on it
+    xs = _mixed_batch(eta)
+    assert ([repr(v) for v in f_values(xs, eta)]
+            == [repr(f.value) for f in f_eval_many(xs, eta)])
+    assert f_values([], eta) == []
+    poles = pole_grid(eta, -(1.05 + eta)).poles
+    bad = [[0.7, -0.5 * poles[1], poles[1] + 5e-10, poles[-1] - 5e-10],
+           [0.7, math.nan], [0.7, math.inf], [0.7, 2e150]]
+    for batch in bad:
+        # past INTEGRAL_X_RANGE only the recurrence raises: the closed
+        # forms take any finite x
+        outcomes = []
+        for read in (f_values,
+                     lambda xs, eta: [f.value for f in f_eval_many(xs, eta)]):
+            try:
+                outcomes.append([repr(v) for v in read(batch, eta)])
+            except (PoleSignal, ValueError) as err:
+                outcomes.append((type(err), str(err),
+                                 getattr(err, "location", None)))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], tuple) or batch[-1] == 2e150
+    with pytest.raises(ValueError) as err:
+        f_values([0.7], -eta)
+    assert str(err.value) == "eta must be > 0"
 
 
 def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):

@@ -250,8 +250,8 @@ def test_norm_squared_exact_frozen(energies):
                                         (0.37, 0.5), (30.0, 0.0)])
 def test_norm_squared_exact_takes_its_stencil_in_one_batch(monkeypatch, eta,
                                                            inv_a):
-    # the four stencil values come from one f_eval_many call and equal
-    # four scalar f_eval calls bit for bit
+    # the four stencil values come from one f_values call and equal four
+    # scalar f_eval calls bit for bit
     g = TrapGeometry(eta)
     e = bound_state_exact(InteractionModel.from_inverse_a(inv_a), g).E
     x = 0.5 * (ground_energy_offset(g) - e)
@@ -260,8 +260,8 @@ def test_norm_squared_exact_takes_its_stencil_in_one_batch(monkeypatch, eta,
     n2 = -((v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)) \
         / (4.0 * math.pi ** 1.5)
     sizes = []
-    many = wavefn.f_eval_many
-    monkeypatch.setattr(wavefn, "f_eval_many",
+    many = wavefn.f_values
+    monkeypatch.setattr(wavefn, "f_values",
                         lambda xs, eta: sizes.append(len(xs)) or many(xs, eta))
     assert repr(norm_squared_exact(e, g)) == repr(n2)
     assert sizes == [4]
