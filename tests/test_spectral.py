@@ -22,8 +22,8 @@ from pairtrap.numerics import integrate
 from pairtrap.specfun import PoleSignal, gamma_ratio
 from pairtrap.spectral import (SpectralArgument, f_cigar, f_eval,
                                f_eval_many, f_integral, f_pancake, f_quasi1d,
-                               f_values,
-                               f_quasi2d, f_recurrence_extend, phi, pole_grid)
+                               f_quasi2d, f_recurrence_extend, f_values, phi,
+                               pole_grid)
 
 ORA1 = oracle_values("spectral_oracle.out")
 ORA2 = oracle_values("spectral_oracle2.out")
