@@ -13,14 +13,15 @@ spectra, bound states (exact and quasi-1D/2D asymptotic), renormalized
 low-dimensional scattering lengths, the low-dimensional reference spectra,
 and the self-consistent solve for energy-dependent interactions: one
 bracketed root per interval where a Resonance with det >= 0 certifies a
-rising 1/a_eff, a dense sign scan otherwise.
+rising 1/a_eff, a dense sign scan otherwise.  Both level solvers use one
+walk in x over the F poles (and, self-consistently, the a_eff zeros).
 
 The bracketed searches next to F poles run on the pole-cleared target
 target(y) (y - p1)(p2 - y)/(p2 - p1), p1 < p2 the poles at the ends (just
 y - p1 for the bound branch, whose upper end is no pole).  It has the same
-roots, is smooth up to the poles, and tends to F's residue there (in E the
-residue is -2 times F's), so Brent's method converges in a few steps and
-an end next to a pole takes that limit as its value instead of an F call.
+roots, is smooth up to the poles, and tends to F's residue there, so
+Brent's method converges in a few steps and an end next to a pole takes
+that limit as its value instead of an F call.
 Where the root comes out within a few tolerances of such an end, the limit
 may have the wrong sign (the root lies between the pole and the end): the
 search then runs again on the plain target with both ends evaluated, so
@@ -260,13 +261,12 @@ def _branch_index(poles, x):
     return bisect_right(poles, POLE_TOL - x, key=neg)
 
 
-def _ordered_roots(cuts, lo, hi, solve, clearance=EDGE_CLEARANCE,
-                   residues=None, want=None):
+def _ordered_roots(cuts, lo, hi, solve, residues=None, want=None):
     """Yield the roots between consecutive cuts, in ascending E.
 
     cuts run in ascending E, in the coordinate solve works in (x falls as
-    E rises, so cuts in x descend).  Each interval is kept `clearance` off
-    its cuts and clipped to [lo, hi] as a segment (a, b, pole_a, pole_b);
+    E rises, so cuts in x descend).  Each interval is kept EDGE_CLEARANCE
+    off its cuts and clipped to [lo, hi] as a segment (a, b, pole_a, pole_b);
     residues maps a cut that is a pole of the target to its residue there,
     and pole_a is (cut, residue) when a is that pole's clearance point,
     else None, and likewise pole_b.  solve(segments) returns or yields the
@@ -281,13 +281,13 @@ def _ordered_roots(cuts, lo, hi, solve, clearance=EDGE_CLEARANCE,
     def segments():
         for c1, c2 in zip(cuts, cuts[1:]):
             c_lo, c_hi = min(c1, c2), max(c1, c2)
-            a = max(c_lo + clearance, lo)
-            b = min(c_hi - clearance, hi)
+            a = max(c_lo + EDGE_CLEARANCE, lo)
+            b = min(c_hi - EDGE_CLEARANCE, hi)
             if a < b:
                 pole_a = (c_lo, residues[c_lo]) if (
-                    c_lo in residues and a == c_lo + clearance) else None
+                    c_lo in residues and a == c_lo + EDGE_CLEARANCE) else None
                 pole_b = (c_hi, residues[c_hi]) if (
-                    c_hi in residues and b == c_hi - clearance) else None
+                    c_hi in residues and b == c_hi - EDGE_CLEARANCE) else None
                 yield (a, b, pole_a, pole_b)
 
     walk = segments()
@@ -470,16 +470,21 @@ def eigenenergies(model, g, window=None, max_levels=20):
     # the bound branch x in (0, x_hi] first: F falls from +inf there
     roots = _ordered_roots(cuts, x_lo, x_hi, solve, residues=pole_res,
                            want=max_levels)
-    levels = (EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
+    return _levels(roots, e0, poles, (e_lo, e_hi), max_levels)
+
+
+def _levels(roots, e0, poles, window, max_levels):
+    # the EnergyLevel of each (x, x bracket) root whose E lies in the
+    # window, up to max_levels of them; E = E0 - 2x reverses orientation,
+    # so the bracket's ends and their signs swap
+    e_lo, e_hi = window
+    levels = (EnergyLevel(E=e0 - 2.0 * x, x=x,
+                          bracket=RootBracket(e0 - 2.0 * br.hi,
+                                              e0 - 2.0 * br.lo,
+                                              br.f_hi_sign, br.f_lo_sign),
                           branch_index=_branch_index(poles, x))
               for x, br in roots if e_lo <= e0 - 2.0 * x <= e_hi)
     return list(islice(levels, max_levels))
-
-
-def _to_e_bracket(br, e0):
-    # E = E0 - 2x reverses orientation, so the endpoint signs swap
-    return RootBracket(e0 - 2.0 * br.hi, e0 - 2.0 * br.lo,
-                       br.f_hi_sign, br.f_lo_sign)
 
 
 def a1d_effective(a, g):
@@ -531,16 +536,8 @@ def spectrum_1d_reference(a1d, g, window):
     def target(ys):
         return [gamma_ratio(y, y + 0.5) - rhs for y in ys]
 
-    y_lo = (e0 - e_hi) / 2.0
-    y_hi = (e0 - e_lo) / 2.0
-    # the bound side y > 0, where the ratio falls from +inf to 0, first
-    cuts = [math.inf, 0.0]
-    while cuts[-1] > y_lo:
-        cuts.append(cuts[-1] - 0.5)
-    roots = _ordered_roots(cuts, y_lo, y_hi,
-                           partial(_roots_in_segments, target),
-                           want=len(cuts))
-    return [e for e in (e0 - 2.0 * y for y, _ in roots) if e_lo <= e <= e_hi]
+    ys = _ladder_roots(target, 0.5, (e0 - e_hi) / 2.0, (e0 - e_lo) / 2.0)
+    return [e for e in (e0 - 2.0 * y for y in ys) if e_lo <= e <= e_hi]
 
 
 def spectrum_2d_reference(a2d, g, window):
@@ -559,17 +556,19 @@ def spectrum_2d_reference(a2d, g, window):
     def target(qs):
         return [digamma(q) + c for q in qs]
 
-    q_lo = (e0 - e_hi) / (2.0 * g.eta)
-    q_hi = (e0 - e_lo) / (2.0 * g.eta)
-    # the q > 0 branch, where psi spans all reals, first
+    qs = _ladder_roots(target, 1.0, (e0 - e_hi) / (2.0 * g.eta),
+                       (e0 - e_lo) / (2.0 * g.eta))
+    return [e for e in (e0 - 2.0 * g.eta * q for q in qs) if e_lo <= e <= e_hi]
+
+
+def _ladder_roots(target, step, lo, hi):
+    # the roots in [lo, hi], descending, of a target monotone between the
+    # cuts +inf, 0, -step, -2 step, ...: the branch above 0 first
     cuts = [math.inf, 0.0]
-    while cuts[-1] > q_lo:
-        cuts.append(cuts[-1] - 1.0)
-    roots = _ordered_roots(cuts, q_lo, q_hi,
-                           partial(_roots_in_segments, target),
-                           want=len(cuts))
-    return [e for e in (e0 - 2.0 * g.eta * q for q, _ in roots)
-            if e_lo <= e <= e_hi]
+    while cuts[-1] > lo:
+        cuts.append(cuts[-1] - step)
+    return [y for y, _ in _ordered_roots(
+        cuts, lo, hi, partial(_roots_in_segments, target), want=len(cuts))]
 
 
 def bound_state_exact(model, g):
@@ -598,9 +597,7 @@ def bound_state_exact(model, g):
                                ends=[(br.f_lo, br.f_hi)])
     if not found:
         raise NumericsError("no sign change on [%g, %g]" % (br.lo, br.hi))
-    ((x, br),) = found
-    return EnergyLevel(E=e0 - 2.0 * x, x=x, bracket=_to_e_bracket(br, e0),
-                       branch_index=0)
+    return _levels(found, e0, (0.0,), (-math.inf, math.inf), 1)[0]
 
 
 def _bracket_by_doubling(target, lo, hi, limit, sign=1.0, f_lo=None):
@@ -686,12 +683,14 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
     """Levels of F(x, eta) + sqrt(2 pi)/a_eff(E) = 0, a_eff energy-dependent.
 
     Search intervals are delimited by the F poles and the a_eff zeros (poles
-    of 1/a_eff) and walked in ascending E until max_levels levels are found.
-    F rises in E between its poles, and so does 1/a_eff of a Resonance with
+    of 1/a_eff), clipped by the window ends, and walked in x as eigenenergies
+    walks them, in ascending E, until max_levels levels are found.  F rises
+    in E between its poles, and so does 1/a_eff of a Resonance with
     det >= 0: each interval then holds at most one root, found by one
-    bracketed search.  Other models (det < 0, EnergyDependent) can hold
-    several, found on a sign-scan grid that must keep its root count when
-    its resolution is doubled (else a diagnostic error is raised).
+    bracketed search on F's residues.  Other models (det < 0,
+    EnergyDependent) can hold several, found in ascending E on a sign-scan
+    grid that must keep its root count when its resolution is doubled
+    (else a diagnostic error is raised).
     """
     if not isinstance(model, (Resonance, EnergyDependent)):
         raise ValueError("solve_self_consistent needs an "
@@ -706,37 +705,34 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
         lo, hi = _default_window(g, max_levels + 2, (-2.0, 2.0))
         window = (min(lo, e0 - 70.0), hi)
     e_lo, e_hi = _check_window(window)
+    x_lo = (e0 - e_hi) / 2.0
+    x_hi = (e0 - e_lo) / 2.0
 
-    def target(es):
-        fs = f_values([(e0 - e) / 2.0 for e in es], g.eta)
-        return [f + SQRT_2PI * model.inv_a_eff(e) for f, e in zip(fs, es)]
+    def target(xs):
+        return [f + SQRT_2PI * model.inv_a_eff(e0 - 2.0 * x)
+                for f, x in zip(f_values(xs, g.eta), xs)]
 
-    # cuts in E: F poles, a_eff zeros and the window ends (intervals
-    # outside the window are clipped away).  An F pole that is also a
-    # breakpoint or a window end gets no residue: there it is evaluated.
-    poles, residues = _pole_xs(g.eta, (e0 - e_hi) / 2.0)
-    plain = set(model.breakpoints) | {e_lo, e_hi}
-    pole_res = {e0 - 2.0 * p: -2.0 * r for p, r in zip(poles, residues)
-                if e0 - 2.0 * p not in plain}
-    cuts = sorted(set(pole_res) | plain)
+    # cuts in x: +inf for the bound branch, then the F poles and the a_eff
+    # zeros, descending.  An F pole that is also an a_eff zero gets no
+    # residue: there it is evaluated.
+    poles, residues = _pole_xs(g.eta, x_lo)
+    zeros = {(e0 - b) / 2.0 for b in model.breakpoints}
+    pole_res = {p: r for p, r in zip(poles, residues) if p not in zeros}
+    cuts = (math.inf, *sorted(zeros.union(poles), reverse=True))
     if isinstance(model, Resonance) and model.det >= 0.0:
-        roots = _ordered_roots(cuts, e_lo, e_hi,
-                               partial(_roots_in_segments, target),
-                               2.0 * EDGE_CLEARANCE, pole_res, want=max_levels)
+        solve, want = partial(_roots_in_segments, target), max_levels
     else:
-        roots = _ordered_roots(cuts, e_lo, e_hi,
-                               lambda chunk: _scan_roots(target, *chunk[0]),
-                               2.0 * EDGE_CLEARANCE, pole_res)
-    levels = (EnergyLevel(E=e, x=(e0 - e) / 2.0, bracket=br,
-                          branch_index=_branch_index(poles, (e0 - e) / 2.0))
-              for e, br in roots)
-    return list(islice(levels, max_levels))
+        solve, want = (lambda chunk: _scan_roots(target, *chunk[0])), None
+    roots = _ordered_roots(cuts, x_lo, x_hi, solve, residues=pole_res,
+                           want=want)
+    return _levels(roots, e0, poles, (e_lo, e_hi), max_levels)
 
 
 def _scan_roots(target, lo, hi, pole_a=None, pole_b=None):
-    # every root on [lo, hi], once a grid twice as fine finds as many; the
-    # scan evaluates its ends, so the poles are not used.  Each grid is one
-    # target call; the roots are solved one at a time, as they are taken.
+    # every root on [lo, hi], once a grid twice as fine finds as many, in
+    # descending coordinate (ascending E); the scan evaluates its ends, so
+    # the poles are not used.  Each grid is one target call; the roots are
+    # solved one at a time, as they are taken.
     for n in (SCAN_POINTS, 8 * SCAN_POINTS):
         brackets = _scan_sign_changes(target, lo, hi, n)
         if len(brackets) == len(_scan_sign_changes(target, lo, hi, 2 * n + 1)):
@@ -744,8 +740,8 @@ def _scan_roots(target, lo, hi, pole_a=None, pole_b=None):
     else:
         raise NumericsError("unresolved oscillation of the self-consistent "
                             "condition on [%g, %g]" % (lo, hi))
-    for br in brackets:
-        yield find_root_bracketed(lambda e: target([e])[0], br,
+    for br in reversed(brackets):
+        yield find_root_bracketed(lambda x: target([x])[0], br,
                                   tol=ROOT_TOL), br
 
 

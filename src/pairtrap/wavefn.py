@@ -190,6 +190,22 @@ def _bracket(ln_s, y, alpha, lag, n0):
 _REACH = 2e-10
 
 
+def _head_modes(a0, step):
+    # n0, the number of modes a0 + m step below 1/2
+    n0 = 0
+    while a0 + n0 * step < 0.5:
+        n0 += 1
+    return n0
+
+
+def _reach(zeta, a0, step):
+    # the largest zeta_eff at which _peeled_sum's scale on the lines zeta,
+    # the t with zeta_eff t (1 + t) = c, is at least _REACH/zeta, so that
+    # e^(-zeta t) is cut off within the node table
+    c = a0 + _head_modes(a0, step) * step + 0.5
+    return c * zeta * zeta / (_REACH * (zeta + _REACH))
+
+
 def _peeled_sum(zeta, y, a0, step, b, alpha):
     # S[i, j] = sum_m Gamma(a_m) U(a_m, b, zeta_i) L_m^(alpha)(y_j) with
     # a_m = a0 + m step.  DLMF 13.4.4 writes each coefficient as
@@ -209,9 +225,7 @@ def _peeled_sum(zeta, y, a0, step, b, alpha):
     # the integrand and its integral Lambda sqrt(pi) Gamma(a_n0)/
     # Gamma(a_n0 + 1/2) taken off again, leaving a t^(-5/2) decay, and
     # the head takes Gamma(a) U(a, 1/2, 0) = sqrt(pi) Gamma(a)/Gamma(a + 1/2).
-    n0 = 0
-    while a0 + n0 * step < 0.5:
-        n0 += 1
+    n0 = _head_modes(a0, step)
     a_n = a0 + n0 * step
     am = [a0 + m * step for m in range(n0)]
     down = [math.ceil(0.5 - a) for a in am]
@@ -281,7 +295,11 @@ def _psi_peeled_grid(rhos, zs, E, g):
     # Psi on the grid zs x rhos as a (z, rho) array by the peeled integral:
     # the radial peel (zeta = z^2, y = eta rho^2) for eta >= 1 and on the
     # rho = 0 column, where y = 0 and the axial peel's U(., 1, 0) diverges;
-    # the axial peel (zeta = eta rho^2, y = z^2) for the other columns
+    # the axial peel (zeta = eta rho^2, y = z^2) for the other columns.  A
+    # point off the rho = 0 and z = 0 lines where only one peel has its
+    # cut-off e^(-zeta t) in the node table's reach takes that peel.  Each
+    # peel sums its zeta lines in one call per set of y's they take; a
+    # point's value does not depend on the others.
     if any(rho < 0 for rho in rhos):
         raise ValueError("rho must be nonnegative")
     if 0.0 in rhos and 0.0 in zs:
@@ -291,16 +309,30 @@ def _psi_peeled_grid(rhos, zs, E, g):
     _check_threshold(x, eta)
     rhos, zs = np.asarray(rhos, dtype=float), np.asarray(zs, dtype=float)
     zz, rr = zs * zs, eta * rhos * rhos
-    if eta >= 1.0:
-        out = eta * _peeled_sum(zz, rr, x, eta, 0.5, 0.0)
-    elif rhos.all():
-        out = _peeled_sum(rr, zz, x / eta, 1.0 / eta, 1.0, -0.5).T
-    else:
-        axis = rhos == 0.0
-        out = np.empty((len(zs), len(rhos)))
-        out[:, axis] = eta * _peeled_sum(zz, rr[axis], x, eta, 0.5, 0.0)
-        out[:, ~axis] = _peeled_sum(rr[~axis], zz, x / eta, 1.0 / eta, 1.0,
-                                    -0.5).T
+    radial_args = (zz, rr, x, eta, 0.5, 0.0)
+    axial_args = (rr, zz, x / eta, 1.0 / eta, 1.0, -0.5)
+    # zeta_eff = zeta + y/step is z^2 + rho^2 for the radial peel and eta
+    # times that for the axial one
+    r2 = zz[:, None] + rhos * rhos
+    radial_ok = r2 <= _reach(zz, x, eta)[:, None]
+    radial = np.where((zs != 0.0)[:, None] & (rhos != 0.0) & (
+        radial_ok != (eta * r2 <= _reach(rr, x / eta, 1.0 / eta))),
+        radial_ok, (eta >= 1.0) | (rhos == 0.0))
+    out = np.empty(radial.shape)
+    for lines, view, args, pref in ((radial, out, radial_args, eta),
+                                    (~radial.T, out.T, axial_args, 1.0)):
+        zeta, y = args[:2]
+        groups = {}
+        for i, line in enumerate(lines.tolist()):
+            if True in line:
+                groups.setdefault(tuple(line), []).append(i)
+        for line, rows in groups.items():
+            if len(rows) == len(zeta) and all(line):  # the whole grid
+                view[:] = pref * _peeled_sum(zeta, y, *args[2:])
+            else:
+                cols = np.flatnonzero(line)
+                view[np.ix_(rows, cols)] = pref * _peeled_sum(
+                    zeta[rows], y[cols], *args[2:])
     return _PREF * np.exp(-0.5 * (zz[:, None] + rr)) * out
 
 
@@ -318,11 +350,10 @@ def psi_peeled(rho, z, E, g):
     raises ValueError, and E on a threshold (x = (E0 - E)/2 a pole of F)
     raises PoleSignal.  It is the 1 x 1 case of sample_grid's peeled grid,
     so a grid sample equals this value.  Like psi_integral it carries no
-    relative accuracy far below the quadrature's absolute floor.  Close
-    to the rho = 0 axis at eta < 1 (rho under about 1e-4/sqrt(eta)) or to
-    the z = 0 plane (|z| under about 1e-8), but off them, e^(-zeta t) cuts
-    the integrand off too far out for the node table, and the call raises
-    QuadratureError.
+    relative accuracy far below the quadrature's absolute floor.  Where
+    the peel's cut-off e^(-zeta t) lies out of the node table's reach,
+    close to but off the rho = 0 axis or the z = 0 plane, the point takes
+    the other peel.
     """
     return float(_psi_peeled_grid((rho,), (z,), E, g)[0, 0])
 

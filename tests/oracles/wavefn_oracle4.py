@@ -1,12 +1,15 @@
 """Excited-state Psi above E0 at 40 digits, at points where the geometry's
 double-precision mode series fails: on the rho = 0 and z = 0 lines, far
-out in rho at small z, and at an energy with two modes below a = 1/2.
+out in rho at small z, at an energy with two modes below a = 1/2, and
+1e-9 off the z = 0 plane.
 
 Psi = pref/(2 pi^{3/2}) e^{-(zeta + y)/2} sum_m Gamma(a_m) U(a_m, b, zeta)
 L_m^(alpha)(y), a_m = a0 + m step, for the radial modes (eta >= 1 or
 rho = 0: zeta = z^2, y = eta rho^2, a0 = x, step = eta, b = 1/2,
 alpha = 0, pref = eta) or the axial ones (zeta = eta rho^2, y = z^2,
 a0 = x/eta, step = 1/eta, b = 1, alpha = -1/2, pref = 1), x = (E0 - E)/2.
+Off the z = 0 plane by 1e-9, where e^(-zeta t) would cut the radial sum's
+integral off only near t = 1e18, the axial modes sum the same Psi.
 The modes with a_m < 1/2 are summed term by term with mpmath's gamma and
 hyperu (at zeta = 0, Gamma(a) sqrt(pi)/Gamma(a + 1/2)); the others under
 DLMF 13.4.4, Gamma(a) U(a, b, zeta) = int e^(-zeta t) t^(a-1)
@@ -32,20 +35,23 @@ POINTS = [
     (0.5, 0.6, 0.0, 0.3),
     (0.5, 0.6, 0.0, 0.5),
     (2.0, 5.2, 0.0, 0.3),
+    (2.0, 0.6, 0.3, 1e-9),
 ]
+AXIAL = {(2.0, 0.6, 0.3, 1e-9)}   # points summed over the axial modes
 
 
-def modes(eta, dE, rho):
+def modes(eta, dE, rho, z):
+    radial = (eta >= 1 or rho == 0) and (eta, dE, rho, z) not in AXIAL
     e = mp.mpf(0.5 + eta + dE)
     eta = mp.mpf(eta)
     x = (mp.mpf("0.5") + eta - e) / 2
-    if eta >= 1 or rho == 0:
+    if radial:
         return x, eta, mp.mpf("0.5"), mp.mpf(0), eta, True
     return x / eta, 1 / eta, mp.mpf(1), mp.mpf("-0.5"), mp.mpf(1), False
 
 
 def psi(eta, dE, rho, z):
-    a0, step, b, alpha, pref, radial = modes(eta, dE, rho)
+    a0, step, b, alpha, pref, radial = modes(eta, dE, rho, z)
     rho, z = mp.mpf(rho), mp.mpf(z)
     zeta, y = ((z * z, eta * rho * rho) if radial
                else (eta * rho * rho, z * z))

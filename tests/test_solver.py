@@ -405,6 +405,14 @@ def test_self_consistent_constant_model_matches_fixed():
             window=(1.6, 8.0))
 
     base = levels(0.0)
+    # gamma = 0 leaves a_eff = a_bg = 1, on the certified path: the levels
+    # are the fixed-a ones
+    fixed1 = eigenenergies(InteractionModel.fixed(1.0), g1, window=(1.6, 8.0))
+    assert len(fixed1) >= 3
+    assert ([lv.branch_index for lv in base]
+            == [lv.branch_index for lv in fixed1])
+    for lv_s, lv_f in zip(base, fixed1):
+        assert abs(lv_s.E - lv_f.E) <= 2.0 * solver.ROOT_TOL
     shifts = [max(abs(a.E - b.E) for a, b in zip(base, levels(gamma)))
               for gamma in (1e-3, 5e-4, 2.5e-4)]
     assert 1.8 < shifts[0] / shifts[1] < 2.2
@@ -448,6 +456,20 @@ def test_self_consistent_default_window_keeps_deep_level():
     assert len(got) == 4
     assert got[0].E < e0 - 10.0
     assert _pairs(got) == _pairs(deep)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 4e-9])
+def test_self_consistent_level_next_to_the_window_floor(gap):
+    # the window ends clip the walk, as in eigenenergies: a level just above
+    # the floor is kept, not lost to an edge clearance
+    g = TrapGeometry(2.37)
+    model = InteractionModel.from_resonance(0.5, 0.3, 3.5)
+    third = solve_self_consistent(model, g, window=(-1.0, 9.0))[2]
+    fixed = InteractionModel.from_inverse_a(model.inv_a_eff(third.E))
+    for solve, m in ((solve_self_consistent, model), (eigenenergies, fixed)):
+        got = solve(m, g, window=(third.E - gap, 9.0))
+        assert got[0].branch_index == third.branch_index == 2
+        assert abs(got[0].E - third.E) <= 2.0 * solver.ROOT_TOL
 
 
 def test_resonance_with_vanishing_a_eff_rejected():
@@ -593,9 +615,8 @@ def _plain_search(monkeypatch):
     # walker, and bound_state_exact takes its plain-target route
     walk = solver._ordered_roots
 
-    def without_residues(cuts, lo, hi, solve, clearance=solver.EDGE_CLEARANCE,
-                         residues=None, **kw):
-        return walk(cuts, lo, hi, solve, clearance, **kw)
+    def without_residues(cuts, lo, hi, solve, residues=None, **kw):
+        return walk(cuts, lo, hi, solve, **kw)
 
     monkeypatch.setattr(solver, "_ordered_roots", without_residues)
     monkeypatch.setattr(solver, "_near_pole_end", lambda *args: True)

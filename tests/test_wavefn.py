@@ -988,6 +988,33 @@ def test_peeled_grid_equals_point_values():
         assert samples.method == "peeled"
         assert samples.values == tuple(psi_peeled(rho, z, e, g)
                                        for rho, z in samples.coordinates)
+    # a z row 1e-6 off the plane mixes the peels: the radial one at
+    # rho = 1e-3, the axial one at rho = 0.3, where the radial cut-off is
+    # out of the node table's reach
+    e = ground_energy_offset(G2) + 0.6
+    samples = sample_grid((1e-3, 0.3), (1e-6, 0.5), e, G2)
+    assert samples.values == tuple(psi_peeled(rho, z, e, G2)
+                                   for rho, z in samples.coordinates)
+
+
+@pytest.mark.parametrize("eta, de, rho, z", [
+    (0.5, 0.3, 1e-6, 0.5), (0.02, 0.006, 1e-7, 0.3),    # off the axis
+    (2.0, 0.3, 0.3, 1e-9), (100.0, 0.3, 0.05, 1e-10)])  # off the plane
+def test_peeled_near_a_line_takes_the_other_peel(eta, de, rho, z):
+    # close to but off the rho = 0 axis at eta < 1 or the z = 0 plane, the
+    # default peel's cut-off e^(-zeta t) lies out of the node table's
+    # reach: the point takes the other peel and meets the value on the
+    # line; in a grid beside that line each sample is its point value
+    g = TrapGeometry(eta)
+    e = ground_energy_offset(g) + de
+    axis = eta < 1.0
+    on_line = psi_peeled(0.0, z, e, g) if axis else psi_peeled(rho, 0.0, e, g)
+    _close(psi_peeled(rho, z, e, g), on_line, 1e-10)
+    rhos, zs = ((0.0, rho, 0.4), (z, 0.7)) if axis else ((rho, 0.4),
+                                                           (0.0, z, 0.7))
+    samples = sample_grid(rhos, zs, e, g)
+    assert samples.values == tuple(psi_peeled(r, c, e, g)
+                                   for r, c in samples.coordinates)
 
 
 def test_peeled_route_pole_flagged():
