@@ -24,9 +24,10 @@ Brent's method converges in a few steps and an end next to a pole takes
 that limit as its value instead of an F call.
 Where the root comes out within a few tolerances of such an end, the limit
 may have the wrong sign (the root lies between the pole and the end): the
-search then runs again on the plain target with both ends evaluated, so
-the level set is the one the plain search gives.  bound_state_exact runs
-the same search on the bound branch alone, its upper end found by doubling.
+plain target is then evaluated at that end, and the root stays only where
+its sign there is the limit's, so the level set is the one a search with
+both ends evaluated gives.  bound_state_exact runs the same search on the
+bound branch alone, its upper end found by doubling.
 
 The intervals are solved in chunks, in lockstep: the walk hands out as
 many intervals as levels are still missing (each holds at most one, so a
@@ -34,8 +35,8 @@ chunk never reaches past the last level asked for), their searches run
 side by side in numerics.find_roots_bracketed, and every Brent step of the
 chunk is at most one spectral.f_values call (F as plain floats) over the
 roots still running; the end values the chunk needs are one such call,
-and the retries next to residue ends a second lockstep solve.  Each root
-is the one a search of its interval alone would give, bit for bit.
+and the sign checks at residue ends one more.  Each root is the one a
+search of its interval alone would give, bit for bit.
 eigenenergies keeps F at the points of a search that no a moves (the
 window edges, and the first Brent point of a segment between two poles,
 set by its residue ends alone) in a memo per window for the next cells.
@@ -327,41 +328,25 @@ def _near_pole_end(root, br, pole_a, pole_b):
             or (pole_b is not None and br.hi - root <= slack))
 
 
-def _values(f_many, xs, which):
-    # f_many at xs in one call; where that raises a pole or numerics
-    # error, one x at a time, with None for each x that raises
-    try:
-        return f_many(xs, which)
-    except (NumericsError, PoleSignal):
-        out = []
-        for x, i in zip(xs, which):
-            try:
-                out.append(f_many([x], [i])[0])
-            except (NumericsError, PoleSignal):
-                out.append(None)
-        return out
-
-
 def _brackets(f_many, segments, ends):
-    # the sign-change bracket of f_many on each segment, or None where an
-    # end cannot be evaluated or shows no sign change; ends holds each
-    # segment's (f(a), f(b)), None where unknown, and the unknown ones are
-    # evaluated in one f_many call
+    # the sign-change bracket of f_many on each segment, or None where its
+    # ends show no sign change; ends holds each segment's (f(a), f(b)),
+    # None where unknown, and the unknown ones are evaluated in one f_many
+    # call
     xs, which = [], []
     for i, ((a, b, _, _), known) in enumerate(zip(segments, ends)):
         for x, fx in zip((a, b), known):
             if fx is None:
                 xs.append(x)
                 which.append(i)
-    values = iter(_values(f_many, xs, which) if xs else ())
+    values = iter(f_many(xs, which) if xs else ())
     out = []
     for (a, b, _, _), (f_a, f_b) in zip(segments, ends):
         f_a = next(values) if f_a is None else f_a
         f_b = next(values) if f_b is None else f_b
         try:
             # both end values known: bracket_from_signs evaluates nothing
-            out.append(None if f_a is None or f_b is None
-                       else bracket_from_signs(None, a, b, f_a, f_b))
+            out.append(bracket_from_signs(None, a, b, f_a, f_b))
         except NumericsError:
             out.append(None)
     return out
@@ -373,8 +358,9 @@ def _roots_in_segments(target, segments, ends=None):
     # to the list of its values there.  A segment end next to a pole
     # (pole_a, pole_b as _ordered_roots passes them) takes the residue
     # limit of the pole-cleared target as its value; where the root comes
-    # out next to such an end, the plain target is solved again.  ends,
-    # if given, holds each segment's known pole-cleared end values instead.
+    # out next to such an end, it stays only if the plain target there
+    # has the limit's sign (all such ends in one target call).  ends, if
+    # given, holds each segment's known pole-cleared end values instead.
     weights = [_pole_weight(pa, pb) for _, _, pa, pb in segments]
 
     def cleared(xs, which):
@@ -384,22 +370,22 @@ def _roots_in_segments(target, segments, ends=None):
                 values[k] *= weights[i](xs[k])
         return values
 
-    def plain(xs, which):
-        return target(xs)
-
     if ends is None:
         ends = [(pa and pa[1], pb and -pb[1]) for _, _, pa, pb in segments]
     brs = _brackets(cleared, segments, ends)
     roots = find_roots_bracketed(cleared, brs, tol=ROOT_TOL)
-    again = [i for i, (root, (_, _, pa, pb)) in enumerate(zip(roots, segments))
-             if weights[i] is not None and root is not None
-             and _near_pole_end(root, brs[i], pa, pb)]
-    if again:
-        plain_brs = _brackets(plain, [segments[i] for i in again],
-                              [(None, None)] * len(again))
-        plain_roots = find_roots_bracketed(plain, plain_brs, tol=ROOT_TOL)
-        for i, root, br in zip(again, plain_roots, plain_brs):
-            roots[i], brs[i] = root, br
+    checks = []  # (segment, end, residue limit) of each root next to one
+    for i, (root, br, (_, _, pa, pb)) in enumerate(zip(roots, brs, segments)):
+        if root is not None and _near_pole_end(root, br, pa, pb):
+            at_lo = pb is None or (pa is not None
+                                   and root - br.lo < br.hi - root)
+            checks.append((i, br.lo, br.f_lo) if at_lo
+                          else (i, br.hi, br.f_hi))
+    if checks:
+        fxs = target([x for _, x, _ in checks])
+        for (i, _, limit), fx in zip(checks, fxs):
+            if fx * limit <= 0.0:  # the root lies between the pole and x
+                roots[i] = None
     return [(root, br) for root, br in zip(roots, brs) if root is not None]
 
 

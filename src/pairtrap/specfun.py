@@ -6,11 +6,11 @@ function, the Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
 {1/2, 1, 3/2} (Tricomi's U times Gamma(a), the pair wavefunction's series
 coefficient) and Laguerre polynomials, on numpy and the math module alone.
 rising_half works in plain floats, with a relative rounding bound for
-every value.  ln_gamma_u gives log Gamma(a) U for a > 0 from its Laplace
-form on the numerics exp-sinh node table, one pass for an array of a;
-gamma_u gives the signed product for any a off the Gamma poles from one
-such pass, with the rows below a = 1/2 recurred down from seeds in it by
-gamma_u_down, the recurrence the wavefunction's peeled integral shares.
+every value.  gamma_u gives the signed Gamma U for any a off the Gamma
+poles from one numerics.integrate_separable pass over its Laplace form,
+the rule the wavefunction's peeled integral runs on, with the rows below
+a = 1/2 recurred down from seeds in the same pass by gamma_u_down, the
+recurrence that integral shares.
 """
 
 import math
@@ -20,7 +20,7 @@ from operator import add, sub, truediv
 
 import numpy as np
 
-from .numerics import _rule, _settle
+from .numerics import integrate_separable
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -301,62 +301,6 @@ def _check_b(b):
                      "got %g" % b)
 
 
-def ln_gamma_u(a, b, w):
-    """log of Gamma(a)*U(a, b, w) for a > 0, w > 0, b in {1/2, 1, 3/2}.
-
-    a may be a float or a 1-D array (one row per entry, all rows in one
-    pass); a float gives a float.  The value is the log of the Laplace form
-    of DLMF 13.4.4, int_0^inf exp(-a s + log phi(s)) ds with s = log(1 + 1/t)
-    and log phi = -b log(1 - e^-s) - w e^-s/(1 - e^-s), taken relative to
-    its peak at s* = log(1 + 1/t*), t* > 0 the root of w t^2 + (w - b) t = a,
-    so it stays representable where Gamma(a) overflows.  A row runs on the
-    nodes s = c T^(2^-j), T the exp-sinh table: 2^-j (j >= 0 the least with
-    2^j times the relative peak width >= 0.1) spreads a sharp peak (large
-    a w), c = 2^(i 2^-j) is nearest s* (sqrt(s*/a), towards the tail, where
-    a s* < 1).  Rows of one key (c, j) share log phi: a row costs one exp
-    per node, and its value depends on its own a only.
-    """
-    b = _check_b(b)
-    a_in = np.asarray(a, dtype=float)
-    av = a_in.reshape(-1, 1)
-    if not (np.all(av > 0) and w > 0):
-        raise ValueError("ln_gamma_u needs a > 0 and w > 0")
-
-    def ln_phi(s):
-        em = -np.expm1(-s)
-        return -b * np.log(em) - w * np.exp(-s) / em
-
-    q = w - b
-    disc = np.sqrt(q * q + (4.0 * w) * av)
-    t = 2.0 * av / (disc + q) if q >= 0.0 else (disc - q) / (2.0 * w)
-    s = np.log1p(1.0 / t)
-    peak = ln_phi(s) - av * s
-    # (s* times sqrt(-(log f)''(s*)), the inverse relative width)^2 / 100
-    j = np.maximum(0.0, np.ceil(0.5 * np.log2(
-        0.01 * (2.0 * w * t + q) * t * (1.0 + t) * s * s)))
-    k = np.rint(np.log2(s * np.sqrt(np.maximum(1.0, 1.0 / (av * s))))
-                * np.exp2(j))
-    keys, pick = np.unique((k + 1j * j).ravel(), return_inverse=True)
-    p = np.exp2(-keys.imag)[:, None]
-    c = np.exp2(keys.real[:, None] * p)
-
-    def terms(nodes, weights, r):
-        # rows r: per bucket log phi plus log(weight ds/d(c nodes)), then an
-        # exp per node, its argument raised to -700 so no term is subnormal
-        tp = nodes ** p
-        g = ln_phi(c * tp) + np.log(weights * (p * tp / nodes))
-        e = (c * tp)[pick[r]]
-        e *= -av[r]
-        e += g[pick[r]]
-        e -= peak[r]
-        return np.exp(np.maximum(e, -700.0, out=e), out=e)
-
-    value, est, _ = _rule(c[pick, 0], terms)
-    _settle(value, est)
-    out = peak[:, 0] + np.log(value)
-    return float(out[0]) if a_in.ndim == 0 else out
-
-
 def gamma_u_down(cur, up, a, steps, b, w):
     """V(a - n) for V = Gamma U at (., b, w), from the seeds cur = V(a) and
     up = V(a + 1), by DLMF 13.3.7
@@ -382,12 +326,19 @@ def gamma_u(a, b, w):
     """Signed Gamma(a) U(a, b, w) for w > 0 and b in {1/2, 1, 3/2}.
 
     a may be a float or a 1-D array (float in, float out); an a within
-    POLE_TOL of a nonpositive integer raises PoleSignal.  Every value comes
-    from one ln_gamma_u pass, as alone bit for bit: a row a >= 1/2 directly,
-    one below 1/2 from the rows a + n, a + n + 1 (n the least with
-    a + n >= 1/2) appended to the pass, by gamma_u_down.
+    POLE_TOL of a nonpositive integer raises PoleSignal.  A row a >= 1/2 is
+    DLMF 13.4.4's Laplace form int e^(-w t) t^-1 (1 + t)^(b-1) p^a dt,
+    p = t/(1 + t), integrated at the scale t with w t (1 + t) = a + 1/2,
+    where p^a stops rising and e^(-w t) takes over; a row below 1/2 comes
+    from the rows a + n, a + n + 1 (n the least with a + n >= 1/2) by
+    gamma_u_down.  All rows are points of one numerics.integrate_separable
+    call, so a batch gives each row's scalar value bit for bit.  A value
+    is good to 1e-13 relative while Gamma U > 1e-120; below that, only to
+    the node table's absolute accuracy.
     """
     b = _check_b(b)
+    if not w > 0:
+        raise ValueError("gamma_u needs w > 0, got %g" % w)
     a_in = np.asarray(a, dtype=float)
     av = a_in.reshape(-1)
     low = np.flatnonzero(av < 0.5)
@@ -396,10 +347,19 @@ def gamma_u(a, b, w):
             raise PoleSignal("Gamma(a) U(a, b, w) pole at a = %.17g" % ai, ai)
     steps = np.ceil(0.5 - av[low])
     ac = av[low] + steps
-    rows = av.copy()
+    rows = np.concatenate((av, ac + 1.0))
     rows[low] = ac
-    v = np.exp(ln_gamma_u(np.concatenate((rows, ac + 1.0)), b, w))
-    out, up = v[:len(av)], v[len(av):]
+
+    def u(w, t):
+        return np.exp(-w * t) * (1.0 + t) ** (b - 1.0) / t
+
+    def v(a, t):
+        return np.exp(np.maximum(a * -np.log1p(1.0 / t), -700.0))
+
+    c = rows + 0.5
+    scale = 2.0 * c / (w + np.sqrt(w * (w + 4.0 * c)))
+    value, _ = integrate_separable(u, v, np.array([w]), rows, scale[None, :])
+    out, up = value[0, :len(av)], value[0, len(av):]
     out[low] = gamma_u_down(out[low], up, ac, steps, b, w)
     return float(out[0]) if a_in.ndim == 0 else out
 

@@ -358,8 +358,8 @@ def psi_peeled(rho, z, E, g):
     return float(_psi_peeled_grid((rho,), (z,), E, g)[0, 0])
 
 
-# Largest coefficient block: ~10 MB of (block, 273) kernel arrays (twice if
-# every row lies below a = 1/2); the cost per row is flat past ~30 rows.
+# Largest coefficient block; the cost per row is flat past ~30 rows.
+# Memory is bounded by integrate_separable's blocks of 1,024 points.
 _MAX_BLOCK = 1024
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq  # the reference; pairtrap leaves it out
 from scipy.special import digamma
 
-from pairtrap import numerics, solver, specfun, spectral, wavefn
+from pairtrap import cli, numerics, solver, specfun, spectral, wavefn
 from pairtrap.numerics import (NumericsError, QuadratureError, RootBracket,
                                bracket_from_signs, find_root_bracketed,
                                find_roots_bracketed, integrate,
@@ -75,12 +75,12 @@ def _closed_form_grid():
 
 
 def test_node_layout_stays_in_numerics():
-    # the exp-sinh node layout (table, even and odd halves, weights) is
-    # numerics' alone: the modules integrating on it hand _rule a terms
-    # callback and bind none of it
+    # the exp-sinh node layout (table, even and odd halves, weights) and
+    # the rule on it are numerics' alone: every other module integrates
+    # through integrate or integrate_separable and binds none of them
     layout = {"NODE_TABLE", "_ES_T_EVEN", "_ES_T_ODD", "_ES_W_EVEN",
-              "_ES_W_ODD"}
-    for module in (spectral, specfun, wavefn):
+              "_ES_W_ODD", "_rule", "_settle"}
+    for module in (cli, solver, spectral, specfun, wavefn):
         assert not layout & set(vars(module)), module.__name__
 
 

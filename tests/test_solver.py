@@ -611,15 +611,16 @@ def test_energy_level_is_frozen_record():
 # ---------------------------------------------------------------------------
 
 def _plain_search(monkeypatch):
-    # the search with every end evaluated: no residues reach the interval
-    # walker, and bound_state_exact takes its plain-target route
-    walk = solver._ordered_roots
+    # the search with both ends of every segment evaluated, for every
+    # solver, bound_state_exact included: the root search gets each
+    # segment without its residue ends and with no known end values
+    roots_in = solver._roots_in_segments
 
-    def without_residues(cuts, lo, hi, solve, residues=None, **kw):
-        return walk(cuts, lo, hi, solve, **kw)
+    def plain(target, segments, ends=None):
+        return roots_in(target, [(a, b, None, None)
+                                 for a, b, _, _ in segments])
 
-    monkeypatch.setattr(solver, "_ordered_roots", without_residues)
-    monkeypatch.setattr(solver, "_near_pole_end", lambda *args: True)
+    monkeypatch.setattr(solver, "_roots_in_segments", plain)
 
 
 def _outcome(fn):
@@ -650,9 +651,23 @@ _LEVEL_SET_CASES = [
 ]
 
 
-def test_pole_cleared_search_keeps_the_plain_level_set(monkeypatch):
-    # count, branch_index and energies as with both ends evaluated, for
-    # windows that end at a pole, inside its clearance and between poles
+def _fixed_a_requests(cases):
+    # eigenenergies on windows that end at a pole, inside its clearance
+    # and between poles, and bound_state_exact, at each (eta, 1/a)
+    requests = []
+    for eta, inv_a in cases:
+        g, model = TrapGeometry(eta), InteractionModel.from_inverse_a(inv_a)
+        e0 = ground_energy_offset(g)
+        for window in ((-1.0, 9.0), (e0, e0 + 5.0),
+                       (e0 + 2.0 + 4e-9, e0 + 6.0 - 1e-9)):
+            requests.append(partial(eigenenergies, model, g, window=window,
+                                    max_levels=6))
+        requests.append(partial(bound_state_exact, model, g))
+    return requests
+
+
+def _spy_near_pole_end(monkeypatch):
+    # _near_pole_end's answers, as the searches ask it
     fired = []
     near = solver._near_pole_end
 
@@ -661,15 +676,13 @@ def test_pole_cleared_search_keeps_the_plain_level_set(monkeypatch):
         return fired[-1]
 
     monkeypatch.setattr(solver, "_near_pole_end", spy)
-    requests = []
-    for eta, inv_a in _LEVEL_SET_CASES:
-        g, model = TrapGeometry(eta), InteractionModel.from_inverse_a(inv_a)
-        e0 = ground_energy_offset(g)
-        for window in ((-1.0, 9.0), (e0, e0 + 5.0),
-                       (e0 + 2.0 + 4e-9, e0 + 6.0 - 1e-9)):
-            requests.append(partial(eigenenergies, model, g, window=window,
-                                    max_levels=6))
-        requests.append(partial(bound_state_exact, model, g))
+    return fired
+
+
+def test_pole_cleared_search_keeps_the_plain_level_set(monkeypatch):
+    # count, branch_index and energies as with both ends evaluated
+    fired = _spy_near_pole_end(monkeypatch)
+    requests = _fixed_a_requests(_LEVEL_SET_CASES)
     for params in ((0.5, 0.3, 3.5), (-1.0, 0.5, 3.0), (1.2, 1e-7, 1.0)):
         model = InteractionModel.from_resonance(*params)
         for eta in (2.37, 2.0 + 1e-8):
@@ -683,6 +696,59 @@ def test_pole_cleared_search_keeps_the_plain_level_set(monkeypatch):
         want = [_outcome(fn) for fn in requests]
     for fn, a, b in zip(requests, got, want):
         assert _same_levels(a, b), (fn.args, fn.keywords, a, b)
+
+
+def test_a_chunk_takes_one_brent_solve(monkeypatch):
+    # next to near-degenerate poles and at |1/a| = 1e7, where roots come
+    # out next to residue ends, the check at such an end is one target
+    # call: every chunk of segments is one lockstep Brent solve
+    fired = _spy_near_pole_end(monkeypatch)
+    solves = []
+    roots_in, find = solver._roots_in_segments, solver.find_roots_bracketed
+
+    def counted_roots_in(*args, **kw):
+        solves.append(0)
+        return roots_in(*args, **kw)
+
+    def counted_find(*args, **kw):
+        solves[-1] += 1
+        return find(*args, **kw)
+
+    monkeypatch.setattr(solver, "_roots_in_segments", counted_roots_in)
+    monkeypatch.setattr(solver, "find_roots_bracketed", counted_find)
+    for fn in _fixed_a_requests([(2.0 + 1e-8, -1e7), (2.0 + 1e-8, 1e7)]):
+        _outcome(fn)
+    assert solves and set(solves) == {1}, solves
+    assert any(fired), "no root came out next to a residue end"
+
+
+@given(eta=_GENERIC_ETA, sign=st.sampled_from((-1.0, 1.0)),
+       inv_a=st.floats(math.log(1e3), math.log(1e6)).map(math.exp))
+def test_levels_approach_their_poles_as_a_vanishes(eta, sign, inv_a):
+    # F ~ r/(x - p) next to a pole p of residue r, so as a -> 0+ (F ->
+    # -inf) an excited level sits r/(sqrt(2 pi) |1/a|) below the upper
+    # pole of its interval in x, and as a -> 0- as far above the lower
+    # one.  The other poles shift it by about their pull sum r'/|p - p'|
+    # over sqrt(2 pi) |1/a|; a pole whose pull exceeds 5% of that (a near
+    # degeneracy, as at eta = 3/8) is left out.
+    g = TrapGeometry(eta)
+    e0 = ground_energy_offset(g)
+    grid = pole_grid(eta, (e0 - 9.0) / 2.0 - 2.0 * eta - 2.0)
+    model = InteractionModel.from_inverse_a(sign * inv_a)
+    checked = 0
+    for lv in eigenenergies(model, g, window=(-1.0, 9.0)):
+        if lv.branch_index == 0:
+            continue
+        k = lv.branch_index - (sign > 0.0)
+        p, r = grid.poles[k], grid.residues[k]
+        pull = sum(r_q / abs(p - q)
+                   for q, r_q in zip(grid.poles, grid.residues) if q != p)
+        if pull > 0.05 * SQRT_2PI * inv_a:
+            continue
+        offset = r / (SQRT_2PI * inv_a)
+        assert abs(abs(lv.x - p) / offset - 1.0) <= 0.1, (lv, p, r)
+        checked += 1
+    assert checked
 
 
 def test_fig1_f_call_budget(monkeypatch):

@@ -26,7 +26,7 @@ from conftest import args_of, fval, oracle_values
 from pairtrap.specfun import (SQRT_PI, PoleSignal, digamma, gamma_ratio,
                               gamma_u, hurwitz_zeta_half, hyp2f1_one,
                               is_nonpositive_integer, laguerre_iter,
-                              ln_gamma_u, rising_half)
+                              rising_half)
 
 ORA = oracle_values("specfun_oracle.out")
 
@@ -95,7 +95,7 @@ def test_kummer_u_frozen(key):
 @pytest.mark.parametrize("key", [k for k in ORA if k.startswith("gamma_u(")])
 def test_ln_gamma_u_frozen(key):
     a, b, w = args_of(key)
-    _close(math.exp(ln_gamma_u(a, b, w)), fval(ORA, key), 1e-13)
+    _close(gamma_u(a, b, w), fval(ORA, key), 1e-13)
 
 
 @pytest.mark.parametrize("key", [k for k in ORA if k.startswith("pcfd(")])
@@ -271,10 +271,14 @@ _GRID_B = (0.5, 1.0, 1.5)
 _GRID_W = (1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4)
 
 
-def _ln_gamma_u_laplace(a, b, w):
-    # log of the Laplace integral of Gamma(a) U(a, b, w) by mpmath's
-    # tanh-sinh rule, split around the peak of the integrand (a > 1): the
-    # reference where mpmath's hyperu series converge slowly (a w >= 1e4)
+# Gamma U below this has only the node table's absolute accuracy
+_GAMMA_U_FLOOR = 1e-120
+
+
+def _gamma_u_laplace(a, b, w):
+    # the Laplace integral of Gamma(a) U(a, b, w) by mpmath's tanh-sinh
+    # rule, split around the peak of the integrand (a > 1): the reference
+    # where mpmath's hyperu series converge slowly (a w >= 1e4)
     a, b, w = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(w)
     q = w + 2 - b
     tp = 2 * (a - 1) / (mpmath.sqrt(q * q + 4 * w * (a - 1)) + q)
@@ -286,46 +290,33 @@ def _ln_gamma_u_laplace(a, b, w):
     top = log_f(tp)
     cuts = [tp + k * width for k in (-30, -10, -3, 0, 3, 10, 30)]
     edges = [0] + [c for c in cuts if c > 0] + [mpmath.inf]
-    return top + mpmath.log(mpmath.quad(lambda t: mpmath.exp(log_f(t) - top),
-                                        edges))
+    return mpmath.exp(top) * mpmath.quad(
+        lambda t: mpmath.exp(log_f(t) - top), edges)
 
 
-def _log_close(got, want, rel):
-    # relative to max(1, |log|): the log's own O(|log|) exponent terms round
-    # at ulp(|log|)
-    assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
+def _close_above_floor(got, want):
+    # 1e-13 relative where Gamma U is above _GAMMA_U_FLOOR; finite below
+    assert math.isfinite(got), (got, want)
+    if want > _GAMMA_U_FLOOR:
+        _close(got, float(want), 1e-13)
 
 
 def test_ln_gamma_u_vs_mpmath_grid():
     # every a, b, w of the grid, the rows with a w >= 5e4 (sharp peaks)
-    # included, at 1e-13 wherever Gamma U is representable (log > -745)
+    # included
     with mpmath.workdps(20):
         for a, b, w in itertools.product(_GRID_A, _GRID_B, _GRID_W):
-            got = ln_gamma_u(a, b, w)
+            got = gamma_u(a, b, w)
             if a * w > 4e5:
-                # the log is below -745 here (by the Laplace reference);
+                # Gamma U is below e^-745 here (by the Laplace reference);
                 # the kernel must still answer
-                assert math.isfinite(got) and got < -745.0, (a, b, w)
+                assert math.isfinite(got), (a, b, w)
                 continue
             if a > 1.0 and a * w >= 1e4:
-                want = float(_ln_gamma_u_laplace(a, b, w))
+                want = _gamma_u_laplace(a, b, w)
             else:
-                want = float(mpmath.log(mpmath.gamma(a)
-                                        * mpmath.hyperu(a, b, w)))
-            if want > -745.0:
-                _log_close(got, want, 1e-13)
-
-
-def test_ln_gamma_u_batch_matches_rows():
-    # float in, float out; an array of a gives one value per row, equal to
-    # the scalar call bit for bit (a row's bucket and rule are its own)
-    assert isinstance(ln_gamma_u(2.0, 1.0, 0.5), float)
-    a = np.array(_GRID_A)
-    for b, w in itertools.product(_GRID_B, _GRID_W):
-        batch = ln_gamma_u(a, b, w)
-        assert batch.shape == a.shape
-        for x, got in zip(_GRID_A, batch):
-            assert got == ln_gamma_u(x, b, w), (x, b, w)
+                want = mpmath.gamma(a) * mpmath.hyperu(a, b, w)
+            _close_above_floor(got, want)
 
 
 @pytest.mark.parametrize("eta, b", [(10.0, 0.5), (100.0, 0.5),
@@ -334,33 +325,23 @@ def test_ln_gamma_u_series_sequences_vs_mpmath(eta, b):
     # the coefficient sequences the series routes sum, x = -0.1 and m up to
     # 150: a_m = x + eta m at b = 1/2 (radial), a_m = (m + x)/eta at b = 1
     # (axial), each in one batch, every 25th row and the last against the
-    # Laplace reference at 1e-13 wherever Gamma U is representable
+    # Laplace reference
     m = np.arange(151)
     a = -0.1 + eta * m if b == 0.5 else (m - 0.1) / eta
     a = a[a > 0.0]
     with mpmath.workdps(20):
         for w in (0.25, 1.0):
-            got = ln_gamma_u(a, b, w)
+            got = gamma_u(a, b, w)
+            assert np.all(np.isfinite(got))
             for i in list(range(0, len(a), 25)) + [len(a) - 1]:
-                want = float(_ln_gamma_u_laplace(a[i], b, w))
-                if want > -745.0:
-                    _log_close(got[i], want, 1e-13)
-
-
-def test_ln_gamma_u_below_half_vs_mpmath():
-    # the public domain is every a > 0, not only the rows gamma_u asks for
-    with mpmath.workdps(20):
-        for a, b, w in itertools.product((0.05, 0.2, 0.45), _GRID_B,
-                                         (1e-3, 0.3, 3.0)):
-            want = float(mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, w)))
-            _log_close(ln_gamma_u(a, b, w), want, 1e-13)
+                _close_above_floor(got[i], _gamma_u_laplace(a[i], b, w))
 
 
 def test_ln_gamma_u_vs_mpmath_large_a():
-    # log-scale comparison: Gamma(a) U(a,b,w) overflows double for a >~ 170
+    # rows where Gamma(a) alone overflows double (a >~ 170)
     for a, b, w in ((250.0, 1.0, 1.7), (800.5, 0.5, 0.3), (90.0, 1.5, 2.2)):
-        want = mpmath.log(mpmath.gamma(a) * mpmath.hyperu(a, b, w))
-        _close(ln_gamma_u(a, b, w), float(want), 1e-7)
+        want = mpmath.gamma(a) * mpmath.hyperu(a, b, w)
+        _close(gamma_u(a, b, w), float(want), 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +395,9 @@ def test_kummer_u_domain_errors():
         _kummer_u(1.0, 2.5, 1.0)
     with pytest.raises(ValueError):
         _kummer_u(1.0, 0.5, -1.0)
-
-
-def test_ln_gamma_u_domain_errors():
-    with pytest.raises(ValueError):
-        ln_gamma_u(-1.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        ln_gamma_u(1.0, 0.75, 1.0)
+    # gamma_u itself: b off {1/2, 1, 3/2}, and w <= 0, alone or in a block
+    for a, b, w in ((1.0, 0.75, 1.0), (-0.3, 2.0, 1.0), (1.0, 0.5, 0.0),
+                    (np.array([0.7, -1.5]), 1.0, -1.0),
+                    (2.0, 1.5, math.nan)):
+        with pytest.raises(ValueError):
+            gamma_u(a, b, w)
