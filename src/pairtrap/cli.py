@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import random
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,12 +22,12 @@ from .solver import (InteractionModel, NoBoundState, TrapGeometry,
                      _check_window, _default_window, bound_state_exact,
                      eigenenergies, ground_energy_offset,
                      solve_self_consistent)
-from .specfun import SQRT_PI, PoleSignal, gamma_ratio, gamma_u
+from .specfun import SQRT_PI, PoleSignal, gamma_ratio
 from .spectral import (SpectralArgument, f_cigar, f_eval, f_integral,
                        f_pancake, f_recurrence_extend, phi)
-from .wavefn import (SeriesTruncation, profile_quasi1d, profile_quasi2d, psi,
-                     psi_integral, psi_peeled, psi_series_axial,
-                     psi_series_radial)
+from .wavefn import (SeriesTruncation, gamma_u, profile_quasi1d,
+                     profile_quasi2d, psi, psi_integral, psi_peeled,
+                     psi_series_axial, psi_series_radial)
 
 COMMANDS = ("spectrum", "bound", "wavefunction", "fig1", "fig2", "check")
 _FIG1_GRID = (-4.0, 4.0, 161)
@@ -126,7 +127,13 @@ def _linspace(lo, hi, steps):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (argparse default is 2, reserved for numerics)
+    # usage problems exit 1 (argparse default is 2, reserved for numerics);
+    # an argument starting -<digit>, -.<digit> or -inf is a value, so that
+    # -1e9, -2.5E-3, -inf and -1.0,0.5,3.0 are read as argparse reads -1.5
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf)", re.I)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))

@@ -37,9 +37,10 @@ chunk is at most one spectral.f_values call (F as plain floats) over the
 roots still running; the end values the chunk needs are one such call,
 and the sign checks at residue ends one more.  Each root is the one a
 search of its interval alone would give, bit for bit.
-eigenenergies keeps F at the points of a search that no a moves (the
-window edges, and the first Brent point of a segment between two poles,
-set by its residue ends alone) in a memo per window for the next cells.
+One cache per (eta, window), _window_walk, keeps what no a moves: the F
+poles and residues both level solvers walk, and eigenenergies' memo of F
+at the window edges and at the first Brent point of each segment between
+two poles (set by its residue ends alone), for the next cells.
 """
 
 import math
@@ -72,8 +73,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 EDGE_CLEARANCE = 3e-9  # keep brackets clear of the 1e-9 pole guard
 ROOT_TOL = 1e-12  # bracket width of the level roots
 SCAN_POINTS = 48  # sign-scan grid of the self-consistent solve's fallback
-# (eta, window floor) pole grids _pole_xs keeps; at eta = 1e-4 one holds
-# 80,001 poles
+# (eta, window) walks _window_walk keeps; at eta = 1e-4 one holds 80,001
+# poles
 POLE_CACHE_SIZE = 16
 
 
@@ -230,23 +231,16 @@ def _default_window(g, levels, inv_values):
 
 
 @lru_cache(maxsize=POLE_CACHE_SIZE)
-def _pole_xs(eta, x_lo):
-    # F poles (in x, descending) down to below x_lo, so the lowest interval
-    # is bounded, and F's residues there, as tuples; the pole at 0 is always
-    # kept as the bound branch's floor.  A sweep asks for one (eta, window)
-    # cell after cell, so the grid is built once for all of them.
-    if x_lo >= 0:
-        return (0.0,), (eta,)
-    grid = pole_grid(eta, x_lo - 2.0 * eta - 2.0)
-    return grid.poles, grid.residues
-
-
-@lru_cache(maxsize=POLE_CACHE_SIZE)
 def _window_walk(eta, x_lo, x_hi):
-    # eigenenergies' walk over [x_lo, x_hi], the same for every 1/a: its
-    # cuts (+inf for the bound branch, then the poles), F's residues, and
-    # the memo of F that its cells fill
-    poles, residues = _pole_xs(eta, x_lo)
+    # the walk over [x_lo, x_hi] that every cell of a window shares: cuts
+    # (+inf for the bound branch, then F's poles in x, descending, past
+    # x_lo so the lowest interval is bounded; the pole at 0 always), F's
+    # residues there, and the memo of F that eigenenergies' cells fill
+    if x_lo >= 0:
+        poles, residues = (0.0,), (eta,)
+    else:
+        grid = pole_grid(eta, x_lo - 2.0 * eta - 2.0)
+        poles, residues = grid.poles, grid.residues
     return (math.inf, *poles), dict(zip(poles, residues)), {}
 
 
@@ -417,7 +411,8 @@ def eigenenergies(model, g, window=None, max_levels=20):
     x_lo = (e0 - e_hi) / 2.0
     x_hi = (e0 - e_lo) / 2.0
 
-    poles, _ = _pole_xs(g.eta, x_lo)
+    cuts, pole_res, known = _window_walk(g.eta, x_lo, x_hi)
+    poles = cuts[1:]
     if model.noninteracting:
         out = [EnergyLevel(E=e0 - 2.0 * p, x=p,
                            branch_index=_branch_index(poles, p),
@@ -425,7 +420,6 @@ def eigenenergies(model, g, window=None, max_levels=20):
                for p in poles if x_lo <= p <= x_hi]
         return out[:max_levels]
 
-    cuts, pole_res, known = _window_walk(g.eta, x_lo, x_hi)
     shift = SQRT_2PI * model.inv_a
     fresh = []  # the chunk's segments between two poles, Brent not started
 
@@ -701,9 +695,10 @@ def solve_self_consistent(model, g, window=None, max_levels=20):
     # cuts in x: +inf for the bound branch, then the F poles and the a_eff
     # zeros, descending.  An F pole that is also an a_eff zero gets no
     # residue: there it is evaluated.
-    poles, residues = _pole_xs(g.eta, x_lo)
+    walk, residues, _ = _window_walk(g.eta, x_lo, x_hi)
+    poles = walk[1:]
     zeros = {(e0 - b) / 2.0 for b in model.breakpoints}
-    pole_res = {p: r for p, r in zip(poles, residues) if p not in zeros}
+    pole_res = {p: r for p, r in residues.items() if p not in zeros}
     cuts = (math.inf, *sorted(zeros.union(poles), reverse=True))
     if isinstance(model, Resonance) and model.det >= 0.0:
         solve, want = partial(_roots_in_segments, target), max_levels

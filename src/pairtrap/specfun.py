@@ -1,26 +1,19 @@
-"""Special-function kernel: every special function the package evaluates.
+"""Special-function kernel of the level path, in plain floats.
 
 Gamma(a +- 1/2)/Gamma(a) and gamma ratios built on it, the digamma
 function, the Hurwitz zeta function at s = 1/2, the Gauss hypergeometric
-2F1(1,x;x+1/2;z) on the unit circle, Gamma(a) U(a, b, w) for b in
-{1/2, 1, 3/2} (Tricomi's U times Gamma(a), the pair wavefunction's series
-coefficient) and Laguerre polynomials, on numpy and the math module alone.
-rising_half works in plain floats, with a relative rounding bound for
-every value.  gamma_u gives the signed Gamma U for any a off the Gamma
-poles from one numerics.integrate_separable pass over its Laplace form,
-the rule the wavefunction's peeled integral runs on, with the rows below
-a = 1/2 recurred down from seeds in the same pass by gamma_u_down, the
-recurrence that integral shares.
+2F1(1,x;x+1/2;z) on the unit circle and Laguerre polynomials, on the math
+module alone: nothing here imports numpy or numerics, so the spectrum
+searches reach their special functions without them.  rising_half gives
+a relative rounding bound for every value.  Gamma(a) U(a, b, w), the
+wavefunction's mode coefficient, lives beside the peeled integral it
+shares its Laplace form with (wavefn.gamma_u).
 """
 
 import math
 from itertools import repeat
 from math import exp, floor, gamma, inf, lgamma, sqrt
 from operator import add, sub, truediv
-
-import numpy as np
-
-from .numerics import integrate_separable
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -284,84 +277,6 @@ def hyp2f1_one(x, z):
         else:
             ok = 0
     raise ArithmeticError("continued fraction for 2F1 did not converge")
-
-
-# ----------------------------------------------------------------------
-# Gamma(a) U(a, b, w) for b in {1/2, 1, 3/2}
-# ----------------------------------------------------------------------
-
-_SUPPORTED_B = (0.5, 1.0, 1.5)
-
-
-def _check_b(b):
-    for bb in _SUPPORTED_B:
-        if abs(b - bb) < 1e-12:
-            return bb
-    raise ValueError("Gamma U kernel supports b in {1/2, 1, 3/2} only, "
-                     "got %g" % b)
-
-
-def gamma_u_down(cur, up, a, steps, b, w):
-    """V(a - n) for V = Gamma U at (., b, w), from the seeds cur = V(a) and
-    up = V(a + 1), by DLMF 13.3.7
-      V(a - 1) = [(w + 2a - b) V(a) - (a - b + 1) V(a + 1)]/(a - 1)
-    run downward, the stable direction (U is the minimal solution as a
-    grows).  The arguments broadcast as numpy arrays; n = steps elementwise,
-    the elements stepping together, each stopping after its own n.
-    """
-    steps = np.asarray(steps)
-    for i in range(int(steps.max(initial=0.0))):
-        go = steps > i
-        down = ((w + 2.0 * a - b) * cur - (a - b + 1.0) * up) / (a - 1.0)
-        if go.all():
-            up, cur, a = cur, down, a - 1.0
-        else:
-            up = np.where(go, cur, up)
-            cur = np.where(go, down, cur)
-            a = a - go
-    return cur
-
-
-def gamma_u(a, b, w):
-    """Signed Gamma(a) U(a, b, w) for w > 0 and b in {1/2, 1, 3/2}.
-
-    a may be a float or a 1-D array (float in, float out); an a within
-    POLE_TOL of a nonpositive integer raises PoleSignal.  A row a >= 1/2 is
-    DLMF 13.4.4's Laplace form int e^(-w t) t^-1 (1 + t)^(b-1) p^a dt,
-    p = t/(1 + t), integrated at the scale t with w t (1 + t) = a + 1/2,
-    where p^a stops rising and e^(-w t) takes over; a row below 1/2 comes
-    from the rows a + n, a + n + 1 (n the least with a + n >= 1/2) by
-    gamma_u_down.  All rows are points of one numerics.integrate_separable
-    call, so a batch gives each row's scalar value bit for bit.  A value
-    is good to 1e-13 relative while Gamma U > 1e-120; below that, only to
-    the node table's absolute accuracy.
-    """
-    b = _check_b(b)
-    if not w > 0:
-        raise ValueError("gamma_u needs w > 0, got %g" % w)
-    a_in = np.asarray(a, dtype=float)
-    av = a_in.reshape(-1)
-    low = np.flatnonzero(av < 0.5)
-    for ai in av[low]:
-        if is_nonpositive_integer(ai):
-            raise PoleSignal("Gamma(a) U(a, b, w) pole at a = %.17g" % ai, ai)
-    steps = np.ceil(0.5 - av[low])
-    ac = av[low] + steps
-    rows = np.concatenate((av, ac + 1.0))
-    rows[low] = ac
-
-    def u(w, t):
-        return np.exp(-w * t) * (1.0 + t) ** (b - 1.0) / t
-
-    def v(a, t):
-        return np.exp(np.maximum(a * -np.log1p(1.0 / t), -700.0))
-
-    c = rows + 0.5
-    scale = 2.0 * c / (w + np.sqrt(w * (w + 4.0 * c)))
-    value, _ = integrate_separable(u, v, np.array([w]), rows, scale[None, :])
-    out, up = value[0, :len(av)], value[0, len(av):]
-    out[low] = gamma_u_down(out[low], up, ac, steps, b, w)
-    return float(out[0]) if a_in.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,26 @@
 """Relative-motion pair wavefunction in the anisotropic trap.
 
 Psi(rho, z) carries a 1/(2 pi r) contact core at the origin and a Gaussian
-envelope at large distance.  Two exact routes cover every energy off the
-noninteracting thresholds: a proper-time integral below the ground energy
+envelope at large distance.  Every Psi value, a point (psi and its route
+functions) or a grid (sample_grid), comes from one entry, _grid: it picks
+the route, by energy unless one of ROUTES is named, rejects rho < 0 and the
+origin, checks the energy against the noninteracting thresholds once per
+grid, and runs that route's kernel.  Two exact routes cover every energy
+off the thresholds: a proper-time integral below the ground energy
 E0 = 1/2 + eta, and above it the peeled integral, the geometry's mode
 series (Laguerre x Gamma(a) U(a, b, w) products) summed under the Laplace
 form of its coefficients by the Laguerre generating function, with the few
 modes below a = 1/2 peeled off as a head recurred down from Gamma U seeds
-(specfun.gamma_u_down) integrated in the same pass.  Either integral
-samples a whole grid in one numerics.integrate_separable call per route,
-psi_integral and psi_peeled being its 1 x 1 case.  The radial series
-(fast for cigars) and the axial series (fast for pancakes) stay as
-reference routes: one kernel sums either along a grid line (z row or rho
-column) term by term under a shared tail control, on one sequence of
-coefficients per line (one specfun.gamma_u call per block sized to the
-terms the sum takes, signed).  One check of the energy against the poles
-of F flags a threshold for the series and the peeled route alike.  The
-quasi-1d and quasi-2d profile sums run on the same exp-sinh node table.
+(gamma_u_down) integrated in the same pass.  Either integral samples a
+whole grid in one numerics.integrate_separable call per route.  gamma_u,
+the signed Gamma U kernel, integrates the same Laplace form, and one rule,
+the turn point t with w t (1 + t) = c, sets the scale of both integrals
+and the peel each point takes.  The radial series (fast for cigars) and
+the axial series (fast for pancakes) stay as reference routes: one kernel
+sums either along a grid line (z row or rho column) term by term under a
+shared tail control, on one sequence of coefficients per line (one gamma_u
+call per block sized to the terms the sum takes, signed).  The quasi-1d and
+quasi-2d profile sums run on the same exp-sinh node table.
 Grid normalization (one trapezoid weight vector per axis on the (z, rho)
 array, the integrable 1/r^2 core density treated analytically) and the
 contact slope in closed form complete the module.
@@ -39,9 +43,8 @@ from .specfun import (
     POLE_TOL,
     SQRT_PI,
     PoleSignal,
-    gamma_u,
-    gamma_u_down,
     hurwitz_zeta_half,
+    is_nonpositive_integer,
     laguerre_iter,
     rising_half,
 )
@@ -89,21 +92,14 @@ class SeriesTruncation:
             raise ValueError("tail_tol must be positive")
 
 
-def _psi_grid(rhos, zs, E, g):
-    # Psi on the grid zs x rhos as a (z, rho) array, at scale
-    # sqrt(r^2/(E0 - E)) per point: the integrand climbs like exp(-r^2/(2t))
-    # and falls like exp(-(E0 - E) t).  Its exponent, the log-sinh form with
-    # the linear parts collected (no large terms cancel, nothing overflows),
-    # is t (E - E0) + 3/2 log 2 - log(1 - e^(-2t))/2 - log(1 - e^(-2 eta t))
-    # plus the z and rho factors' -z^2 coth(t)/2 - eta rho^2 coth(eta t)/2.
-    if any(rho < 0 for rho in rhos):
-        raise ValueError("rho must be nonnegative")
-    if 0.0 in rhos and 0.0 in zs:
-        raise ValueError("Psi diverges at the origin; use contact_coefficient")
-    e0, eta = ground_energy_offset(g), g.eta
-    if not E < e0:
-        raise ValueError("integral route needs E < E0 = %g" % e0)
-    de = E - e0
+def _psi_grid(rhos, zs, de, eta):
+    # Psi below E0, de = E - E0 < 0, on the grid zs x rhos as a (z, rho)
+    # array, at scale sqrt(r^2/(E0 - E)) per point: the integrand climbs
+    # like exp(-r^2/(2t)) and falls like exp(-(E0 - E) t).  Its exponent,
+    # the log-sinh form with the linear parts collected (no large terms
+    # cancel, nothing overflows), is t (E - E0) + 3/2 log 2
+    # - log(1 - e^(-2t))/2 - log(1 - e^(-2 eta t)) plus the z and rho
+    # factors' -z^2 coth(t)/2 - eta rho^2 coth(eta t)/2.
     rhos, zs = np.asarray(rhos, dtype=float), np.asarray(zs, dtype=float)
 
     def u(a, t):
@@ -130,7 +126,7 @@ def psi_integral(rho, z, E, g):
     numerics accepts the integral at an estimate under 10 ABS_TOL = 1e-11,
     so values far below eta 1e-11/(2 pi)^{3/2} have no relative accuracy.
     """
-    return float(_psi_grid((rho,), (z,), E, g)[0, 0])
+    return _point(rho, z, E, g, "integral")
 
 
 def _check_threshold(x, eta):
@@ -185,9 +181,84 @@ def _bracket(ln_s, y, alpha, lag, n0):
     return out
 
 
-# The table's last node sits near 2e11 times the scale, so a scale of at
-# least _REACH/zeta leaves e^(-zeta t) under e^-40 there
-_REACH = 2e-10
+def _turn(w, c):
+    # the t with w t (1 + t) = c, free of cancellation: the scale of the
+    # Laplace forms, where p^(c - 1/2), p = t/(1 + t), stops rising and
+    # e^(-w t) takes over
+    return 2.0 * c / (w + np.sqrt(w * (w + 4.0 * c)))
+
+
+_SUPPORTED_B = (0.5, 1.0, 1.5)
+
+
+def _check_b(b):
+    for bb in _SUPPORTED_B:
+        if abs(b - bb) < 1e-12:
+            return bb
+    raise ValueError("Gamma U kernel supports b in {1/2, 1, 3/2} only, "
+                     "got %g" % b)
+
+
+def gamma_u_down(cur, up, a, steps, b, w):
+    """V(a - n) for V = Gamma U at (., b, w), from the seeds cur = V(a) and
+    up = V(a + 1), by DLMF 13.3.7
+      V(a - 1) = [(w + 2a - b) V(a) - (a - b + 1) V(a + 1)]/(a - 1)
+    run downward, the stable direction (U is the minimal solution as a
+    grows).  The arguments broadcast as numpy arrays; n = steps elementwise,
+    the elements stepping together, each stopping after its own n.
+    """
+    steps = np.asarray(steps)
+    for i in range(int(steps.max(initial=0.0))):
+        go = steps > i
+        down = ((w + 2.0 * a - b) * cur - (a - b + 1.0) * up) / (a - 1.0)
+        if go.all():
+            up, cur, a = cur, down, a - 1.0
+        else:
+            up = np.where(go, cur, up)
+            cur = np.where(go, down, cur)
+            a = a - go
+    return cur
+
+
+def gamma_u(a, b, w):
+    """Signed Gamma(a) U(a, b, w) for w > 0 and b in {1/2, 1, 3/2}.
+
+    a may be a float or a 1-D array (float in, float out); an a within
+    POLE_TOL of a nonpositive integer raises PoleSignal.  A row a >= 1/2 is
+    DLMF 13.4.4's Laplace form int e^(-w t) t^-1 (1 + t)^(b-1) p^a dt,
+    p = t/(1 + t), integrated at its turn point t (w t (1 + t) = a + 1/2,
+    the peel's scale rule); a row below 1/2 comes from the rows a + n,
+    a + n + 1 (n the least with a + n >= 1/2) by gamma_u_down.  All rows
+    are points of one numerics.integrate_separable call, so a batch gives
+    each row's scalar value bit for bit.  A value is good to 1e-13
+    relative while Gamma U > 1e-120; below that, only to the node table's
+    absolute accuracy.
+    """
+    b = _check_b(b)
+    if not w > 0:
+        raise ValueError("gamma_u needs w > 0, got %g" % w)
+    a_in = np.asarray(a, dtype=float)
+    av = a_in.reshape(-1)
+    low = np.flatnonzero(av < 0.5)
+    for ai in av[low]:
+        if is_nonpositive_integer(ai):
+            raise PoleSignal("Gamma(a) U(a, b, w) pole at a = %.17g" % ai, ai)
+    steps = np.ceil(0.5 - av[low])
+    ac = av[low] + steps
+    rows = np.concatenate((av, ac + 1.0))
+    rows[low] = ac
+
+    def u(w, t):
+        return np.exp(-w * t) * (1.0 + t) ** (b - 1.0) / t
+
+    def v(a, t):
+        return np.exp(np.maximum(a * -np.log1p(1.0 / t), -700.0))
+
+    value, _ = integrate_separable(u, v, np.array([w]), rows,
+                                   _turn(w, rows + 0.5)[None, :])
+    out, up = value[0, :len(av)], value[0, len(av):]
+    out[low] = gamma_u_down(out[low], up, ac, steps, b, w)
+    return float(out[0]) if a_in.ndim == 0 else out
 
 
 def _head_modes(a0, step):
@@ -198,12 +269,9 @@ def _head_modes(a0, step):
     return n0
 
 
-def _reach(zeta, a0, step):
-    # the largest zeta_eff at which _peeled_sum's scale on the lines zeta,
-    # the t with zeta_eff t (1 + t) = c, is at least _REACH/zeta, so that
-    # e^(-zeta t) is cut off within the node table
-    c = a0 + _head_modes(a0, step) * step + 0.5
-    return c * zeta * zeta / (_REACH * (zeta + _REACH))
+# The table's last node sits near 2e11 times the scale, so a scale of at
+# least _REACH/zeta leaves e^(-zeta t) under e^-40 there
+_REACH = 2e-10
 
 
 def _peeled_sum(zeta, y, a0, step, b, alpha):
@@ -261,7 +329,7 @@ def _peeled_sum(zeta, y, a0, step, b, alpha):
         zeff = np.empty((len(zeta), ns + len(y)))
         zeff[:, :ns] = zeta[:, None]
         zeff[:, ns:] = zeta[:, None] + y / step
-        scale = 2.0 * c / (zeff + np.sqrt(zeff * (zeff + 4.0 * c)))
+        scale = _turn(zeff, c)
         if shift is None:  # rows zeta > 0, cut off by e^(-zeta t)
             np.maximum(scale, _REACH / zeta[:, None], out=scale)
         value, _ = integrate_separable(u, v, zeta, np.arange(zeff.shape[1]),
@@ -291,33 +359,30 @@ def _peeled_sum(zeta, y, a0, step, b, alpha):
     return out
 
 
-def _psi_peeled_grid(rhos, zs, E, g):
-    # Psi on the grid zs x rhos as a (z, rho) array by the peeled integral:
-    # the radial peel (zeta = z^2, y = eta rho^2) for eta >= 1 and on the
-    # rho = 0 column, where y = 0 and the axial peel's U(., 1, 0) diverges;
-    # the axial peel (zeta = eta rho^2, y = z^2) for the other columns.  A
-    # point off the rho = 0 and z = 0 lines where only one peel has its
-    # cut-off e^(-zeta t) in the node table's reach takes that peel.  Each
-    # peel sums its zeta lines in one call per set of y's they take; a
-    # point's value does not depend on the others.
-    if any(rho < 0 for rho in rhos):
-        raise ValueError("rho must be nonnegative")
-    if 0.0 in rhos and 0.0 in zs:
-        raise ValueError("Psi diverges at the origin; use contact_coefficient")
-    eta = g.eta
-    x = 0.5 * (ground_energy_offset(g) - E)
-    _check_threshold(x, eta)
+def _psi_peeled_grid(rhos, zs, x, eta):
+    # Psi at x = (E0 - E)/2 on the grid zs x rhos as a (z, rho) array by
+    # the peeled integral: the radial peel (zeta = z^2, y = eta rho^2) for
+    # eta >= 1 and on the rho = 0 column, where y = 0 and the axial peel's
+    # U(., 1, 0) diverges; the axial peel (zeta = eta rho^2, y = z^2) for
+    # the other columns.  e^(-zeta t') cuts a peel off 1/(zeta t) scales
+    # out (t its _turn scale), too far to settle where zeta t < 1e-6: a
+    # point off the rho = 0 and z = 0 lines, whose own peel is the radial
+    # one for eta >= 1 and the axial one below, takes the other peel there
+    # if that one's cut-off zeta t is 1e3 times larger or more.  Each peel
+    # sums its zeta lines in one call per set of y's they take; a point's
+    # value does not depend on the others.
     rhos, zs = np.asarray(rhos, dtype=float), np.asarray(zs, dtype=float)
     zz, rr = zs * zs, eta * rhos * rhos
     radial_args = (zz, rr, x, eta, 0.5, 0.0)
     axial_args = (rr, zz, x / eta, 1.0 / eta, 1.0, -0.5)
-    # zeta_eff = zeta + y/step is z^2 + rho^2 for the radial peel and eta
-    # times that for the axial one
-    r2 = zz[:, None] + rhos * rhos
-    radial_ok = r2 <= _reach(zz, x, eta)[:, None]
-    radial = np.where((zs != 0.0)[:, None] & (rhos != 0.0) & (
-        radial_ok != (eta * r2 <= _reach(rr, x / eta, 1.0 / eta))),
-        radial_ok, (eta >= 1.0) | (rhos == 0.0))
+    cuts = [zeta * _turn(zeta + y / step,
+                         a0 + _head_modes(a0, step) * step + 0.5)
+            for zeta, y, a0, step in ((zz[:, None], rr, x, eta),
+                                      (rr, zz[:, None], x / eta, 1.0 / eta))]
+    own, other = cuts if eta >= 1.0 else cuts[::-1]  # off the lines
+    radial = ((eta >= 1.0) | (rhos == 0.0)) != (
+        (zs != 0.0)[:, None] & (rhos != 0.0) & (own < 1e-6)
+        & (other >= 1e3 * own))
     out = np.empty(radial.shape)
     for lines, view, args, pref in ((radial, out, radial_args, eta),
                                     (~radial.T, out.T, axial_args, 1.0)):
@@ -345,17 +410,18 @@ def psi_peeled(rho, z, E, g):
     of its coefficients Gamma(a_m) U(a_m, b, zeta): the modes with
     a_m >= 1/2 by the Laguerre generating function, as one integral on the
     exp-sinh node table, and the few below 1/2 from Gamma U seeds
-    integrated in the same pass and recurred down (specfun.gamma_u_down).
+    integrated in the same pass and recurred down (gamma_u_down).
     Both series lines, z = 0 and rho = 0, are in its domain; the origin
     raises ValueError, and E on a threshold (x = (E0 - E)/2 a pole of F)
     raises PoleSignal.  It is the 1 x 1 case of sample_grid's peeled grid,
     so a grid sample equals this value.  Like psi_integral it carries no
     relative accuracy far below the quadrature's absolute floor.  Where
-    the peel's cut-off e^(-zeta t) lies out of the node table's reach,
-    close to but off the rho = 0 axis or the z = 0 plane, the point takes
-    the other peel.
+    the peel's cut-off e^(-zeta t) lies too far out on the node table to
+    settle, close to but off the rho = 0 axis or the z = 0 plane, the
+    point takes the other peel; within a few 1e-6 of the origin neither
+    peel settles, and the point raises QuadratureError.
     """
-    return float(_psi_peeled_grid((rho,), (z,), E, g)[0, 0])
+    return _point(rho, z, E, g, "peeled")
 
 
 # Largest coefficient block; the cost per row is flat past ~30 rows.
@@ -464,18 +530,14 @@ def _sum_terms(terms, trunc, label, osc_x, decay_beta):
                       total, abs(hist[-1]), trunc.max_terms)
 
 
-def _series_line(route, c, others, E, g, trunc):
-    # Psi along one grid line by one series: a z row (c = z, others the
-    # rho's) for the radial series, a rho column (c = rho, others the z's)
-    # for the axial one.  Term m is Gamma(a_m) U(a_m, b, arg) L_m^(alpha)(y),
-    # the coefficient depending on c only, so the line shares one sequence
-    # of them; the envelope decays like exp(-beta sqrt(m)) and the Laguerre
-    # factor sets the oscillation.  x = (E0 - E)/2.
-    eta = g.eta
-    x = 0.5 * (ground_energy_offset(g) - E)
+def _series_line(route, c, others, x, eta, trunc):
+    # Psi along one grid line by one series, at x = (E0 - E)/2: a z row
+    # (c = z, others the rho's) for the radial series, a rho column (c =
+    # rho, others the z's) for the axial one.  Term m is Gamma(a_m)
+    # U(a_m, b, arg) L_m^(alpha)(y), the coefficient depending on c only,
+    # so the line shares one sequence of them; the envelope decays like
+    # exp(-beta sqrt(m)) and the Laguerre factor sets the oscillation.
     if route == "radial_series":
-        if any(rho < 0 for rho in others):
-            raise ValueError("rho must be nonnegative")
         if c == 0.0:
             raise ValueError("radial series is conditionally convergent at "
                              "z = 0; use the integral or axial route")
@@ -486,7 +548,7 @@ def _series_line(route, c, others, E, g, trunc):
         beta, pref = 2.0 * abs(c) * math.sqrt(eta), eta
         ys = [eta * rho * rho for rho in others]
     else:
-        if c <= 0:
+        if c == 0.0:
             raise ValueError("axial series needs rho > 0 "
                              "(U(., 1, 0) diverges)")
 
@@ -495,7 +557,6 @@ def _series_line(route, c, others, E, g, trunc):
         b, arg, alpha = 1.0, eta * c * c, -0.5
         beta, pref = 2.0 * c, 1.0
         ys = [z * z for z in others]
-    _check_threshold(x, eta)
     coef = _Coefficients(a_of, b, arg, trunc, beta,
                          min((y for y in ys if y > 0.0), default=0.0))
     return [pref * math.exp(-0.5 * (arg + y)) * _PREF
@@ -514,7 +575,7 @@ def psi_series_radial(rho, z, E, g, trunc=SeriesTruncation()):
     coefficients come in blocks from one gamma_u call each, the first sized
     to the terms the sum takes; it adds them under the tail control.
     """
-    return _series_line("radial_series", z, (rho,), E, g, trunc)[0]
+    return _point(rho, z, E, g, "radial_series", trunc)
 
 
 def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
@@ -526,7 +587,41 @@ def psi_series_axial(rho, z, E, g, trunc=SeriesTruncation()):
     so the rho = 0 axis is rejected for this route.  Coefficients and sum
     as for psi_series_radial.
     """
-    return _series_line("axial_series", rho, (z,), E, g, trunc)[0]
+    return _point(rho, z, E, g, "axial_series", trunc)
+
+
+def _grid(rhos, zs, E, g, route, trunc=SeriesTruncation()):
+    # (route, Psi on the grid zs x rhos as a (z, rho) array), the one entry
+    # of every Psi value: the route by energy when route is None, else one
+    # of ROUTES; rho < 0 and the origin rejected; the integral's E < E0, or
+    # for every other route E off the thresholds, checked once per grid;
+    # then the route's kernel, the series rejecting only their own line
+    e0, eta = ground_energy_offset(g), g.eta
+    if route is None:
+        route = "integral" if E < e0 else "peeled"
+    elif route not in ROUTES:
+        raise ValueError("unknown route %r" % (route,))
+    if any(rho < 0 for rho in rhos):
+        raise ValueError("rho must be nonnegative")
+    if 0.0 in rhos and 0.0 in zs:
+        raise ValueError("Psi diverges at the origin; use contact_coefficient")
+    if route == "integral":
+        if not E < e0:
+            raise ValueError("integral route needs E < E0 = %g" % e0)
+        return route, _psi_grid(rhos, zs, E - e0, eta)
+    x = 0.5 * (e0 - E)
+    _check_threshold(x, eta)
+    if route == "peeled":
+        return route, _psi_peeled_grid(rhos, zs, x, eta)
+    if route == "radial_series":
+        lines = [_series_line(route, z, rhos, x, eta, trunc) for z in zs]
+        return route, np.array(lines).reshape(len(zs), len(rhos))
+    lines = [_series_line(route, rho, zs, x, eta, trunc) for rho in rhos]
+    return route, np.array(lines).reshape(len(rhos), len(zs)).T
+
+
+def _point(rho, z, E, g, route, trunc=SeriesTruncation()):
+    return float(_grid((rho,), (z,), E, g, route, trunc)[1][0, 0])
 
 
 def psi(rho, z, E, g, route=None, trunc=SeriesTruncation()):
@@ -535,19 +630,13 @@ def psi(rho, z, E, g, route=None, trunc=SeriesTruncation()):
     Below E0 the proper-time integral (psi_integral), otherwise the peeled
     integral (psi_peeled), which holds on the z = 0 and rho = 0 lines too.
     route names one of ROUTES instead; trunc applies to the series routes
-    only, which stay as reference routes.
+    only, which stay as reference routes.  Each route is the 1 x 1 case of
+    sample_grid, so a point and a grid holding it raise the same error.
+    Above E0, within a few 1e-6 of the origin (rho and |z| both that
+    small) neither peel's integral settles, and the point raises
+    QuadratureError.
     """
-    if route is None:
-        route = "integral" if E < ground_energy_offset(g) else "peeled"
-    if route == "integral":
-        return psi_integral(rho, z, E, g)
-    if route == "peeled":
-        return psi_peeled(rho, z, E, g)
-    if route == "radial_series":
-        return psi_series_radial(rho, z, E, g, trunc)
-    if route == "axial_series":
-        return psi_series_axial(rho, z, E, g, trunc)
-    raise ValueError("unknown route %r" % (route,))
+    return _point(rho, z, E, g, route, trunc)
 
 
 def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
@@ -560,26 +649,14 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
     scale, and psi_integral or psi_peeled its 1 x 1 case, so each sample is
     the point value; a grid holding a point outside the domain raises the
     point route's error, and a sample under the quadrature's absolute floor
-    has no relative accuracy.  A series route runs the psi_series_* kernel
-    once per z row (radial) or rho column (axial), the line sharing one
-    coefficient sequence, so each sample is the point-wise value.
+    has no relative accuracy.  Above E0 a point within a few 1e-6 of the
+    origin raises QuadratureError, as in psi.  A series route sums once per
+    z row (radial) or rho column (axial), the line sharing one coefficient
+    sequence, so each sample is the point-wise value.
     """
-    if route is None:
-        route = "integral" if E < ground_energy_offset(g) else "peeled"
+    route, values = _grid(rhos, zs, E, g, route, trunc)
     coords = tuple((rho, z) for z in zs for rho in rhos)
-    if route == "integral":
-        values = _psi_grid(rhos, zs, E, g).ravel().tolist()
-    elif route == "peeled":
-        values = _psi_peeled_grid(rhos, zs, E, g).ravel().tolist()
-    elif route == "radial_series":
-        values = [v for z in zs
-                  for v in _series_line(route, z, rhos, E, g, trunc)]
-    elif route == "axial_series":
-        cols = [_series_line(route, rho, zs, E, g, trunc) for rho in rhos]
-        values = [v for row in zip(*cols) for v in row]
-    else:
-        raise ValueError("unknown route %r" % (route,))
-    return ProfileSamples(coords, tuple(values), route)
+    return ProfileSamples(coords, tuple(values.ravel().tolist()), route)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,21 @@ def test_resonance_with_nonfinite_parameters_is_usage_error(params):
     assert _run(["spectrum", "--eta", "1", "--resonance", params]) == 1
 
 
+@pytest.mark.parametrize("flags, field, want", [
+    (["--inv-a-min", "-1e9", "--inv-a-max", "1e9", "--inv-a-steps", "5"],
+     "inv_a_grid", (-1e9, 1e9, 5)),
+    (["--a", "1", "--window-min", "-2.5E-3", "--window-max", "9"],
+     "window", (-2.5e-3, 9.0)),
+    (["--inv-a-min", "-inf", "--inv-a-max", "1"],
+     "inv_a_grid", (-math.inf, 1.0, 161)),
+    (["--resonance", "-1.0,0.5,3.0"], "resonance", (-1.0, 0.5, 3.0))])
+def test_negative_values_in_any_float_form_are_values(flags, field, want):
+    # argparse alone reads only -1 and -1.5 as values and takes -1e9,
+    # -2.5E-3, -inf and -1.0,0.5,3.0 for flags ("expected one argument")
+    cfg = cli.parse(["spectrum", "--eta", "2.37"] + flags)
+    assert getattr(cfg, field) == want
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["spectrum", "--help"]) == 0
     assert "--resonance" in capsys.readouterr().out
@@ -105,7 +120,6 @@ def test_fig1_rows_equal_per_cell_solves(capsys):
     window = _default_window(g, 3, inv_grid)
     for row, inv_a in zip(rows, inv_grid):
         assert "NA" not in row.split(",")
-        solver._pole_xs.cache_clear()
         solver._window_walk.cache_clear()
         levels = eigenenergies(InteractionModel.from_inverse_a(inv_a), g,
                                window=window, max_levels=3)

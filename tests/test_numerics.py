@@ -1,5 +1,7 @@
 """Quadrature and root finding contracts."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -82,6 +84,21 @@ def test_node_layout_stays_in_numerics():
               "_ES_W_ODD", "_rule", "_settle"}
     for module in (cli, solver, spectral, specfun, wavefn):
         assert not layout & set(vars(module)), module.__name__
+
+
+def test_specfun_imports_neither_numpy_nor_numerics():
+    # the level path's special functions stay plain-float: specfun.py
+    # imports neither numpy nor the quadrature module
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(specfun))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported
+                if name.split(".")[0] == "numpy"
+                or name.split(".")[-1] == "numerics"}
 
 
 def test_separable_rule_matches_closed_form():

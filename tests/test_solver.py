@@ -241,20 +241,26 @@ def test_eigenenergies_sorted_and_residual():
 
 
 def test_pole_grid_built_once_per_window():
-    # the cells of a sweep share (eta, window), so the pole grid is built
-    # once: a repeat call returns the same tuples, and the levels found on
-    # the kept grid are those found on a fresh one
+    # the cells of a sweep share (eta, window), so its walk (the pole grid,
+    # the residues and the memo of F) is built once: a repeat call returns
+    # the same tuple, and the levels found on the kept walk are those found
+    # on a fresh one
     g = TrapGeometry(2.37)
     window = (-3.0, 9.0)
-    first = solver._pole_xs(2.37, -2.0)
-    assert solver._pole_xs(2.37, -2.0) is first
-    assert isinstance(first[0], tuple) and isinstance(first[1], tuple)
+    e0 = ground_energy_offset(g)
+    x_lo, x_hi = (e0 - window[1]) / 2.0, (e0 - window[0]) / 2.0
+    solver._window_walk.cache_clear()
+    first = solver._window_walk(2.37, x_lo, x_hi)
+    assert solver._window_walk(2.37, x_lo, x_hi) is first
+    cuts, residues, _ = first
+    assert isinstance(cuts, tuple) and cuts[0] == math.inf
+    assert list(residues) == list(cuts[1:])
     for inv_a in (-1.3, 0.0, 0.7):
         model = InteractionModel.from_inverse_a(inv_a)
-        solver._pole_xs.cache_clear()
+        solver._window_walk.cache_clear()
         fresh = eigenenergies(model, g, window=window, max_levels=6)
         kept = eigenenergies(model, g, window=window, max_levels=6)
-        assert solver._pole_xs.cache_info().hits >= 1
+        assert solver._window_walk.cache_info().hits >= 1
         assert kept == fresh
 
 
@@ -572,19 +578,25 @@ def test_levels_do_not_depend_on_the_window_memo(eta, inv_as, levels):
     # the levels are a function of (eta, a, window): a cell solved after
     # others at its window, the memo warm, equals a cell solved with the
     # memo cleared, on the recurrence (generic eta) and pancake (integer
-    # 1/eta) kernels
+    # 1/eta) kernels; so does a self-consistent solve, which walks the
+    # same cached poles
     g = TrapGeometry(eta)
     window = solver._default_window(g, levels, inv_as)
     models = [InteractionModel.from_inverse_a(v) for v in inv_as]
+    resonance = InteractionModel.from_resonance(0.5, 0.3, 3.5)
+
+    def solve(m):
+        fn = eigenenergies if m is not resonance else solve_self_consistent
+        return fn(m, g, window=window, max_levels=levels)
+
     solver._window_walk.cache_clear()
-    warm = [eigenenergies(m, g, window=window, max_levels=levels)
-            for m in models]
+    warm = [solve(m) for m in models + [resonance]]
     cold = []
-    for m in models:
+    for m in models + [resonance]:
         solver._window_walk.cache_clear()
-        cold.append(eigenenergies(m, g, window=window, max_levels=levels))
+        cold.append(solve(m))
     assert warm == cold
-    assert all(len(lv) == levels for lv in cold)
+    assert all(len(lv) == levels for lv in cold[:-1])
 
 
 @pytest.mark.parametrize("solve, model", [

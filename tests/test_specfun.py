@@ -7,7 +7,8 @@ stale oracle cannot hide a regression.  Digamma rows are read against
 specfun.digamma; K0 rows against scipy.special.k0, a test-only reference
 (the library no longer imports scipy).  Kummer's U, the D_nu rows included
 (through their Kummer-U identity), is read as gamma_u(a, b, x) * rgamma(a),
-the library's signed Gamma U kernel over Gamma(a), with scipy's rgamma.
+the library's signed Gamma U kernel (wavefn.gamma_u, beside the peeled
+integral that shares its Laplace form) over Gamma(a), with scipy's rgamma.
 rising_half, the gamma kernel behind every ladder of F, is held to its own
 stated rounding bound against 40-digit mpmath.
 """
@@ -24,9 +25,10 @@ from scipy.special import k0, rgamma
 
 from conftest import args_of, fval, oracle_values
 from pairtrap.specfun import (SQRT_PI, PoleSignal, digamma, gamma_ratio,
-                              gamma_u, hurwitz_zeta_half, hyp2f1_one,
+                              hurwitz_zeta_half, hyp2f1_one,
                               is_nonpositive_integer, laguerre_iter,
                               rising_half)
+from pairtrap.wavefn import gamma_u
 
 ORA = oracle_values("specfun_oracle.out")
 

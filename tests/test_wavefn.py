@@ -18,18 +18,19 @@ from scipy.special import k0
 
 from conftest import args_of, fval, oracle_values
 from pairtrap import numerics
-from pairtrap.numerics import NumericsError, SeriesError
+from pairtrap.numerics import NumericsError, QuadratureError, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies,
                              ground_energy_offset)
 from pairtrap import wavefn
-from pairtrap.specfun import PoleSignal, gamma_u, laguerre_iter
+from pairtrap.specfun import PoleSignal, laguerre_iter
 from pairtrap.spectral import SpectralArgument, f_eval
 from pairtrap.wavefn import (ProfileSamples, SeriesTruncation, _sum_terms,
                              contact_coefficient, contact_scattering_length,
-                             norm_squared_exact, normalize, profile_quasi1d,
-                             profile_quasi2d, psi, psi_integral, psi_peeled,
-                             psi_series_axial, psi_series_radial, sample_grid)
+                             gamma_u, norm_squared_exact, normalize,
+                             profile_quasi1d, profile_quasi2d, psi,
+                             psi_integral, psi_peeled, psi_series_axial,
+                             psi_series_radial, sample_grid)
 
 ORA1 = oracle_values("wavefn_oracle.out")
 ORA2 = oracle_values("wavefn_oracle2.out")
@@ -776,14 +777,26 @@ def test_excited_mode_dominance_eta001(energies):
 def test_psi_integral_domain(energies):
     e = energies["A"]
     e0 = ground_energy_offset(G2)
-    # a point, and a grid holding it, raise the same error
-    for rho, z, energy in ((-0.1, 0.5, e), (0.0, 0.0, e), (0.5, 0.5, e0),
-                           (0.5, 0.5, e0 + 0.3)):
-        with pytest.raises(ValueError) as point:
-            psi_integral(rho, z, energy, G2)
-        with pytest.raises(ValueError) as grid:
-            sample_grid((0.3, rho), (z, 0.7), energy, G2, route="integral")
-        assert str(grid.value) == str(point.value)
+    # on every route a point, and a grid holding it, raise the same error:
+    # rho < 0, the origin, and E on a threshold (E0 and E0 + 2 at eta = 2),
+    # and for the integral any E >= E0
+    for route, point_fn in (("integral", psi_integral),
+                            ("peeled", psi_peeled),
+                            ("radial_series", psi_series_radial),
+                            ("axial_series", psi_series_axial)):
+        cases = [(-0.1, 0.5, e), (0.0, 0.0, e), (0.5, 0.5, e0),
+                 (0.5, 0.5, e0 + 2.0)]
+        if route == "integral":
+            cases.append((0.5, 0.5, e0 + 0.3))
+        for rho, z, energy in cases:
+            with pytest.raises((ValueError, PoleSignal)) as point:
+                point_fn(rho, z, energy, G2)
+            with pytest.raises((ValueError, PoleSignal)) as grid:
+                sample_grid((0.3, rho), (z, 0.7), energy, G2, route=route)
+            assert type(grid.value) is type(point.value)
+            assert str(grid.value) == str(point.value)
+            assert isinstance(point.value, PoleSignal) == (
+                energy != e and route != "integral")
 
 
 def test_series_domain(energies):
@@ -894,26 +907,21 @@ def test_sample_grid_series_routes(route, energies):
         _close(got, want, 1e-10)
 
 
-def test_psi_swaps_series_on_the_rejected_line(monkeypatch):
-    # above E0 psi takes the peeled integral by its module name, on the
-    # lines each series rejects too, and agrees with the series that
-    # converges there
+def test_psi_swaps_series_on_the_rejected_line():
+    # above E0 the default route is the peeled integral, on the lines each
+    # series rejects too, and it agrees with the series that converges
+    # there
     trunc = SeriesTruncation(max_terms=4000, tail_tol=1e-12)
-    calls = []
-    for name in ("psi_peeled", "psi_series_radial", "psi_series_axial"):
-        fn = getattr(wavefn, name)
-        monkeypatch.setattr(wavefn, name,
-                            lambda *a, _n=name, _f=fn: calls.append(_n)
-                            or _f(*a))
     for g, rho, z, fn in (
             (G2, 0.5, 0.0, psi_series_axial),
             (G2, 0.5, 0.4, psi_series_radial),
             (G05, 0.0, 1.0, psi_series_radial),
             (G05, 0.5, 0.4, psi_series_axial)):
         e = ground_energy_offset(g) + 0.3
-        calls.clear()
+        samples = sample_grid((rho,), (z,), e, g, trunc=trunc)
+        assert samples.method == "peeled"
         got = psi(rho, z, e, g, trunc=trunc)
-        assert calls == ["psi_peeled"]
+        assert samples.values == (got,)
         _close(got, fn(rho, z, e, g, trunc), 1e-10)
 
 
@@ -1015,6 +1023,35 @@ def test_peeled_near_a_line_takes_the_other_peel(eta, de, rho, z):
     samples = sample_grid(rhos, zs, e, g)
     assert samples.values == tuple(psi_peeled(r, c, e, g)
                                    for r, c in samples.coordinates)
+
+
+@pytest.mark.parametrize("eta, de, rho, z", [
+    (0.5, 0.3, 1e-6, 0.3), (0.5, 0.3, 3e-6, 0.3), (0.5, 0.3, 1e-5, 0.3),
+    (0.5, 0.3, 3e-5, 0.3), (0.5, 0.3, 1e-4, 0.3), (0.5, 0.3, 3e-4, 0.3),
+    (0.5, 0.3, 7e-4, 0.3), (0.8, 1.1, 3e-4, 0.3), (0.2, 0.1, 1e-4, 0.3),
+    (0.05, 0.05, 3e-4, 0.5)])
+def test_peeled_answers_in_the_band_near_the_axis(eta, de, rho, z):
+    # at eta < 1 a band off the axis, rho sqrt(eta) from about 1e-6 to
+    # 7e-4, has the axial peel's cut-off zeta t within the node table's
+    # reach but too small to settle; the radial peel's is 1e3 times larger
+    # or more, and answers.  Psi moves like rho^2 off the axis, by at most
+    # 1.3e-7 relative at rho <= 1e-4
+    g = TrapGeometry(eta)
+    e = ground_energy_offset(g) + de
+    got = psi(rho, z, e, g)
+    assert math.isfinite(got)
+    if rho <= 1e-4:
+        _close(got, psi(0.0, z, e, g), 1e-6)
+
+
+def test_peeled_has_no_answer_next_to_the_origin():
+    # above E0, within a few 1e-6 of the origin neither peel's integral
+    # settles: the point raises and returns no value, alone or in a grid
+    e = ground_energy_offset(G2) + 0.3
+    with pytest.raises(QuadratureError):
+        psi(1e-6, 1e-6, e, G2)
+    with pytest.raises(QuadratureError):
+        sample_grid((1e-6, 0.5), (1e-6,), e, G2)
 
 
 def test_peeled_route_pole_flagged():
