@@ -5,6 +5,8 @@ Sweeps are parameterized by 1/a so unitarity is an interior grid point.  CSV
 uses a single header line, comma separators, 12 significant digits, and NA
 for missing cells (no root in window, rejected coordinate).  Exit codes:
 0 success, 1 usage error, 2 numerical failure, 3 check-suite failure.
+The wavefunction commands and the check import wavefn (and with it numpy)
+when they run; the level commands at eta >= 0.1 load no numpy.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .numerics import NumericsError
+from .numerics import NumericsError, SeriesTruncation
 from .solver import (InteractionModel, NoBoundState, TrapGeometry,
                      _check_window, _default_window, bound_state_exact,
                      eigenenergies, ground_energy_offset,
@@ -25,9 +27,6 @@ from .solver import (InteractionModel, NoBoundState, TrapGeometry,
 from .specfun import SQRT_PI, PoleSignal, gamma_ratio
 from .spectral import (SpectralArgument, f_cigar, f_eval, f_integral,
                        f_pancake, f_recurrence_extend, phi)
-from .wavefn import (SeriesTruncation, gamma_u, profile_quasi1d,
-                     profile_quasi2d, psi, psi_integral, psi_peeled,
-                     psi_series_axial, psi_series_radial)
 
 COMMANDS = ("spectrum", "bound", "wavefunction", "fig1", "fig2", "check")
 _FIG1_GRID = (-4.0, 4.0, 161)
@@ -69,8 +68,10 @@ class RunConfig:
                            ("grid", self.coord_grid)):
             if grid is not None:
                 lo, hi, steps = grid
-                if not (steps >= 1 and lo <= hi
-                        and (steps == 1 or lo < hi)):
+                # a NaN end is not out of order: the run rejects every
+                # end that is not finite (_grid_points)
+                if not (steps >= 1 and not lo > hi
+                        and (steps == 1 or lo != hi)):
                     raise ValueError("%s grid must be monotone with at least "
                                      "one point" % name)
         if self.window is not None and not self.window[0] < self.window[1]:
@@ -120,6 +121,17 @@ def _linspace(lo, hi, steps):
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
+def _grid_points(name, grid):
+    # the points of a (min, max, steps) grid; an end that is not finite
+    # fails the run (exit 2), as an unbounded window does, instead of
+    # giving NaN points
+    lo, hi, steps = grid
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("%s grid ends must be finite, not [%r, %r]"
+                         % (name, lo, hi))
+    return _linspace(lo, hi, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +347,8 @@ def _bound_cell(task):
 
 
 def _wavefn_cell(task):
+    from .wavefn import profile_quasi1d, profile_quasi2d, psi
+
     eta, energy, axis, coord = task
     g = TrapGeometry(eta)
     rho, z = (0.0, coord) if axis == "axial" else (coord, 0.0)
@@ -382,7 +396,7 @@ def run_spectrum(cfg):
         es += [None] * (cfg.levels - len(es))
         return CsvTable(header, ((None,) + tuple(es),))
     if cfg.inv_a_grid is not None:
-        inv_grid = _linspace(*cfg.inv_a_grid)
+        inv_grid = _grid_points("1/a", cfg.inv_a_grid)
     else:
         inv_grid = [1.0 / cfg.a] if cfg.a != 0 else [math.inf]
     window = cfg.window or _default_window(g, cfg.levels, inv_grid)
@@ -399,7 +413,7 @@ def run_spectrum(cfg):
 def run_bound(cfg):
     """Bound level below E0 per 1/a grid point; NA when no root exists."""
     if cfg.inv_a_grid is not None:
-        inv_grid = _linspace(*cfg.inv_a_grid)
+        inv_grid = _grid_points("1/a", cfg.inv_a_grid)
     elif cfg.a is not None:
         inv_grid = [1.0 / cfg.a] if cfg.a != 0 else [math.inf]
     else:
@@ -446,7 +460,8 @@ def run_wavefunction(cfg):
     """Profile along one axis: coordinate, psi_exact, psi_asymptotic."""
     g = TrapGeometry(cfg.eta)
     energy = _ground_energy(cfg, g)
-    grid = _linspace(*(cfg.coord_grid or _wavefn_grid(cfg.axis, cfg.eta)))
+    grid = _grid_points("coordinate",
+                        cfg.coord_grid or _wavefn_grid(cfg.axis, cfg.eta))
     return _wavefn_table(cfg.eta, energy, cfg.axis, grid, cfg.threads)
 
 
@@ -475,6 +490,9 @@ def run_fig2(cfg):
 
 def _check_battery(fast):
     """Cross-route invariants; returns (name, measured, tol, ok) records."""
+    from .wavefn import (gamma_u, psi_integral, psi_peeled,
+                         psi_series_axial, psi_series_radial)
+
     records = []
 
     def add(name, measured, tol):

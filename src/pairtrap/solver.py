@@ -103,7 +103,8 @@ class InteractionModel:
 
     @staticmethod
     def from_inverse_a(inv_a):
-        return FixedLength(float(inv_a) if math.isfinite(inv_a) else math.inf)
+        # +-inf is a = 0, the noninteracting limit; NaN is rejected
+        return FixedLength(math.inf if math.isinf(inv_a) else float(inv_a))
 
     @staticmethod
     def from_resonance(a_bg, gamma, e_res):

@@ -22,16 +22,22 @@ F's residue there is eta C(2j, j)/4^j, summed over the (j, k) that meet at
 the pole.  pole_grid carries these residues; the solver uses them as the
 end values of its pole-cleared root searches.
 
-The integral route runs each x on the node table at the power of two 2^k
-nearest 1/x.  It runs at request time only to build, on first use, one
-Chebyshev interpolant per eta: of sqrt(x) (F + 2 sqrt(pi x)) in w = T/x,
-T = max(eta, 1)/2, which serves every recurrence's terminal point and
-every bound-side point, all of them at x >= T.
+Every recurrence's terminal point and every bound-side point, all of them
+at x >= T = max(eta, 1)/2, read F from one Chebyshev interpolant per eta:
+of sqrt(x) (F + 2 sqrt(pi x)) in w = T/x, built on first use.  From
+eta = 0.1 on the build is plain Python: each fit point climbs the gamma
+ladder to x - 1/4 - eta/2 >= 6 max(eta, 1) and adds F's large-x series
+there (Watson's lemma on the integrand's small-t series), so the level
+path imports no numpy.  Below eta = 0.1, where that ladder grows like
+1/eta, the fit comes from the defining integral on the quadrature module's
+node table, each x at the power of two 2^k nearest 1/x; f_integral, phi
+and that build import numpy and the quadrature on first use.
 
-Every gamma ladder of F (recurrence, pancake, cigar lift, quasi-1D term)
-is one _ladder_sums call: one specfun.rising_half call for every
-(element, step), summed per element in step order with the kernel's
-rounding bound carried into est_error, and PoleSignal at a ladder pole.
+Every gamma ladder of F (recurrence, pancake, cigar lift, quasi-1D term,
+the interpolant's build) is one _ladder_sums call: one specfun.rising_half
+call for every (element, step), summed per element in step order with the
+kernel's rounding bound carried into est_error, and PoleSignal at a ladder
+pole.
 f_eval_many evaluates F at many x of one eta in one kernel call per route,
 the recurrence's terminal values from the interpolant; each kernel works
 in plain floats, and f_values hands the level searches its values without
@@ -48,11 +54,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import truediv
+from operator import mul, truediv
 
-import numpy as np
-
-from .numerics import NumericsError, integrate
+from .numerics import NumericsError
 from .specfun import (
     POLE_TOL,
     PoleSignal,
@@ -112,28 +116,42 @@ class PoleGrid:
     residues: tuple
 
 
-# log q(s), q(s) = (1 - e^(-s))/s, is -s/2 - sum_n c_n s^2n with
-# c_n = -B_2n / (2n (2n)!), listed from n = 7 down to n = 1.  The log of a
-# quotient near 1 carries an absolute error of an ulp, a relative error of
-# 1e-16/s, and the node table reaches s = 1e-51; so below s = 1/2 the
-# series is used, where seven terms leave a relative error under 1e-17.
+def _lnq_coefficients(count):
+    # c_n = -B_2n/(2n (2n)!) = (-1)^n T_n/(4^n (4^n - 1) (2n)!) for
+    # n = 1 .. count, T_n the tangent numbers (tan z's Taylor coefficients
+    # times (2n - 1)!, DLMF 4.19.4), each c_n rounded once: the T_n are
+    # integers, from Brent and Harvey's recurrence (2011), and a quotient
+    # of ints is correctly rounded
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple((-1) ** n * t[n] / (4 ** n * (4 ** n - 1)
+                                     * math.factorial(2 * n))
+                 for n in range(1, count + 1))
+
+
+# log q(s), q(s) = (1 - e^(-s))/s, is -s/2 - sum_n c_n s^2n; _LNQ_C holds
+# c_1 .. c_14 (B_2 .. B_28), and _LNQ_SERIES the first seven, listed from
+# n = 7 down to n = 1.  The log of a quotient near 1 carries an absolute
+# error of an ulp, a relative error of 1e-16/s, and the node table reaches
+# s = 1e-51; so below s = 1/2 the series is used, where seven terms leave
+# a relative error under 1e-17.
 _LNQ_SPLIT = 0.5
-_LNQ_SERIES = ((7, -1.0 / 1046139494400.0), (6, 691.0 / 15692092416000.0),
-               (5, -1.0 / 479001600.0), (4, 1.0 / 9676800.0),
-               (3, -1.0 / 181440.0), (2, 1.0 / 2880.0), (1, -1.0 / 24.0))
-
-
-def _log_q(s):
-    # log q by the quotient, for s >= _LNQ_SPLIT
-    m = -s
-    return np.log(np.expm1(m) / m)
+_LNQ_C = _lnq_coefficients(14)
+_LNQ_SERIES = tuple((n, _LNQ_C[n - 1]) for n in range(7, 0, -1))
 
 
 def _excess_log(t, eta):
     # L(t) = -log(q(t))/2 - log(q(eta t)) elementwise on an array of nodes.
     # Where both t and eta t lie below the split, one series in t:
     #   L = (1/4 + eta/2) t + sum_n c_n (1/2 + eta^2n) t^2n;
-    # above it, the quotient form, whose ulp error is small beside L.
+    # above it, the quotient form log(expm1(-s)/(-s)), whose ulp error is
+    # small beside L.
+    import numpy as np
+
     series = t < _LNQ_SPLIT / max(1.0, eta)
     out = np.empty_like(t)
     head, tail = t[series], t[~series]
@@ -144,7 +162,9 @@ def _excess_log(t, eta):
         acc *= h2
     acc += (0.25 + 0.5 * eta) * head
     out[series] = acc
-    out[~series] = -0.5 * _log_q(tail) - _log_q(eta * tail)
+    m = -tail
+    out[~series] = (-0.5 * np.log(np.expm1(m) / m)
+                    - np.log(np.expm1(eta * m) / (eta * m)))
     return out
 
 
@@ -161,6 +181,10 @@ def _integral_many(xs, eta):
     # arrays of values and estimates: one integrate call, each row on the
     # nodes at the power of two 2^k nearest 1/x, its integrand
     # e^(-x t) t^(-3/2) expm1(L(t)) with L from _excess_log
+    import numpy as np
+
+    from .quadrature import integrate
+
     for x in (min(xs), max(xs)):
         _check_range(x)
     neg_x = -np.array(xs)[:, None]
@@ -180,10 +204,11 @@ def f_integral(arg):
     takes the x-only part t^(-3/2) (e^(-x t) - 1) out exactly, as
     -2 sqrt(pi x), and integrates the rest,
     e^(-x t) t^(-3/2) expm1(-log(q(t))/2 - log(q(eta t))), which is
-    positive and decays like e^(-x t), on the numerics exp-sinh node table
-    at the power of two 2^k nearest 1/x; log q comes from its series at
-    small argument.  This is the reference f_eval's interpolant is fitted
-    to; f_eval itself runs no quadrature once it is built.
+    positive and decays like e^(-x t), on the quadrature module's exp-sinh
+    node table at the power of two 2^k nearest 1/x; log q comes from its
+    series at small argument.  This is the reference f_eval's interpolant
+    is checked against (and below eta = 0.1 fitted to); f_eval itself runs
+    no quadrature once the interpolant is built.
     """
     (value,), (est,) = _integral_many([arg.x], arg.eta)
     head = 2.0 * math.sqrt(math.pi * arg.x)
@@ -203,29 +228,118 @@ def f_integral(arg):
 # moves the sum as a change of c_k would (|T_k| <= 1), and that step's
 # operands are under sum_{j >= k} (j - k + 1) |c_j|: hence _FIT_ROUNDING.
 _FIT_N = 28
-_FIT_K = np.arange(_FIT_N)
-_FIT_THETA = (_FIT_K + 0.5) * (math.pi / _FIT_N)
-_FIT_COS = np.cos(_FIT_K[:, None] * _FIT_THETA)
+_FIT_THETA = tuple((k + 0.5) * (math.pi / _FIT_N) for k in range(_FIT_N))
+_FIT_W = tuple(0.5 + 0.5 * math.cos(theta) for theta in _FIT_THETA)
+_FIT_COS = tuple(tuple(math.cos(k * theta) for theta in _FIT_THETA)
+                 for k in range(_FIT_N))
 _FIT_LEBESGUE = 2.0 / math.pi * math.log(_FIT_N) + 1.0
-_FIT_ROUNDING = 2.0 ** -50 * (1.0 + 0.5 * _FIT_K * (_FIT_K + 1.0))
+_FIT_ROUNDING = tuple(2.0 ** -50 * (1.0 + 0.5 * k * (k + 1.0))
+                      for k in range(_FIT_N))
+
+# From eta = _TAIL_MIN_ETA on, H at the fit points comes from F's large-x
+# series, with no quadrature.  With x' = x - 1/4 - eta/2, F's integrand is
+# t^(-3/2) (e^(-x' t) e^(S(t^2)) - 1), S(u) = sum_n a_n u^n,
+# a_n = c_n (1/2 + eta^2n); with e^(S(u)) = sum_j d_j u^j, Watson's lemma
+# (DLMF 2.3(ii)) gives F ~ -2 sqrt(pi x') + sum_j d_j Gamma(2j - 1/2)
+# x'^-(2j - 1/2).  S converges out to t = 2 pi/max(eta, 1), so at
+# x' >= _TAIL_REACH max(eta, 1) the terms j <= 14 (c_n to B_28) leave out
+# under 3e-17 |F| (at eta = 1, the worst), and each fit point first climbs
+# the gamma ladder F(x) = eta sqrt(pi) G(x) + F(x + eta) to there.  Below
+# _TAIL_MIN_ETA that ladder grows like 1/eta, and the fit comes from the
+# defining integral instead.
+_TAIL_MIN_ETA = 0.1
+_TAIL_REACH = 6.0
+_TAIL_GAMMA = tuple(math.gamma(2 * j - 0.5)
+                    for j in range(1, len(_LNQ_C) + 1))
+
+
+def _chebyshev_fit(hs, errs):
+    # H's interpolant from its values hs at the points w = _FIT_W and
+    # their error estimates errs, in plain floats and with no BLAS product:
+    # (c_N-1 .. c_1, c_0/2, est), est the node errors times the Lebesgue
+    # bound, the Chebyshev series' tail and the rounding
+    coefs = [(2.0 / _FIT_N) * sum(map(mul, row, hs)) for row in _FIT_COS]
+    est = (_FIT_LEBESGUE * max(errs) + 2.0 * sum(map(abs, coefs[-2:]))
+           + sum(map(mul, _FIT_ROUNDING, map(abs, coefs))))
+    return tuple(coefs[:0:-1]), 0.5 * coefs[0], est
+
+
+def _tail_coefficients(eta):
+    # e_j = d_j Gamma(2j - 1/2) for j = 1 .. 14, the d_j from
+    # j d_j = sum_n n a_n d_(j-n), d_0 = 1
+    na = [n * c * (0.5 + eta ** (2 * n)) for n, c in enumerate(_LNQ_C, 1)]
+    d = [1.0]
+    for j in range(1, len(na) + 1):
+        d.append(sum(map(mul, na, reversed(d))) / j)
+    return tuple(map(mul, d[1:], _TAIL_GAMMA))
+
+
+def _tail(xp, e):
+    # F + 2 sqrt(pi x') at x' from the series, sum_j e_j x'^-(2j - 1/2),
+    # and the size of its last term
+    u = 1.0 / (xp * xp)
+    acc = 0.0
+    for c in reversed(e):
+        acc = (acc + c) * u
+    root = math.sqrt(xp)
+    return root * acc, root * abs(e[-1]) * u ** len(e)
+
+
+def _tail_fit(eta):
+    # H at the fit points from one ladder call and the series: per point,
+    # F(x) + 2 sqrt(pi x) = eta sqrt(pi) sum G + 2 sqrt(pi) ((sqrt(y)
+    # - sqrt(y')) - (sqrt(y) - sqrt(x))) + tail(y'), y the ladder's top and
+    # y' = y - 1/4 - eta/2, each difference of roots taken as a quotient
+    # so that no head 2 sqrt(pi y) cancels.  A node's error estimate is
+    # four ulps of its parts' sizes, the ladder's terms included, plus the
+    # series' last term.  It is an estimate, not rising_half's bound of 16
+    # or 32 ulps a term below a = 16, a worst case met next to poles and
+    # where a + 1/2 rounds, which would put the fit's est over f_eval's
+    # 1e-13 (1 + |F|): at these positive arguments the terms are within
+    # 6 ulps (up to 26 where a + 1/2 crosses 8 or 16), and against 32-digit
+    # mpmath every node at eta = 0.1, 0.37, 1, 1.3, 2.37, 10 and 100 lay
+    # within 0.6 of its estimate
+    cap = max(eta, 1.0)
+    xs = [0.5 * cap / w for w in _FIT_W]
+    shift = 0.25 + 0.5 * eta
+    reach = _TAIL_REACH * cap + shift
+    ms = [max(0, math.ceil((reach - x) / eta)) for x in xs]
+    ladders = _ladder_sums(xs, _ladder_offsets(max(ms), eta), ms, False)
+    e = _tail_coefficients(eta)
+    coef, head_coef = eta * SQRT_PI, 2.0 * SQRT_PI
+    hs, errs = [], []
+    for x, m, (total, _) in zip(xs, ms, ladders):
+        y = x + m * eta
+        yp = y - shift
+        root, root_y = math.sqrt(x), math.sqrt(y)
+        tail, last = _tail(yp, e)
+        parts = (coef * total,
+                 -head_coef * (y - x) / (root + root_y),
+                 head_coef * shift / (root_y + math.sqrt(yp)), tail)
+        hs.append(root * sum(parts))
+        errs.append(root * (2.0 ** -50 * sum(map(abs, parts)) + last))
+    return _chebyshev_fit(hs, errs)
+
+
+def _quadrature_fit(eta):
+    # H at the fit points from one integral batch, taken before the head
+    # 2 sqrt(pi x) comes off: that head's rounding, times sqrt(x), would
+    # grow like eps x
+    xs = [0.5 * max(eta, 1.0) / w for w in _FIT_W]
+    values, ests = _integral_many(xs, eta)
+    roots = list(map(math.sqrt, xs))
+    return _chebyshev_fit(list(map(mul, roots, values.tolist())),
+                          list(map(mul, roots, ests.tolist())))
 
 
 @lru_cache(maxsize=FIT_CACHE_SIZE)
 def _terminal_fit(eta):
-    # H's interpolant at the points w = (1 + cos(theta_j))/2, with no BLAS
-    # product: (c_N-1 .. c_1, c_0/2, est), est the node ests times the
-    # Lebesgue bound, tail and rounding.  Its one integral batch is taken
-    # before the head 2 sqrt(pi x) comes off: that head's rounding, times
-    # sqrt(x), would grow like eps x
-    xs = 0.5 * max(eta, 1.0) / (0.5 + 0.5 * np.cos(_FIT_THETA))
-    values, ests = _integral_many(xs.tolist(), eta)
-    root = np.sqrt(xs)
-    coefs = (2.0 / _FIT_N) * (_FIT_COS * (root * values)).sum(axis=1)
-    coefs = coefs.tolist()
-    est = float(_FIT_LEBESGUE * (root * ests).max()
-                + 2.0 * sum(map(abs, coefs[-2:]))
-                + (_FIT_ROUNDING * np.abs(coefs)).sum())
-    return tuple(coefs[:0:-1]), 0.5 * coefs[0], est
+    # H's interpolant for eta in the form _fit_value reads: from
+    # _TAIL_MIN_ETA on from the gamma ladder and the large-x series, with
+    # no quadrature and no numpy; below it from the defining integral
+    if eta >= _TAIL_MIN_ETA:
+        return _tail_fit(eta)
+    return _quadrature_fit(eta)
 
 
 def _fit_value(fit, w):
@@ -264,15 +378,18 @@ def _ladder_sums(xs, offsets, counts, pancake):
         terms = values if pancake else list(map(truediv, repeat(1.0), values))
     except ZeroDivisionError:  # 1/rising_half at a Gamma pole itself
         terms = None
-    # one bound for every term, the usual case, spares a max per row
+    # one bound for every term, the usual case, spares a max per row; a
+    # term at a positive argument is positive, its size its value
     same = bounds and bounds.count(bounds[0]) == len(bounds)
+    positive = min(xs) + lift > 0.0
     sums, largest, i = [], 0.0, 0
     for m in counts if terms is not None else ():
         j = i + m
         row = terms[i:j]
-        size = sum(map(abs, row))
+        total = sum(row)
+        size = total if positive else sum(map(abs, row))
         bound = bounds[0] if same else max(bounds[i:j], default=0.0)
-        sums.append((sum(row), size * bound))
+        sums.append((total, size * bound))
         if size > largest:
             largest = size
         i = j
@@ -411,11 +528,12 @@ def f_eval_many(xs, eta):
     The batch takes f_eval's route (by eta, so one route for all) and one
     kernel call for all elements: one rising_half call over every
     (element, ladder step) argument, then the interpolant's Clenshaw sums
-    and no quadrature (the first batch at an eta off the closed forms
-    builds the interpolant: one integrate call).  The kernel returns plain
-    floats, which this wraps; f_values is the same call without the
-    wrapping.  Each element's value, route and est are the scalar
-    f_eval's bit for bit, whatever else is in the batch.
+    and no quadrature.  The first batch at an eta off the closed forms
+    also builds the interpolant: from eta = 0.1 on one more rising_half
+    call and F's large-x series in plain floats, below it one integrate
+    call.  The kernel returns plain floats, which this wraps; f_values is
+    the same call without the wrapping.  Each element's value, route and
+    est are the scalar f_eval's bit for bit, whatever else is in the batch.
     An element within POLE_TOL of a pole raises PoleSignal carrying that
     pole's x (the first such element's); a non-finite x, eta <= 0 or x
     above INTEGRAL_X_RANGE raises ValueError.
@@ -435,8 +553,9 @@ def f_eval(arg):
     Integer 1/eta (within 1e-12) uses the pancake closed form, which at
     eta = 1 is the spherical one; anything else, integer eta >= 2 included,
     the recurrence-extended integral, its terminal F at y >= T,
-    T = max(eta, 1)/2, from one interpolant of f_integral in T/y cached
-    per eta (within 1e-13 (1 + |F|), in est_error).  Its route is
+    T = max(eta, 1)/2, from one interpolant of F in T/y cached per eta
+    (within 1e-13 (1 + |F|), in est_error), fitted to F's large-x series
+    atop the gamma ladder (to f_integral below eta = 0.1).  Its route is
     "recurrence" where the ladder has a step and "interpolant" where x
     itself is read from the fit.  Both routes' gamma ladders pass through
     each pole x = -(j + k eta) (as Gamma(-j) at step k), so an input within
@@ -514,6 +633,9 @@ def phi(x):
     """
     if not x > -1.0:
         raise ValueError("phi needs x > -1")
+    import numpy as np
+
+    from .quadrature import integrate
 
     def bracket(t):
         n = int(np.searchsorted(t, _LNQ_SPLIT))

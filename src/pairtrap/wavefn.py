@@ -12,7 +12,7 @@ series (Laguerre x Gamma(a) U(a, b, w) products) summed under the Laplace
 form of its coefficients by the Laguerre generating function, with the few
 modes below a = 1/2 peeled off as a head recurred down from Gamma U seeds
 (gamma_u_down) integrated in the same pass.  Either integral samples a
-whole grid in one numerics.integrate_separable call per route.  gamma_u,
+whole grid in one quadrature.integrate_separable call per route.  gamma_u,
 the signed Gamma U kernel, integrates the same Laplace form, and one rule,
 the turn point t with w t (1 + t) = c, sets the scale of both integrals
 and the peel each point takes.  The radial series (fast for cigars) and
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (NumericsError, SeriesError, integrate,
-                       integrate_separable)
+from .numerics import NumericsError, SeriesError, SeriesTruncation
+from .quadrature import integrate, integrate_separable
 from .solver import ground_energy_offset
 from .specfun import (
     POLE_TOL,
@@ -78,20 +78,6 @@ class ProfileSamples:
             raise ValueError("normalized samples need norm_constant > 0")
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Term cap and relative tail tolerance for the series routes."""
-
-    max_terms: int = 200
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-
-
 def _psi_grid(rhos, zs, de, eta):
     # Psi below E0, de = E - E0 < 0, on the grid zs x rhos as a (z, rho)
     # array, at scale sqrt(r^2/(E0 - E)) per point: the integrand climbs
@@ -121,10 +107,11 @@ def psi_integral(rho, z, E, g):
     sit strictly below E0 (above it, psi_peeled takes the growing modes off
     the same integral); the r != 0 Gaussian suppression exp(-r^2/(2t))
     tames the t^{-3/2} short-time divergence.  It is the 1 x 1 case of
-    sample_grid's grid kernel, numerics.integrate_separable at the power of
-    two nearest sqrt(r^2/(E0 - E)), so a grid sample equals this value.
-    numerics accepts the integral at an estimate under 10 ABS_TOL = 1e-11,
-    so values far below eta 1e-11/(2 pi)^{3/2} have no relative accuracy.
+    sample_grid's grid kernel, quadrature.integrate_separable at the power
+    of two nearest sqrt(r^2/(E0 - E)), so a grid sample equals this value.
+    quadrature accepts the integral at an estimate under 10 ABS_TOL =
+    1e-11, so values far below eta 1e-11/(2 pi)^{3/2} have no relative
+    accuracy.
     """
     return _point(rho, z, E, g, "integral")
 
@@ -229,7 +216,7 @@ def gamma_u(a, b, w):
     p = t/(1 + t), integrated at its turn point t (w t (1 + t) = a + 1/2,
     the peel's scale rule); a row below 1/2 comes from the rows a + n,
     a + n + 1 (n the least with a + n >= 1/2) by gamma_u_down.  All rows
-    are points of one numerics.integrate_separable call, so a batch gives
+    are points of one quadrature.integrate_separable call, so a batch gives
     each row's scalar value bit for bit.  A value is good to 1e-13
     relative while Gamma U > 1e-120; below that, only to the node table's
     absolute accuracy.
@@ -644,7 +631,7 @@ def sample_grid(rhos, zs, E, g, route=None, trunc=SeriesTruncation()):
 
     One route is used for every point so the samples stay homogeneous; the
     default picks the integral below E0 and the peeled integral otherwise.
-    Either integral is one grid kernel, numerics.integrate_separable with
+    Either integral is one grid kernel, quadrature.integrate_separable with
     each z row's and rho column's factor computed once per power-of-two
     scale, and psi_integral or psi_peeled its 1 x 1 case, so each sample is
     the point value; a grid holding a point outside the domain raises the

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pairtrap import cli, solver, spectral
+from pairtrap import cli, quadrature, solver, spectral
 from pairtrap.solver import (InteractionModel, TrapGeometry, _default_window,
                              bound_state_exact, eigenenergies,
                              ground_energy_offset)
@@ -53,6 +53,32 @@ def test_unbounded_fixed_a_window_exits_2(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "window must be a bounded interval" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--inv-a-min", "-inf", "--inv-a-max", "1", "--inv-a-steps", "2"],
+    ["--inv-a-min=-inf", "--inv-a-max", "1", "--inv-a-steps", "2"],
+    ["--inv-a-min", "-1", "--inv-a-max=nan", "--inv-a-steps", "2"],
+    ["--inv-a-min=nan", "--inv-a-max", "1"]])
+@pytest.mark.parametrize("command", ["spectrum", "bound"])
+def test_nonfinite_inv_a_grid_end_exits_2(command, flags, capsys):
+    # an infinite or NaN grid end made every cell's 1/a NaN, which was
+    # solved as the noninteracting limit (rows NA,2.87,4.87 and exit 0);
+    # the run now fails instead of writing a row
+    assert _run([command, "--eta", "2.37"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "1/a grid ends must be finite" in err
+
+
+def test_nonfinite_coordinate_grid_end_exits_2(capsys):
+    # an infinite grid end crashed the node table's scale with an
+    # OverflowError traceback; the run now fails with exit 2
+    assert _run(["wavefunction", "--eta", "2", "--grid-max", "inf",
+                 "--grid-steps", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "coordinate grid ends must be finite" in err
 
 
 def test_eta_must_be_finite():
@@ -168,20 +194,21 @@ def test_fig1_sweep_builds_the_terminal_fit_once(capsys):
     ["fig1", "--eta", "2.37"],
     ["bound", "--eta", "2.37", "--inv-a-steps", "161"]])
 def test_sweeps_integrate_only_to_build_the_fits(argv, capsys, monkeypatch):
-    # a 161-cell sweep runs no single-element quadrature: F's defining
-    # integral runs once, to build the interpolant on its 28 points
+    # a 161-cell sweep runs no quadrature at all: at eta = 2.37 even the
+    # interpolant is built from the gamma ladder and F's large-x series
     sizes = []
-    integrate = spectral.integrate
+    integrate = quadrature.integrate
 
     def counted(f_vec, scale):
         sizes.append(len(scale))
         return integrate(f_vec, scale)
 
-    monkeypatch.setattr(spectral, "integrate", counted)
+    monkeypatch.setattr(quadrature, "integrate", counted)
     spectral._terminal_fit.cache_clear()
     assert _run(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 162
-    assert sizes == [spectral._FIT_N]
+    assert spectral._terminal_fit.cache_info().misses == 1
+    assert sizes == []
 
 
 def test_spectrum_resonance_default_window(capsys):
@@ -261,13 +288,47 @@ def cli_import_modules():
 
 
 @pytest.mark.parametrize("module", ["scipy", "scipy.integrate",
-                                    "scipy.optimize", "scipy.linalg"])
+                                    "scipy.optimize", "scipy.linalg",
+                                    "numpy"])
 def test_cli_import_leaves_out(cli_import_modules, module):
     # the package integrates on its own node table, finds roots with its
-    # own Brent loop and takes its special functions from specfun; neither
+    # own Brent loop and takes its special functions from specfun, and it
+    # loads numpy only with the wavefunction or a quadrature; neither
     # this module nor any submodule of it is loaded
     assert not [m for m in cli_import_modules
                 if m == module or m.startswith(module + ".")]
+
+
+_LEVEL_PATH_PROBE = """
+import os, sys
+import pairtrap
+pairtrap.SeriesTruncation()
+from pairtrap.cli import main
+for argv in (["fig1", "--eta", "2.37"], ["bound", "--eta", "2.37"],
+             ["spectrum", "--eta", "2.37", "--resonance", "0.5,0.3,3.5"]):
+    assert main(argv + ["--threads", "1", "--out", os.devnull]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+out = os.path.join(sys.argv[1], "fig2.csv")
+assert main(["fig2", "--eta", "100", "--threads", "1", "--out", out]) == 0
+assert "numpy" in sys.modules
+names = {}
+exec("from pairtrap import *", names)
+missing = set(pairtrap.__all__) - set(names)
+assert not missing, missing
+print("ok")
+"""
+
+
+def test_level_path_leaves_out_numpy(tmp_path):
+    # the levels run in plain floats: importing the package, building a
+    # SeriesTruncation and the fig1, bound and resonance spectrum runs at
+    # eta = 2.37 load no numpy; fig2 then loads it with the wavefunction,
+    # and every name of __all__ still imports
+    run = subprocess.run([sys.executable, "-c", _LEVEL_PATH_PROBE,
+                          str(tmp_path)], env=_src_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout == "ok\n"
 
 
 def test_check_passes_with_scipy_blocked():

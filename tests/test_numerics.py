@@ -9,11 +9,12 @@ import pytest
 from scipy.optimize import brentq  # the reference; pairtrap leaves it out
 from scipy.special import digamma
 
-from pairtrap import cli, numerics, solver, specfun, spectral, wavefn
+from pairtrap import (cli, numerics, quadrature, solver, specfun, spectral,
+                      wavefn)
 from pairtrap.numerics import (NumericsError, QuadratureError, RootBracket,
                                bracket_from_signs, find_root_bracketed,
-                               find_roots_bracketed, integrate,
-                               integrate_separable)
+                               find_roots_bracketed)
+from pairtrap.quadrature import integrate, integrate_separable
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies)
 from pairtrap.spectral import pole_grid
@@ -48,13 +49,13 @@ def test_exp_sinh_fine_pass_is_chosen_per_row(monkeypatch):
             (lambda t: np.exp(-t / 3.0), 3.0)]
     alone = [integrate(f, c) for f, c in rows]
     verdicts = []
-    exceeded = numerics._tolerance_exceeded
+    exceeded = quadrature._tolerance_exceeded
 
     def spy(value, est):
         verdicts.append(np.atleast_1d(exceeded(value, est)).tolist())
         return exceeded(value, est)
 
-    monkeypatch.setattr(numerics, "_tolerance_exceeded", spy)
+    monkeypatch.setattr(quadrature, "_tolerance_exceeded", spy)
     value, est = integrate(
         lambda t: np.array([f(t[i]) for i, (f, _) in enumerate(rows)]),
         np.array([c for _, c in rows]))
@@ -78,11 +79,13 @@ def _closed_form_grid():
 
 def test_node_layout_stays_in_numerics():
     # the exp-sinh node layout (table, even and odd halves, weights) and
-    # the rule on it are numerics' alone: every other module integrates
-    # through integrate or integrate_separable and binds none of them
+    # the rule on it are the quadrature module's alone: every other module,
+    # numerics included, integrates through integrate or
+    # integrate_separable and binds none of them
     layout = {"NODE_TABLE", "_ES_T_EVEN", "_ES_T_ODD", "_ES_W_EVEN",
               "_ES_W_ODD", "_rule", "_settle"}
-    for module in (cli, solver, spectral, specfun, wavefn):
+    assert layout <= set(vars(quadrature))
+    for module in (cli, numerics, solver, spectral, specfun, wavefn):
         assert not layout & set(vars(module)), module.__name__
 
 
@@ -108,7 +111,7 @@ def test_separable_rule_matches_closed_form():
     assert len(np.unique(np.rint(np.log2(scale)))) >= 6
     assert np.all(abs(value / want - 1.0) <= 1e-13)
     assert np.all(abs(value - want) <= est)
-    assert np.all(est < numerics.REL_TOL * want)
+    assert np.all(est < quadrature.REL_TOL * want)
 
 
 def test_separable_point_alone_equals_point_in_grid():
@@ -131,7 +134,7 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
     odd_factor_rows = []
 
     def bump(p, t):
-        if t.shape[-1] == len(numerics.NODE_TABLE) // 2:
+        if t.shape[-1] == len(quadrature.NODE_TABLE) // 2:
             odd_factor_rows.append(len(p))
         return np.exp(-p * (t - 5.0) ** 2)
 
@@ -139,7 +142,7 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
     q = np.array([0.05, 0.1, 0.3])
     scale = np.full((3, 3), 4.0)
     refined, odd_rows = [], []
-    rule = numerics._rule
+    rule = quadrature._rule
 
     def spy(scale, terms):
         def counted(nodes, weights, rows):
@@ -151,7 +154,7 @@ def test_separable_fine_pass_only_for_failing_points(monkeypatch):
         refined.append(out[2])
         return out
 
-    monkeypatch.setattr(numerics, "_rule", spy)
+    monkeypatch.setattr(quadrature, "_rule", spy)
     alone = {}
     for i, j in np.ndindex(scale.shape):
         v, e = integrate_separable(bump, bump, p[i:i + 1], q[j:j + 1],

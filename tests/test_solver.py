@@ -170,6 +170,16 @@ def test_interaction_model_fixed_roundtrip():
     assert InteractionModel.from_inverse_a(math.inf).noninteracting
 
 
+def test_inverse_a_nan_is_rejected():
+    # +-inf is a = 0, the noninteracting model; NaN is no model at all and
+    # must not be solved as the noninteracting limit
+    for inv_a in (math.inf, -math.inf):
+        model = InteractionModel.from_inverse_a(inv_a)
+        assert model.noninteracting and model.inv_a == math.inf
+    with pytest.raises(ValueError, match="NaN"):
+        InteractionModel.from_inverse_a(math.nan)
+
+
 def test_noninteracting_ladder():
     g = TrapGeometry(1.0)
     levels = eigenenergies(InteractionModel.fixed(0.0), g,

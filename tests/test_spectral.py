@@ -11,14 +11,14 @@ import re
 
 import mpmath
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import args_of, fval, oracle_lines, oracle_values
 import numpy as np
 
-from pairtrap import spectral
-from pairtrap.numerics import integrate
+from pairtrap import quadrature, spectral
+from pairtrap.quadrature import integrate
 from pairtrap.specfun import PoleSignal, gamma_ratio
 from pairtrap.spectral import (SpectralArgument, f_cigar, f_eval,
                                f_eval_many, f_integral, f_pancake, f_quasi1d,
@@ -29,6 +29,7 @@ ORA1 = oracle_values("spectral_oracle.out")
 ORA2 = oracle_values("spectral_oracle2.out")
 NODES = oracle_values("node_table_oracle.out")
 PHI = oracle_values("phi_check.out")
+TAIL = oracle_values("terminal_tail_oracle.out")
 
 
 def _close(got, want, rel, abs_floor=0.0):
@@ -601,14 +602,16 @@ def test_f_values_is_f_eval_many_without_the_wrapping(eta):
 def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):
     # O(1) kernel calls as eta -> 0: at eta = 0.003, x = -3.3001 the ladder
     # has 1,267 steps (it took 1,267 gamma_ratio calls), all in one
-    # rising_half call.  The first batch at an eta also builds the terminal
-    # interpolant, one integrate call; every later batch takes one
-    # rising_half call and no integrate call, deep bound states (x = 0.7,
-    # 1e6) included
+    # rising_half call.  The first batch at an eta below 0.1 also builds
+    # the terminal interpolant, one integrate call; every later batch
+    # takes one rising_half call and no integrate call, deep bound states
+    # (x = 0.7, 1e6) included.  At eta = 2.37 the first batch builds the
+    # interpolant with one more rising_half call and no integrate call
     calls = []
-    for name in ("rising_half", "integrate"):
-        orig = getattr(spectral, name)
-        monkeypatch.setattr(spectral, name, lambda *args, _n=name, _f=orig:
+    for module, name in ((spectral, "rising_half"),
+                         (quadrature, "integrate")):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _n=name, _f=orig:
                             calls.append(_n) or _f(*args))
     spectral._terminal_fit.cache_clear()
     value = f_eval(SpectralArgument(-3.3001, 0.003)).value
@@ -619,6 +622,49 @@ def test_f_eval_cost_is_one_kernel_call_at_small_eta(monkeypatch):
         calls.clear()
         f_eval_many(xs, 0.003)
         assert calls == ["rising_half"]
+    calls.clear()
+    f_eval_many([-3.3001, 0.5012, 0.7], 2.37)
+    assert calls == ["rising_half", "rising_half"]
+
+
+def test_lnq_coefficients_are_the_bernoulli_ratios():
+    # c_n = -B_2n/(2n (2n)!), n = 1 .. 14 (B_2 .. B_28), each the double
+    # nearest its exact value; the quadrature's series keeps the first seven
+    with mpmath.workdps(50):
+        want = [float(-mpmath.bernoulli(2 * n)
+                      / (2 * n * mpmath.factorial(2 * n)))
+                for n in range(1, 15)]
+    assert list(spectral._LNQ_C) == want
+    assert spectral._LNQ_SERIES == tuple((n, want[n - 1])
+                                         for n in range(7, 0, -1))
+
+
+@pytest.mark.parametrize("key", sorted(TAIL))
+def test_terminal_tail_meets_the_oracle(key):
+    # F's large-x series at its threshold x' = 6 max(1, eta), the worst
+    # point the fit reads it at, against F's defining integral at 40
+    # digits; the size of its last term, the estimate of what it leaves
+    # out, is far below that
+    xp, eta = args_of(key)
+    want = fval(TAIL, key)
+    tail, last = spectral._tail(xp, spectral._tail_coefficients(eta))
+    got = -2.0 * math.sqrt(math.pi * xp) + tail
+    assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+    assert last <= 1e-16 * (1.0 + abs(want))
+
+
+@settings(max_examples=25)
+@given(log_eta=st.floats(math.log(0.1), math.log(100.0)))
+def test_tail_fit_meets_the_quadrature_fit(log_eta):
+    # two independent builds of F's interpolant, the gamma ladder plus the
+    # large-x series and the defining integral's quadrature: every
+    # Chebyshev coefficient agrees within the sum of the two estimates
+    eta = math.exp(log_eta)
+    tail_coefs, tail_c0, tail_est = spectral._tail_fit(eta)
+    quad_coefs, quad_c0, quad_est = spectral._quadrature_fit(eta)
+    assert len(tail_coefs) == len(quad_coefs) == spectral._FIT_N - 1
+    for a, b in zip(tail_coefs + (tail_c0,), quad_coefs + (quad_c0,)):
+        assert abs(a - b) <= tail_est + quad_est
 
 
 def _fit_read(eta, y):

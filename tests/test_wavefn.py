@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import k0
 
 from conftest import args_of, fval, oracle_values
-from pairtrap import numerics
+from pairtrap import quadrature
 from pairtrap.numerics import NumericsError, QuadratureError, SeriesError
 from pairtrap.solver import (InteractionModel, TrapGeometry,
                              bound_state_exact, eigenenergies,
@@ -876,7 +876,7 @@ def test_sample_grid_equals_psi_integral_bit_for_bit(eta, energies):
         _, per_bucket = np.unique(np.rint(np.log2(np.sqrt(r2 / kappa2))),
                                   return_counts=True)
         assert len(per_bucket) >= 6
-        assert (per_bucket.max() > numerics._BLOCK) == big
+        assert (per_bucket.max() > quadrature._BLOCK) == big
         samples = sample_grid(grid_rhos, grid_zs, e, g)
         assert samples.values == tuple(psi_integral(rho, z, e, g)
                                        for rho, z in samples.coordinates)
