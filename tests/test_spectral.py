@@ -644,13 +644,18 @@ def test_terminal_tail_meets_the_oracle(key):
     # F's large-x series at its threshold x' = 6 max(1, eta), the worst
     # point the fit reads it at, against F's defining integral at 40
     # digits; the size of its last term, the estimate of what it leaves
-    # out, is far below that
+    # out, is far below that.  The interpolant built from the ladders and
+    # the series meets the same value there within its estimate
     xp, eta = args_of(key)
     want = fval(TAIL, key)
     tail, last = spectral._tail(xp, spectral._tail_coefficients(eta))
     got = -2.0 * math.sqrt(math.pi * xp) + tail
     assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
     assert last <= 1e-16 * (1.0 + abs(want))
+    read = f_recurrence_extend(SpectralArgument(xp + 0.25 + 0.5 * eta, eta))
+    assert read.route == "interpolant"
+    assert abs(read.value - want) <= min(read.est_error,
+                                         1e-14 * (1.0 + abs(want)))
 
 
 @settings(max_examples=25)
