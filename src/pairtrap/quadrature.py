@@ -1,5 +1,5 @@
-"""Node-table quadrature on (0, inf), the package's one numpy module besides
-the wavefunction.
+"""Node-table quadrature on (0, inf), which with the wavefunction module is
+all that imports numpy when loaded.
 
 A fixed exp-sinh node table integrates a numpy-vectorized integrand in one
 pass: every proper-time integral of the package runs on it (F's defining
@@ -8,10 +8,10 @@ An array of scales integrates a batch of integrands, each row on its own
 coarse or fine rule; integrate_separable takes a grid of integrands
 u_i(t) v_j(t) on shared nodes per power-of-two scale, with u and v once
 per row and column, by the same rule and no BLAS product.  The level path
-(solver, specfun, spectral's F above eta = 0.1) never imports this module;
-spectral imports it inside the functions that integrate.  All routines are
-pure functions of their inputs and keep no mutable state, so they are safe
-to call concurrently.
+(solver, specfun, spectral's F from eta = 0.1 on) never imports this
+module; spectral imports it inside the functions that integrate.  All
+routines are pure functions of their inputs and keep no mutable state, so
+they are safe to call concurrently.
 """
 
 import math

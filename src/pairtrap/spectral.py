@@ -265,19 +265,23 @@ def _chebyshev_fit(hs, errs):
 
 
 def _tail_coefficients(eta):
-    # e_j = d_j Gamma(2j - 1/2) for j = 1 .. 14, the d_j from
-    # j d_j = sum_n n a_n d_(j-n), d_0 = 1
-    na = [n * c * (0.5 + eta ** (2 * n)) for n, c in enumerate(_LNQ_C, 1)]
+    # e_j = d_j Gamma(2j - 1/2)/cap^2j for j = 1 .. 14, cap = max(eta, 1),
+    # the d_j from j d_j = sum_n n a_n d_(j-n), d_0 = 1, run on
+    # a_n/cap^2n = c_n (cap^-2n/2 + (eta/cap)^2n), so that no power of eta
+    # overflows
+    cap = max(eta, 1.0)
+    r, q = 1.0 / (cap * cap), (eta / cap) ** 2
+    na = [n * c * (0.5 * r ** n + q ** n) for n, c in enumerate(_LNQ_C, 1)]
     d = [1.0]
     for j in range(1, len(na) + 1):
         d.append(sum(map(mul, na, reversed(d))) / j)
     return tuple(map(mul, d[1:], _TAIL_GAMMA))
 
 
-def _tail(xp, e):
-    # F + 2 sqrt(pi x') at x' from the series, sum_j e_j x'^-(2j - 1/2),
-    # and the size of its last term
-    u = 1.0 / (xp * xp)
+def _tail(xp, cap, e):
+    # F + 2 sqrt(pi x') at x' from the series with e = _tail_coefficients
+    # (eta), sum_j e_j (cap/x')^2j sqrt(x'), and the size of its last term
+    u = (cap / xp) ** 2
     acc = 0.0
     for c in reversed(e):
         acc = (acc + c) * u
@@ -312,7 +316,7 @@ def _tail_fit(eta):
         y = x + m * eta
         yp = y - shift
         root, root_y = math.sqrt(x), math.sqrt(y)
-        tail, last = _tail(yp, e)
+        tail, last = _tail(yp, cap, e)
         parts = (coef * total,
                  -head_coef * (y - x) / (root + root_y),
                  head_coef * shift / (root_y + math.sqrt(yp)), tail)

@@ -648,7 +648,8 @@ def test_terminal_tail_meets_the_oracle(key):
     # the series meets the same value there within its estimate
     xp, eta = args_of(key)
     want = fval(TAIL, key)
-    tail, last = spectral._tail(xp, spectral._tail_coefficients(eta))
+    tail, last = spectral._tail(xp, max(eta, 1.0),
+                                spectral._tail_coefficients(eta))
     got = -2.0 * math.sqrt(math.pi * xp) + tail
     assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
     assert last <= 1e-16 * (1.0 + abs(want))
@@ -717,6 +718,17 @@ def test_far_fit_end_value(eta):
     h0, _ = spectral._fit_value(spectral._terminal_fit(eta), 0.0)
     want = math.sqrt(math.pi) * (0.25 + 0.5 * eta)
     assert abs(h0 / want - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("eta", [1e13, 1e20])
+def test_fit_at_extreme_cigar_eta(eta):
+    # the series' coefficients run on a_n/max(eta, 1)^2n, so no power of
+    # eta overflows (eta^28 does from eta ~ 1e11): the interpolant still
+    # meets H(0) and the defining integral within both estimates
+    h0, _ = spectral._fit_value(spectral._terminal_fit(eta), 0.0)
+    assert abs(h0 / (math.sqrt(math.pi) * (0.25 + 0.5 * eta)) - 1.0) <= 1e-14
+    for y in (0.5 * eta, 0.7 * eta, 3.0 * eta):
+        _check_fit_against_integral(eta, y)
 
 
 @given(log_eta=st.floats(math.log(0.01), math.log(100.0)))
